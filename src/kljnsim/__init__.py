@@ -29,6 +29,7 @@ from .card import (
     CardIdentity,
     CardRefusedError,
     CardState,
+    CorruptJournalError,
     DuplicateCardError,
     KeyB,
     KeyC,

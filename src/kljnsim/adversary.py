@@ -20,15 +20,19 @@ Active attacks and how the two-end comparison catches them:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from .exchange import (
+    AdversaryHook,
+    BitExchangeRecord,
     LoopClass,
+    _bit_resistance,
     classify_level,
     first_divergence_index,
     run_bit_period,
+    spawn_seeds,
 )
 from .noise import (
     InconsistentSpectraError,
@@ -49,7 +53,6 @@ class EveEstimate:
     loop_class_guess: LoopClass
     pair_guess: Optional[tuple[float, float]]
     bit_assignment_guess: Optional[tuple[int, int]]  # (alice, bob)
-    correct_assignment: Optional[bool] = None  # filled by the harness
 
 
 @dataclass
@@ -110,8 +113,8 @@ class MitmHook:
         bit_to_a = int(self.rng.integers(0, 2))
         bit_to_b = int(self.rng.integers(0, 2))
         self.eve_bits.append((bit_to_a, bit_to_b))
-        r_eve_a = cfg.r_high if bit_to_a else cfg.r_low
-        r_eve_b = cfg.r_high if bit_to_b else cfg.r_low
+        r_eve_a = _bit_resistance(bit_to_a, cfg)
+        r_eve_b = _bit_resistance(bit_to_b, cfg)
         u_eve_a = generate_noise(johnson_psd(r_eve_a, cfg), cfg, self.rng)
         u_eve_b = generate_noise(johnson_psd(r_eve_b, cfg), cfg, self.rng)
         view_a = compose_loop(u_a, u_eve_a, r_a, r_eve_a, cfg.sample_rate)
@@ -141,6 +144,32 @@ class InjectionHook:
         return view_a, view_b
 
 
+def _attack_period(kind: str, cfg: NoiseConfig, bits_seed, period_seed,
+                   hook: AdversaryHook, monitor_enabled: bool,
+                   bits_learned: Callable[[BitExchangeRecord, int], int],
+                   ) -> AttackOutcome:
+    """One bit period of random bits under an active ``hook``;
+    ``bits_learned(record, retained)`` counts what Eve got from it."""
+    bit_rng = np.random.default_rng(bits_seed)
+    a_bit = int(bit_rng.integers(0, 2))
+    b_bit = int(bit_rng.integers(0, 2))
+    rec = run_bit_period(a_bit, b_bit, cfg, period_seed, adversary=hook)
+    index = first_divergence_index(rec.trace, rec.bob_trace)
+    detected = monitor_enabled and rec.monitor.alarm
+    if monitor_enabled:
+        retained = int(rec.retained)
+    else:
+        # Without the comparison the parties retain on classification alone.
+        retained = int(rec.loop_class is LoopClass.MID)
+    return AttackOutcome(
+        kind=kind,
+        detected=detected,
+        detection_sample_index=index if detected else None,
+        bits_learned=bits_learned(rec, retained),
+        bits_retained_by_parties=retained,
+    )
+
+
 def mitm_attack(cfg: NoiseConfig, seed,
                 monitor_enabled: bool = True) -> AttackOutcome:
     """One bit period under a man-in-the-middle, with or without defense.
@@ -151,30 +180,11 @@ def mitm_attack(cfg: NoiseConfig, seed,
     off, the parties keep any period both of them classified MID, and Eve
     knows every such bit.
     """
-    ss = np.random.SeedSequence(seed) \
-        if not isinstance(seed, np.random.SeedSequence) else seed
-    bits_seed, hook_seed, period_seed = ss.spawn(3)
-    bit_rng = np.random.default_rng(bits_seed)
-    a_bit = int(bit_rng.integers(0, 2))
-    b_bit = int(bit_rng.integers(0, 2))
-    hook = MitmHook(cfg, hook_seed)
-    rec = run_bit_period(a_bit, b_bit, cfg, period_seed, adversary=hook)
-    index = first_divergence_index(rec.trace, rec.bob_trace)
-    if monitor_enabled:
-        detected = rec.alarm
-        retained = 1 if rec.retained else 0
-    else:
-        detected = False
-        # Without the comparison the parties retain on classification alone.
-        retained = 1 if rec.loop_class is LoopClass.MID else 0
-    learned = retained  # Eve sits in both loops; every kept bit is hers
-    return AttackOutcome(
-        kind="mitm",
-        detected=detected,
-        detection_sample_index=index if detected else None,
-        bits_learned=learned,
-        bits_retained_by_parties=retained,
-    )
+    bits_seed, hook_seed, period_seed = spawn_seeds(seed, 3)
+    # Eve sits in both loops: every bit the parties keep is hers.
+    return _attack_period("mitm", cfg, bits_seed, period_seed,
+                          MitmHook(cfg, hook_seed), monitor_enabled,
+                          lambda rec, retained: retained)
 
 
 def inject_current(cfg: NoiseConfig, injection: np.ndarray, seed,
@@ -188,33 +198,12 @@ def inject_current(cfg: NoiseConfig, injection: np.ndarray, seed,
     outcome's ``bits_learned`` counts exactly the insecure (LL/HH)
     knowledge she would have had anyway.
     """
-    injection = np.asarray(injection, dtype=np.float64)
-    if injection.size != cfg.samples_per_bit:
-        raise ValueError(
-            f"injection must have samples_per_bit={cfg.samples_per_bit} "
-            f"samples, got {injection.size}")
-    ss = np.random.SeedSequence(seed) \
-        if not isinstance(seed, np.random.SeedSequence) else seed
-    bits_seed, period_seed = ss.spawn(2)
-    bit_rng = np.random.default_rng(bits_seed)
-    a_bit = int(bit_rng.integers(0, 2))
-    b_bit = int(bit_rng.integers(0, 2))
-    hook = InjectionHook(injection)
-    rec = run_bit_period(a_bit, b_bit, cfg, period_seed, adversary=hook)
-    index = first_divergence_index(rec.trace, rec.bob_trace)
-    detected = rec.alarm and monitor_enabled
-    if monitor_enabled:
-        retained = 1 if rec.retained else 0
-    else:
-        retained = 1 if rec.loop_class is LoopClass.MID else 0
-    learned = 1 if rec.loop_class in (LoopClass.LL, LoopClass.HH) else 0
-    return AttackOutcome(
-        kind="injection",
-        detected=detected,
-        detection_sample_index=index if detected else None,
-        bits_learned=learned,
-        bits_retained_by_parties=retained,
-    )
+    bits_seed, period_seed = spawn_seeds(seed, 2)
+    return _attack_period(
+        "injection", cfg, bits_seed, period_seed, InjectionHook(injection),
+        monitor_enabled,
+        lambda rec, retained: int(rec.loop_class in (LoopClass.LL,
+                                                     LoopClass.HH)))
 
 
 __all__ = [

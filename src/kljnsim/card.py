@@ -43,15 +43,13 @@ from .exchange import (
     BitExchangeRecord,
     ChannelCompromisedError,
     exchange_key,
+    spawn_seeds,
 )
 from .noise import NoiseConfig
 from .privacy import BitString, amplify
 from .tags import poly_tag, segment_to_key, tag_hex
 
 MIN_SEGMENT_BITS = 64  # tag key size; floor for the per-session segment
-
-PHASES = ("idle", "identified", "key_located", "kljn_running",
-          "authenticated", "transacting", "refreshing", "closed", "broken")
 
 _ALLOWED_TRANSITIONS = {
     "idle": {"identified"},
@@ -76,6 +74,11 @@ class KeyExhaustedError(RuntimeError):
 
 class DuplicateCardError(ValueError):
     """Card number already provisioned in this keystore."""
+
+
+class CorruptJournalError(OSError):
+    """A keystore journal line, other than a torn final one, is not a
+    complete card record."""
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,6 @@ class SessionLedger:
     consumed_segment: Optional[tuple[int, int]] = None  # (generation, index)
     key_b_bits_used: int = 0
     refreshed: bool = False
-    monitor_samples: int = 0
 
     def advance(self, new_phase: str) -> None:
         if new_phase not in _ALLOWED_TRANSITIONS[self.phase]:
@@ -204,7 +206,6 @@ class CardState:
 
     identity: CardIdentity
     key_c: KeyC
-    broken_count: int = 0
     canceled: bool = False
     generation: int = 0
 
@@ -219,18 +220,50 @@ class ServerRecord:
     canceled: bool = False
     generation: int = 0
 
+    # Journal record layout, in its fixed field order.
+    FIELDS = ("card_number", "holder_name", "expiry", "c_hex", "c_len",
+              "segment_len", "cursor", "m_max", "broken_count", "canceled",
+              "generation")
+
+    def to_journal(self) -> dict:
+        """The record as one ``kljn.card_record`` journal object."""
+        values = (self.identity.card_number, self.identity.holder_name,
+                  self.identity.expiry, self.key_c.bits.to_hex(),
+                  len(self.key_c.bits), self.key_c.segment_len,
+                  self.key_c.cursor, self.key_c.m_max,
+                  self.broken_count_mirror, self.canceled, self.generation)
+        return {"schema": "kljn.card_record", "version": 1,
+                **dict(zip(self.FIELDS, values))}
+
+    @classmethod
+    def from_journal(cls, obj: dict) -> "ServerRecord":
+        """Inverse of ``to_journal``."""
+        (number, holder, expiry, c_hex, c_len, segment_len, cursor, m_max,
+         broken_count, canceled, generation) = (obj[k] for k in cls.FIELDS)
+        return cls(
+            identity=CardIdentity(number, holder, expiry),
+            key_c=KeyC(bits=BitString.from_hex(c_hex, c_len, "key_c"),
+                       segment_len=segment_len, cursor=cursor, m_max=m_max),
+            broken_count_mirror=broken_count,
+            canceled=canceled,
+            generation=generation,
+        )
+
 
 class Keystore:
     """Per-card server records backed by an append-only journal.
 
     Journal lines are JSON objects with a fixed field order; on load the
     latest line per card number wins.  ``path=None`` keeps the store
-    memory-only.
+    memory-only.  ``torn_tail`` is set when load skipped a final line that
+    an interrupted append left unterminated and unreadable; such a store
+    refuses to append.
     """
 
     def __init__(self, path: Optional[str | Path] = None):
         self.path = Path(path) if path is not None else None
         self.records: dict[str, ServerRecord] = {}
+        self.torn_tail = False
 
     def lookup(self, card_number: str) -> Optional[ServerRecord]:
         return self.records.get(card_number)
@@ -246,53 +279,38 @@ class Keystore:
         """Append the record's current state to the journal file."""
         if self.path is None:
             return
-        obj = {
-            "schema": "kljn.card_record",
-            "version": 1,
-            "card_number": record.identity.card_number,
-            "holder_name": record.identity.holder_name,
-            "expiry": record.identity.expiry,
-            "c_hex": record.key_c.bits.to_hex(),
-            "c_len": len(record.key_c.bits),
-            "segment_len": record.key_c.segment_len,
-            "cursor": record.key_c.cursor,
-            "m_max": record.key_c.m_max,
-            "broken_count": record.broken_count_mirror,
-            "canceled": record.canceled,
-            "generation": record.generation,
-        }
+        if self.torn_tail:
+            raise CorruptJournalError(
+                f"{self.path}: last line is torn; refusing to append")
         with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(obj) + "\n")
+            fh.write(json.dumps(record.to_journal()) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Keystore":
-        store = cls(path=None)
-        p = Path(path)
+        """Replay a journal; a missing file gives an empty store.
+
+        Raises
+        ------
+        CorruptJournalError
+            On an unreadable line that is not the torn final one.
+        """
+        store = cls(path)
+        p = store.path
         if p.exists():
-            with open(p, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
+            with open(p, "rb") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    if not line.strip():
                         continue
-                    obj = json.loads(line)
-                    identity = CardIdentity(obj["card_number"],
-                                            obj["holder_name"],
-                                            obj["expiry"])
-                    key_c = KeyC(
-                        bits=BitString.from_hex(obj["c_hex"], obj["c_len"],
-                                                "key_c"),
-                        segment_len=obj["segment_len"],
-                        cursor=obj["cursor"],
-                        m_max=obj["m_max"],
-                    )
-                    store.records[obj["card_number"]] = ServerRecord(
-                        identity=identity,
-                        key_c=key_c,
-                        broken_count_mirror=obj["broken_count"],
-                        canceled=obj["canceled"],
-                        generation=obj["generation"],
-                    )
-        store.path = p
+                    try:
+                        record = ServerRecord.from_journal(json.loads(line))
+                    except (ValueError, KeyError, TypeError) as err:
+                        if not line.endswith(b"\n"):
+                            store.torn_tail = True
+                            continue
+                        raise CorruptJournalError(
+                            f"{p}:{lineno}: not a card record ({err})"
+                        ) from err
+                    store.records[record.identity.card_number] = record
         return store
 
 
@@ -314,14 +332,10 @@ def initialize_card(identity: CardIdentity, m_max: int, n_d: int, rng,
     raw = rng.integers(0, 2, n_c, dtype=np.uint8)
     card = CardState(
         identity=identity,
-        key_c=KeyC(bits=BitString(raw.copy(), "key_c"), segment_len=seg,
+        key_c=KeyC(bits=BitString(raw, "key_c"), segment_len=seg,
                    cursor=0, m_max=m_max),
     )
-    server = ServerRecord(
-        identity=identity,
-        key_c=KeyC(bits=BitString(raw.copy(), "key_c"), segment_len=seg,
-                   cursor=0, m_max=m_max),
-    )
+    server = ServerRecord(identity=identity, key_c=card.key_c.copy())
     if keystore is not None:
         keystore.register(server)
     return card, server
@@ -346,7 +360,6 @@ class Terminal:
     """Terminal-side session context (transient; server link assumed secure)."""
 
     key_b_bits: int = 256
-    server_key_c: Optional[KeyC] = None
     key_b: Optional[KeyB] = None
 
 
@@ -400,7 +413,6 @@ def authenticate_session(card: CardState, terminal: Terminal,
     # (ii) server key retrieval; adopt the later of the two cursors so a
     # fraud-burned server segment cannot desync the real card.
     ledger.advance("key_located")
-    terminal.server_key_c = record.key_c
     segment_index = max(card.key_c.cursor, record.key_c.cursor)
     if segment_index >= record.key_c.m_max:
         ledger.log("refused", "key C exhausted")
@@ -415,7 +427,6 @@ def authenticate_session(card: CardState, terminal: Terminal,
     def mark_broken(reason: str):
         burn_segment()
         record.broken_count_mirror += 1
-        card.broken_count += 1
         if record.broken_count_mirror >= record.key_c.m_max:
             record.canceled = True
             card.canceled = True
@@ -436,7 +447,6 @@ def authenticate_session(card: CardState, terminal: Terminal,
         mark_broken(f"channel alarm during authentication: {err}")
         return AuthResult(status="broken", ledger=ledger,
                           reason="channel_alarm")
-    ledger.monitor_samples = 2 * cfg.samples_per_bit * stats.periods_run
     ledger.log("exchange", {"periods": stats.periods_run,
                             "alarms": stats.alarms})
 
@@ -478,7 +488,6 @@ class TransactionResult:
     ok: bool
     ciphertext: bytes
     decrypted_matches: bool
-    bits_consumed: int
 
 
 def run_transaction(card: CardState, terminal: Terminal, key_b: KeyB,
@@ -511,8 +520,7 @@ def run_transaction(card: CardState, terminal: Terminal, key_b: KeyB,
         ledger.log("terminal_verify", {"matches": matches})
         ledger.advance("refreshing")
         return TransactionResult(ok=True, ciphertext=ciphertext,
-                                 decrypted_matches=matches,
-                                 bits_consumed=n_bits)
+                                 decrypted_matches=matches)
     except KeyExhaustedError:
         ledger.log("transaction_abort", "key B exhausted")
         ledger.advance("closed")
@@ -552,16 +560,13 @@ def refresh_key_c(card: CardState, terminal: Terminal, server: Keystore,
     term_new = amplify(term_raw)
     assert len(card_new) == n_c
 
-    card.key_c.zeroize()
-    record.key_c.zeroize()
-    card.key_c = KeyC(bits=BitString(card_new.bits, "key_c"),
-                      segment_len=card.key_c.segment_len,
-                      cursor=0, m_max=card.key_c.m_max)
-    record.key_c = KeyC(bits=BitString(term_new.bits, "key_c"),
-                        segment_len=record.key_c.segment_len,
-                        cursor=0, m_max=record.key_c.m_max)
-    card.generation += 1
-    record.generation += 1
+    for holder, new in ((card, card_new), (record, term_new)):
+        old = holder.key_c
+        old.zeroize()
+        holder.key_c = KeyC(bits=BitString(new.bits, "key_c"),
+                            segment_len=old.segment_len, cursor=0,
+                            m_max=old.m_max)
+        holder.generation += 1
     server.journal(record)
     if ledger is not None:
         ledger.refreshed = True
@@ -577,9 +582,7 @@ def run_session(card: CardState, terminal: Terminal, server: Keystore,
                 refresh_adversary: Optional[AdversaryHook] = None,
                 ) -> SessionLedger:
     """One complete session: authenticate, transact, refresh."""
-    ss = np.random.SeedSequence(seed) \
-        if not isinstance(seed, np.random.SeedSequence) else seed
-    auth_seed, refresh_seed = ss.spawn(2)
+    auth_seed, refresh_seed = spawn_seeds(seed, 2)
     result = authenticate_session(card, terminal, server, cfg, auth_seed,
                                   adversary=auth_adversary)
     ledger = result.ledger

@@ -28,6 +28,7 @@ from .card import (
     CardIdentity,
     CardRefusedError,
     CardState,
+    DuplicateCardError,
     Keystore,
     Terminal,
     initialize_card,
@@ -44,18 +45,22 @@ EXIT_IO = 3
 EXIT_SECURITY = 4
 
 
+class ConfigError(ValueError):
+    pass
+
+
 @dataclass
 class RunConfig:
     """Everything a command run needs; flat so it maps 1:1 onto the
     key=value config file and the --key flags."""
 
-    r_low: float = 1e3
-    r_high: float = 1e4
-    t_eff: float = 1e12
-    bandwidth: float = 1e5
+    r_low: float = NoiseConfig.r_low
+    r_high: float = NoiseConfig.r_high
+    t_eff: float = NoiseConfig.t_eff
+    bandwidth: float = NoiseConfig.bandwidth
     sample_rate: float = 0.0       # 0 -> 2 x bandwidth
-    samples_per_bit: int = 100
-    classify_margin: float = 0.5
+    samples_per_bit: int = NoiseConfig.samples_per_bit
+    classify_margin: float = NoiseConfig.classify_margin
     m_max: int = 5
     n_d: int = 0                   # 0 -> derived from session geometry
     trials: int = 10
@@ -67,6 +72,19 @@ class RunConfig:
     n_sessions: int = 3
     faults: str = ""               # "IDX:KIND,..." KIND in wrong_key|...
     keystore: str = "keystore.jsonl"
+
+    # Smallest accepted count; NoiseConfig checks the physics parameters.
+    _MINIMUMS = {"trials": 1, "target_bits": 1, "m_max": 1,
+                 "payload_bytes": 1, "n_sessions": 0, "seed": 0}
+
+    def __post_init__(self):
+        for key, low in self._MINIMUMS.items():
+            if getattr(self, key) < low:
+                raise ConfigError(
+                    f"{key} must be >= {low}, got {getattr(self, key)}")
+        if self.n_d < 0 or self.n_d == 1:
+            raise ConfigError(
+                f"n_d must be 0 (derived) or >= 2, got {self.n_d}")
 
     def noise_config(self) -> NoiseConfig:
         sample_rate = self.sample_rate or 2.0 * self.bandwidth
@@ -86,10 +104,6 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _coerce(key: str, value: str):
@@ -204,8 +218,25 @@ def cmd_attack(kind: str, cfg: RunConfig, emitter: Emitter) -> int:
     if kind == "passive":
         return _attack_passive(cfg, noise, emitter)
     if kind == "mitm":
-        return _attack_mitm(cfg, noise, emitter)
-    return _attack_injection(cfg, noise, emitter)
+        return _attack_active(
+            "mitm", lambda trial: mitm_attack(noise, (cfg.seed, trial)),
+            lambda indices: {"median_detection_index":
+                             int(np.median(indices)) if indices else None},
+            cfg, emitter)
+    mid = analytic_spectra(noise.r_low, noise.r_high, noise)
+    loop_rms = float(np.sqrt(mid.s_i * noise.bandwidth))
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x171)))
+
+    def injection_trial(trial):
+        injection = rng.normal(0.0, cfg.amplitude * loop_rms,
+                               noise.samples_per_bit) \
+            if cfg.amplitude > 0 else np.zeros(noise.samples_per_bit)
+        return inject_current(noise, injection, (cfg.seed, trial))
+
+    return _attack_active(
+        "injection", injection_trial,
+        lambda indices: {"amplitude_rms_ratio": _round(cfg.amplitude)},
+        cfg, emitter)
 
 
 def _attack_passive(cfg: RunConfig, noise: NoiseConfig,
@@ -249,18 +280,21 @@ def _attack_passive(cfg: RunConfig, noise: NoiseConfig,
     return EXIT_OK
 
 
-def _attack_mitm(cfg: RunConfig, noise: NoiseConfig,
-                 emitter: Emitter) -> int:
+def _attack_active(kind: str, run_trial, summary_fields, cfg: RunConfig,
+                   emitter: Emitter) -> int:
+    """Trial loop shared by the active attacks: ``run_trial(trial)`` gives
+    an AttackOutcome, ``summary_fields(detection indices)`` the summary
+    record's kind-specific tail."""
     detected = 0
     indices = []
     for trial in range(cfg.trials):
-        out = mitm_attack(noise, (cfg.seed, trial))
+        out = run_trial(trial)
         detected += out.detected
         if out.detection_sample_index is not None:
             indices.append(out.detection_sample_index)
         emitter.emit({
             "schema": "kljn.attack_trial", "version": 1,
-            "kind": "mitm", "trial": trial,
+            "kind": kind, "trial": trial,
             "detected": out.detected,
             "detection_sample_index": out.detection_sample_index,
             "bits_learned": out.bits_learned,
@@ -268,39 +302,9 @@ def _attack_mitm(cfg: RunConfig, noise: NoiseConfig,
         })
     emitter.emit({
         "schema": "kljn.attack_summary", "version": 1,
-        "kind": "mitm", "trials": cfg.trials,
+        "kind": kind, "trials": cfg.trials,
         "detection_rate": _round(detected / cfg.trials),
-        "median_detection_index": int(np.median(indices))
-        if indices else None,
-    })
-    return EXIT_OK
-
-
-def _attack_injection(cfg: RunConfig, noise: NoiseConfig,
-                      emitter: Emitter) -> int:
-    mid = analytic_spectra(noise.r_low, noise.r_high, noise)
-    loop_rms = float(np.sqrt(mid.s_i * noise.bandwidth))
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x171)))
-    detected = 0
-    for trial in range(cfg.trials):
-        injection = rng.normal(0.0, cfg.amplitude * loop_rms,
-                               noise.samples_per_bit) \
-            if cfg.amplitude > 0 else np.zeros(noise.samples_per_bit)
-        out = inject_current(noise, injection, (cfg.seed, trial))
-        detected += out.detected
-        emitter.emit({
-            "schema": "kljn.attack_trial", "version": 1,
-            "kind": "injection", "trial": trial,
-            "detected": out.detected,
-            "detection_sample_index": out.detection_sample_index,
-            "bits_learned": out.bits_learned,
-            "bits_retained_by_parties": out.bits_retained_by_parties,
-        })
-    emitter.emit({
-        "schema": "kljn.attack_summary", "version": 1,
-        "kind": "injection", "trials": cfg.trials,
-        "detection_rate": _round(detected / cfg.trials),
-        "amplitude_rms_ratio": _round(cfg.amplitude),
+        **summary_fields(indices),
     })
     return EXIT_OK
 
@@ -317,20 +321,28 @@ def _parse_faults(script: str) -> dict[int, str]:
         kind = kind.strip()
         if kind not in ("wrong_key", "mitm_auth", "mitm_refresh"):
             raise ConfigError(f"unknown fault kind {kind!r}")
-        faults[int(idx)] = kind
+        try:
+            faults[int(idx)] = kind
+        except ValueError as err:
+            raise ConfigError(f"bad fault session index {idx!r}") from err
     return faults
 
 
 def cmd_card_lifetime(cfg: RunConfig, emitter: Emitter) -> int:
     noise = cfg.noise_config()
     faults = _parse_faults(cfg.faults)
-    store = Keystore(cfg.keystore or None)
+    store = Keystore.load(cfg.keystore) if cfg.keystore else Keystore()
     identity = CardIdentity("4000000000000000", "SIMULATED HOLDER", "12/30")
     root = np.random.SeedSequence(cfg.seed)
     provision_seed, clone_seed, *session_seeds = root.spawn(
         2 + cfg.n_sessions)
-    card, _record = initialize_card(identity, cfg.m_max, cfg.derived_n_d(),
-                                    provision_seed, keystore=store)
+    try:
+        card, record = initialize_card(identity, cfg.m_max,
+                                       cfg.derived_n_d(), provision_seed,
+                                       keystore=store)
+    except DuplicateCardError as err:
+        raise ConfigError(f"{cfg.keystore}: {err}; a new lifetime needs a "
+                          f"fresh --keystore") from err
     payload = bytes(i % 256 for i in range(cfg.payload_bytes))
     clone_rng = np.random.default_rng(clone_seed)
 
@@ -362,9 +374,8 @@ def cmd_card_lifetime(cfg: RunConfig, emitter: Emitter) -> int:
                 "schema": "kljn.session", "version": 1,
                 "session": i, "status": "refused", "fault": fault,
                 "reason": str(err),
-                "broken_count": store.lookup(
-                    identity.card_number).broken_count_mirror,
-                "canceled": store.lookup(identity.card_number).canceled,
+                "broken_count": record.broken_count_mirror,
+                "canceled": record.canceled,
                 "generation": card.generation,
             })
             continue
@@ -392,7 +403,7 @@ def cmd_card_lifetime(cfg: RunConfig, emitter: Emitter) -> int:
         "closed": counts["closed"],
         "broken": counts["broken"],
         "refused": counts["refused"],
-        "canceled": store.lookup(identity.card_number).canceled,
+        "canceled": record.canceled,
         "generations": card.generation,
         "segment_reuse": segment_reuse,
         "key_b_reuse": False,  # structurally impossible: fresh B, zeroized
@@ -425,21 +436,13 @@ def cmd_keystore_inspect(cfg: RunConfig, emitter: Emitter) -> int:
     if not cfg.keystore:
         raise ConfigError("keystore-inspect requires --keystore")
     store = Keystore.load(cfg.keystore)
+    if store.torn_tail:
+        print(f"notice: {cfg.keystore}: skipped a torn last line",
+              file=sys.stderr)
     for number in sorted(store.records):
-        rec = store.records[number]
-        emitter.emit({
-            "schema": "kljn.keystore_card", "version": 1,
-            "card_number": number,
-            "holder_name": rec.identity.holder_name,
-            "expiry": rec.identity.expiry,
-            "c_len": len(rec.key_c.bits),
-            "segment_len": rec.key_c.segment_len,
-            "cursor": rec.key_c.cursor,
-            "m_max": rec.key_c.m_max,
-            "broken_count": rec.broken_count_mirror,
-            "canceled": rec.canceled,
-            "generation": rec.generation,
-        })
+        card = store.records[number].to_journal()
+        del card["c_hex"]  # inspection does not dump key material
+        emitter.emit({**card, "schema": "kljn.keystore_card"})
     emitter.emit({"schema": "kljn.keystore_summary", "version": 1,
                   "cards": len(store.records)})
     return EXIT_OK

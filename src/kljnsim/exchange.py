@@ -31,11 +31,11 @@ from .noise import (
     NoiseConfig,
     SpectraEstimate,
     WireTrace,
+    analytic_spectra,
     compose_loop,
     generate_noise,
     johnson_psd,
     measure_spectra,
-    parallel_resistance,
 )
 from .privacy import BitString
 
@@ -89,7 +89,6 @@ class BitExchangeRecord:
     spectra_bob: SpectraEstimate
     loop_class: Optional[LoopClass]       # None when unclassifiable
     retained: bool
-    alarm: bool
     monitor: MonitorReport
     bob_trace: Optional[WireTrace] = None  # set only when views differ
 
@@ -108,22 +107,23 @@ class ExchangeStats:
         return 1.0 - self.retained / self.periods_run
 
 
+def spawn_seeds(seed, n: int) -> list[np.random.SeedSequence]:
+    """``n`` independent child seeds of ``seed`` (an int, a tuple of ints
+    or a SeedSequence, which is spawned from directly)."""
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    return seed.spawn(n)
+
+
 def class_levels(cfg: NoiseConfig) -> dict[LoopClass, SpectraEstimate]:
     """Analytic (s_u, s_i) level pair for each loop class."""
-    four_kt = 4.0 * cfg.boltzmann_k * cfg.t_eff
     pairs = {
         LoopClass.LL: (cfg.r_low, cfg.r_low),
         LoopClass.MID: (cfg.r_low, cfg.r_high),
         LoopClass.HH: (cfg.r_high, cfg.r_high),
     }
-    return {
-        cls: SpectraEstimate(
-            s_u=four_kt * parallel_resistance(ra, rb),
-            s_i=four_kt / (ra + rb),
-            n_samples=0,
-        )
-        for cls, (ra, rb) in pairs.items()
-    }
+    return {cls: analytic_spectra(ra, rb, cfg)
+            for cls, (ra, rb) in pairs.items()}
 
 
 def _log_point(s: SpectraEstimate) -> tuple[float, float]:
@@ -161,6 +161,21 @@ def classify_level(s: SpectraEstimate, cfg: NoiseConfig) -> LoopClass:
     return best
 
 
+def _monitor_diffs(end_a_view: WireTrace, end_b_view: WireTrace,
+                   tolerance: float) -> list[tuple[np.ndarray, float]]:
+    """Per-sample |difference| between the two ends and its alarm
+    threshold, ``tolerance`` times the signal's RMS pooled over both
+    views: one (diffs, threshold) pair for voltage, then current."""
+    if len(end_a_view) != len(end_b_view):
+        raise ValueError("monitor views must have equal length")
+    out = []
+    for a, b in ((end_a_view.voltage, end_b_view.voltage),
+                 (end_a_view.current, end_b_view.current)):
+        rms = math.sqrt(0.5 * (np.mean(a ** 2) + np.mean(b ** 2)))
+        out.append((np.abs(a - b), tolerance * rms))
+    return out
+
+
 def monitor_compare(end_a_view: WireTrace, end_b_view: WireTrace,
                     tolerance: float = MONITOR_TOLERANCE) -> MonitorReport:
     """Compare the instantaneous values seen by the two ends.
@@ -171,20 +186,13 @@ def monitor_compare(end_a_view: WireTrace, end_b_view: WireTrace,
     differences, so the honest-channel false-alarm rate is structurally
     zero.
     """
-    if len(end_a_view) != len(end_b_view):
-        raise ValueError("monitor views must have equal length")
-    dv = np.abs(end_a_view.voltage - end_b_view.voltage)
-    di = np.abs(end_a_view.current - end_b_view.current)
-    rms_v = math.sqrt(0.5 * (np.mean(end_a_view.voltage ** 2)
-                             + np.mean(end_b_view.voltage ** 2)))
-    rms_i = math.sqrt(0.5 * (np.mean(end_a_view.current ** 2)
-                             + np.mean(end_b_view.current ** 2)))
+    (dv, limit_v), (di, limit_i) = _monitor_diffs(end_a_view, end_b_view,
+                                                  tolerance)
     max_dv = float(dv.max())
     max_di = float(di.max())
-    alarm = bool(max_dv > tolerance * rms_v or max_di > tolerance * rms_i)
     return MonitorReport(max_abs_voltage_diff=max_dv,
                          max_abs_current_diff=max_di,
-                         alarm=alarm)
+                         alarm=bool(max_dv > limit_v or max_di > limit_i))
 
 
 def first_divergence_index(end_a_view: WireTrace, end_b_view: WireTrace,
@@ -195,16 +203,18 @@ def first_divergence_index(end_a_view: WireTrace, end_b_view: WireTrace,
     Returns None when no sample does (no alarm).  Used by attack harnesses
     to report how quickly an intrusion is caught.
     """
-    if len(end_a_view) != len(end_b_view):
-        raise ValueError("monitor views must have equal length")
-    dv = np.abs(end_a_view.voltage - end_b_view.voltage)
-    di = np.abs(end_a_view.current - end_b_view.current)
-    rms_v = math.sqrt(0.5 * (np.mean(end_a_view.voltage ** 2)
-                             + np.mean(end_b_view.voltage ** 2)))
-    rms_i = math.sqrt(0.5 * (np.mean(end_a_view.current ** 2)
-                             + np.mean(end_b_view.current ** 2)))
-    hits = np.nonzero((dv > tolerance * rms_v) | (di > tolerance * rms_i))[0]
+    (dv, limit_v), (di, limit_i) = _monitor_diffs(end_a_view, end_b_view,
+                                                  tolerance)
+    hits = np.nonzero((dv > limit_v) | (di > limit_i))[0]
     return int(hits[0]) if hits.size else None
+
+
+def _classify_or_none(s: SpectraEstimate,
+                      cfg: NoiseConfig) -> Optional[LoopClass]:
+    try:
+        return classify_level(s, cfg)
+    except UnclassifiableLevelError:
+        return None
 
 
 def _bit_resistance(bit: int, cfg: NoiseConfig) -> float:
@@ -242,17 +252,9 @@ def run_bit_period(alice_bit: int, bob_bit: int, cfg: NoiseConfig, seed,
     # An unclassifiable measurement (or, under an adversary, disagreeing
     # end classifications) leaves loop_class None: discarded, logged as an
     # anomaly by the exchange loop.
-    try:
-        class_a = classify_level(spectra_a, cfg)
-    except UnclassifiableLevelError:
-        class_a = None
-    if view_b is view_a:
-        class_b = class_a
-    else:
-        try:
-            class_b = classify_level(spectra_b, cfg)
-        except UnclassifiableLevelError:
-            class_b = None
+    class_a = _classify_or_none(spectra_a, cfg)
+    class_b = class_a if view_b is view_a else _classify_or_none(spectra_b,
+                                                                 cfg)
 
     monitor = monitor_compare(view_a, view_b)
     loop_class = class_a if class_a is class_b else None
@@ -265,7 +267,6 @@ def run_bit_period(alice_bit: int, bob_bit: int, cfg: NoiseConfig, seed,
         spectra_bob=spectra_b,
         loop_class=loop_class,
         retained=retained,
-        alarm=monitor.alarm,
         monitor=monitor,
         bob_trace=None if view_b is view_a else view_b,
     )
@@ -293,9 +294,7 @@ def exchange_key(target_len: int, cfg: NoiseConfig, seed,
     """
     if target_len < 1:
         raise ValueError(f"target_len must be >= 1, got {target_len}")
-    ss = seed if isinstance(seed, np.random.SeedSequence) \
-        else np.random.SeedSequence(seed)
-    bit_rng_seed, noise_seed = ss.spawn(2)
+    bit_rng_seed, noise_seed = spawn_seeds(seed, 2)
     bit_rng = np.random.default_rng(bit_rng_seed)
     noise_rng = np.random.default_rng(noise_seed)
     if bit_source is None:
@@ -316,7 +315,7 @@ def exchange_key(target_len: int, cfg: NoiseConfig, seed,
         stats.periods_run += 1
         if record_sink is not None:
             record_sink(rec)
-        if rec.alarm:
+        if rec.monitor.alarm:
             stats.alarms += 1
             if stats.alarms >= ALARM_ABORT_COUNT:
                 raise ChannelCompromisedError(

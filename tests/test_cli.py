@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 from kljnsim import cli
+from kljnsim.card import CardIdentity, Keystore, initialize_card
 from kljnsim.exchange import ChannelCompromisedError
 from kljnsim.records import SchemaError, validate_record
 
@@ -165,6 +167,26 @@ class TestCardLifetimeCommand:
             [*self.ARGS, "--keystore", str(tmp_path / "nodir" / "ks.jsonl")])
         assert code == 3
 
+    def test_rerun_on_live_keystore_exits_2(self, tmp_path, capsys):
+        ks = tmp_path / "ks.jsonl"
+        assert cli.main([*self.ARGS, "--n_sessions", "2",
+                         "--keystore", str(ks)]) == 0
+        journal = ks.read_bytes()
+        capsys.readouterr()
+        code = cli.main([*self.ARGS, "--n_sessions", "1",
+                         "--keystore", str(ks)])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        assert ks.read_bytes() == journal  # the live card is not re-provisioned
+
+    def test_torn_journal_tail_refused_exits_3(self, tmp_path, capsys):
+        ks = tmp_path / "ks.jsonl"
+        ks.write_text('{"schema": "kljn.card_rec', encoding="utf-8")
+        code = cli.main([*self.ARGS, "--keystore", str(ks)])
+        assert code == 3
+        assert capsys.readouterr().out == ""
+        assert ks.read_text(encoding="utf-8") == '{"schema": "kljn.card_rec'
+
 
 class TestRateCommand:
     def test_report_fields(self, capsys):
@@ -205,6 +227,36 @@ class TestKeystoreInspect:
     def test_missing_keystore_arg_exits_2(self, capsys):
         assert cli.main(["keystore-inspect", "--keystore", ""]) == 2
 
+    @staticmethod
+    def provisioned(tmp_path):
+        ks = tmp_path / "ks.jsonl"
+        initialize_card(CardIdentity("4000000000000000", "HOLDER", "12/30"),
+                        2, 2048, 5, keystore=Keystore(ks))
+        return ks
+
+    def test_torn_tail_skipped_with_notice(self, tmp_path, capsys):
+        ks = self.provisioned(tmp_path)
+        code, intact = run_main(["keystore-inspect", "--keystore", str(ks)],
+                                capsys)
+        assert code == 0
+        with open(ks, "a", encoding="utf-8") as fh:
+            fh.write('{"schema": "kljn.card_rec')  # cut short, no newline
+        code = cli.main(["keystore-inspect", "--keystore", str(ks)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert [json.loads(x) for x in captured.out.splitlines()] == intact
+        assert "torn" in captured.err
+
+    @pytest.mark.parametrize("bad", ["not json", '{"schema": "kljn.card_rec',
+                                     '{"card_number": "4"}'],
+                             ids=["text", "cut_short", "missing_fields"])
+    def test_unreadable_inner_line_exits_3(self, tmp_path, capsys, bad):
+        ks = self.provisioned(tmp_path)
+        ks.write_text(bad + "\n" + ks.read_text(encoding="utf-8"),
+                      encoding="utf-8")
+        assert cli.main(["keystore-inspect", "--keystore", str(ks)]) == 3
+        assert capsys.readouterr().out == ""
+
 
 class TestConfigHandling:
     def test_config_file_plus_cli_precedence(self, tmp_path, capsys):
@@ -235,19 +287,51 @@ class TestConfigHandling:
         assert flagged.stdout == plain.stdout
 
 
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+# Stream digests pinned when the streams were last deliberately changed, so a
+# change to any byte fails here, not only a difference between two reruns.
+PINNED_STREAMS = {
+    "exchange --trials 2 --target_bits 32 --seed 9":
+        "f43541017b4cb7fdbdfbcf7a19e90d2f2956c47bc1c93609535543b5fe892c4d",
+    "attack passive --trials 20 --seed 9":
+        "a5e0a957e3bb54fa47f73e8da3e164279b8dd1453266bc7479c8de30c67286bd",
+    "attack mitm --trials 20 --seed 9":
+        "557291890a2493b11c2572df9afde662011c358a14d3c810eda4d6454244bd5c",
+    "attack injection --trials 20 --seed 9":
+        "ac84aae95aa5b23cbee5dc4a0c17a5fb9e70ac9790b564a3a8b9eaf2595073bb",
+    "rate --target_bits 64 --seed 9":
+        "0cd04c5d4cdcf89d2b76e3953efd254ce44c00738e8ac35adc085ed2bd0470b1",
+}
+
+
 class TestDeterminism:
-    @pytest.mark.parametrize("argv", [
-        ["exchange", "--trials", "2", "--target_bits", "32", "--seed", "9"],
-        ["attack", "passive", "--trials", "20", "--seed", "9"],
-        ["attack", "mitm", "--trials", "20", "--seed", "9"],
-        ["attack", "injection", "--trials", "20", "--seed", "9"],
-        ["rate", "--target_bits", "64", "--seed", "9"],
-    ])
+    @pytest.mark.parametrize("argv", [a.split() for a in PINNED_STREAMS])
     def test_rerun_is_byte_identical(self, argv):
         first = run_proc(argv)
         second = run_proc(argv)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+        assert sha256(first.stdout) == PINNED_STREAMS[" ".join(argv)]
+
+    def test_card_lifetime_pinned(self, tmp_path):
+        # A clean refreshing session, one fault of each kind, then a refusal
+        # once every segment of the generation is spent.
+        ks = str(tmp_path / "ks.jsonl")
+        life = run_proc(["card-lifetime", "--n_sessions", "5", "--m_max", "3",
+                         "--payload_bytes", "8", "--seed", "31", "--faults",
+                         "1:wrong_key,2:mitm_auth,3:mitm_refresh",
+                         "--keystore", ks])
+        inspect = run_proc(["keystore-inspect", "--keystore", ks])
+        assert life.returncode == inspect.returncode == 0
+        assert sha256(life.stdout) == (
+            "75f62334b12d47321346019c8dbcd1ffeedd9d67658b907582e585536c087fc7")
+        assert sha256((tmp_path / "ks.jsonl").read_bytes()) == (
+            "b22aa2a18b83792d5597d22da9a6f9f535dce7372594dbeab6d42d427066569e")
+        assert sha256(inspect.stdout) == (
+            "c92d434d1777a04972d542cdfe67c13668d84546daf97f2c76e415e3dd55162d")
 
     def test_card_lifetime_rerun_identical(self, tmp_path):
         argv = ["card-lifetime", "--n_sessions", "2", "--m_max", "2",
@@ -257,6 +341,28 @@ class TestDeterminism:
         assert a.stdout == b.stdout
         assert (tmp_path / "a.jsonl").read_bytes() == \
             (tmp_path / "b.jsonl").read_bytes()
+
+
+class TestOutOfRangeNumbers:
+    @pytest.mark.parametrize("argv", [
+        ["attack", "mitm", "--trials", "0"],
+        ["attack", "passive", "--trials", "0"],
+        ["attack", "injection", "--trials", "-2"],
+        ["exchange", "--trials", "0"],
+        ["exchange", "--target_bits", "0"],
+        ["exchange", "--seed", "-1"],
+        ["rate", "--target_bits", "0"],
+        ["card-lifetime", "--n_sessions", "-1"],
+        ["card-lifetime", "--m_max", "0"],
+        ["card-lifetime", "--payload_bytes", "0"],
+        ["card-lifetime", "--n_d", "1"],
+        ["card-lifetime", "--faults", "x:wrong_key"],
+    ])
+    def test_exits_2_without_output(self, argv, tmp_path, capsys):
+        ks = tmp_path / "ks.jsonl"
+        assert cli.main([*argv, "--keystore", str(ks)]) == 2
+        assert capsys.readouterr().out == ""
+        assert not ks.exists()
 
 
 class TestRecordSchemas:

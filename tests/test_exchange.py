@@ -96,7 +96,7 @@ class TestRunBitPeriod:
         rec = run_bit_period(0, 0, CFG, 21)
         assert rec.loop_class is LoopClass.LL
         assert not rec.retained
-        assert not rec.alarm
+        assert not rec.monitor.alarm
 
     def test_hh_discarded(self):
         rec = run_bit_period(1, 1, CFG, 22)
@@ -108,7 +108,7 @@ class TestRunBitPeriod:
         rec = run_bit_period(*bits, CFG, 23)
         assert rec.loop_class is LoopClass.MID
         assert rec.retained
-        assert not rec.alarm
+        assert not rec.monitor.alarm
 
     def test_shared_wire_transparency(self):
         rec = run_bit_period(0, 1, CFG, 24)
