@@ -117,8 +117,8 @@ class MitmHook:
         r_eve_b = _bit_resistance(bit_to_b, cfg)
         u_eve_a = generate_noise(johnson_psd(r_eve_a, cfg), cfg, self.rng)
         u_eve_b = generate_noise(johnson_psd(r_eve_b, cfg), cfg, self.rng)
-        view_a = compose_loop(u_a, u_eve_a, r_a, r_eve_a, cfg.sample_rate)
-        view_b = compose_loop(u_eve_b, u_b, r_eve_b, r_b, cfg.sample_rate)
+        view_a = compose_loop(u_a, u_eve_a, r_a, r_eve_a)
+        view_b = compose_loop(u_eve_b, u_b, r_eve_b, r_b)
         return view_a, view_b
 
 
@@ -133,14 +133,12 @@ class InjectionHook:
             raise ValueError(
                 f"injection length {self.injection.size} != "
                 f"samples_per_bit {u_a.size}")
-        base = compose_loop(u_a, u_b, r_a, r_b, cfg.sample_rate)
+        base = compose_loop(u_a, u_b, r_a, r_b)
         half = 0.5 * self.injection
         view_a = WireTrace(voltage=base.voltage,
-                           current=base.current + half,
-                           sample_rate=cfg.sample_rate)
+                           current=base.current + half)
         view_b = WireTrace(voltage=base.voltage,
-                           current=base.current - half,
-                           sample_rate=cfg.sample_rate)
+                           current=base.current - half)
         return view_a, view_b
 
 

@@ -73,9 +73,10 @@ class RunConfig:
     faults: str = ""               # "IDX:KIND,..." KIND in wrong_key|...
     keystore: str = "keystore.jsonl"
 
-    # Smallest accepted count; NoiseConfig checks the physics parameters.
+    # Smallest accepted value; NoiseConfig checks the physics parameters.
     _MINIMUMS = {"trials": 1, "target_bits": 1, "m_max": 1,
-                 "payload_bytes": 1, "n_sessions": 0, "seed": 0}
+                 "payload_bytes": 1, "n_sessions": 0, "seed": 0,
+                 "amplitude": 0}
 
     def __post_init__(self):
         for key, low in self._MINIMUMS.items():
@@ -266,8 +267,7 @@ def _attack_passive(cfg: RunConfig, noise: NoiseConfig,
             if est.pair_guess else None,
         })
     pooled = SpectraEstimate(s_u=float(np.mean(pair_su)),
-                             s_i=float(np.mean(pair_si)),
-                             n_samples=cfg.trials * noise.samples_per_bit)
+                             s_i=float(np.mean(pair_si)))
     low, high = infer_resistor_pair(pooled, noise)
     emitter.emit({
         "schema": "kljn.attack_summary", "version": 1,
@@ -331,6 +331,11 @@ def _parse_faults(script: str) -> dict[int, str]:
 def cmd_card_lifetime(cfg: RunConfig, emitter: Emitter) -> int:
     noise = cfg.noise_config()
     faults = _parse_faults(cfg.faults)
+    stray = sorted(i for i in faults if not 0 <= i < cfg.n_sessions)
+    if stray:
+        raise ConfigError(
+            f"fault session index {stray[0]} lies outside 0.."
+            f"{cfg.n_sessions - 1} (n_sessions={cfg.n_sessions})")
     store = Keystore.load(cfg.keystore) if cfg.keystore else Keystore()
     identity = CardIdentity("4000000000000000", "SIMULATED HOLDER", "12/30")
     root = np.random.SeedSequence(cfg.seed)

@@ -21,6 +21,7 @@ discarded.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -130,6 +131,20 @@ def _log_point(s: SpectraEstimate) -> tuple[float, float]:
     return (math.log(s.s_u), math.log(s.s_i))
 
 
+@functools.lru_cache(maxsize=64)
+def _level_geometry(cfg: NoiseConfig,
+                    ) -> tuple[tuple[LoopClass, float, float, float], ...]:
+    """(class, log s_u, log s_i, acceptance radius) per level, in class
+    order; the radius is ``classify_margin`` times the level's gap to its
+    nearest neighbor.  Cached: ``classify_level`` runs every period."""
+    pts = [(cls, *_log_point(lv)) for cls, lv in class_levels(cfg).items()]
+    return tuple(
+        (cls, px, py, cfg.classify_margin * min(
+            math.hypot(px - qx, py - qy)
+            for other, qx, qy in pts if other is not cls))
+        for cls, px, py in pts)
+
+
 def classify_level(s: SpectraEstimate, cfg: NoiseConfig) -> LoopClass:
     """Assign measured spectra to the nearest analytic level.
 
@@ -141,23 +156,16 @@ def classify_level(s: SpectraEstimate, cfg: NoiseConfig) -> LoopClass:
         raise ValueError(f"s_u must be positive to classify, got {s.s_u}")
     if s.s_i <= 0:
         raise ValueError(f"s_i must be positive to classify, got {s.s_i}")
-    levels = class_levels(cfg)
-    pts = {cls: _log_point(lv) for cls, lv in levels.items()}
     mx, my = _log_point(s)
-    dist = {
-        cls: math.hypot(mx - px, my - py) for cls, (px, py) in pts.items()
-    }
-    best = min(dist, key=dist.get)
-    gap = min(
-        math.hypot(pts[best][0] - px, pts[best][1] - py)
-        for cls, (px, py) in pts.items()
-        if cls is not best
-    )
-    if dist[best] > cfg.classify_margin * gap:
+    best = None
+    for cls, px, py, radius in _level_geometry(cfg):
+        dist = math.hypot(mx - px, my - py)
+        if best is None or dist < best_dist:  # ties keep the earlier class
+            best, best_dist, best_radius = cls, dist, radius
+    if best_dist > best_radius:
         raise UnclassifiableLevelError(
-            f"spectra {(s.s_u, s.s_i)} lie {dist[best]:.3f} log-units from "
-            f"nearest level {best}, beyond margin "
-            f"{cfg.classify_margin * gap:.3f}")
+            f"spectra {(s.s_u, s.s_i)} lie {best_dist:.3f} log-units from "
+            f"nearest level {best}, beyond margin {best_radius:.3f}")
     return best
 
 
@@ -171,7 +179,9 @@ def _monitor_diffs(end_a_view: WireTrace, end_b_view: WireTrace,
     out = []
     for a, b in ((end_a_view.voltage, end_b_view.voltage),
                  (end_a_view.current, end_b_view.current)):
-        rms = math.sqrt(0.5 * (np.mean(a ** 2) + np.mean(b ** 2)))
+        # np.mean(a ** 2) spelled out: the same sum and divide, bit for bit.
+        rms = math.sqrt(0.5 * (np.add.reduce(a * a, axis=None) / a.size
+                               + np.add.reduce(b * b, axis=None) / b.size))
         out.append((np.abs(a - b), tolerance * rms))
     return out
 
@@ -184,8 +194,11 @@ def monitor_compare(end_a_view: WireTrace, end_b_view: WireTrace,
     exceeds ``tolerance`` times the RMS of the respective signal (RMS
     pooled over both views).  A shared ideal wire gives exactly zero
     differences, so the honest-channel false-alarm rate is structurally
-    zero.
+    zero.  When both ends hold the very same (finite) trace object, that
+    all-zero report is returned without comparing the trace to itself.
     """
+    if end_a_view is end_b_view and tolerance >= 0:
+        return MonitorReport(0.0, 0.0, False)
     (dv, limit_v), (di, limit_i) = _monitor_diffs(end_a_view, end_b_view,
                                                   tolerance)
     max_dv = float(dv.max())
@@ -240,7 +253,7 @@ def run_bit_period(alice_bit: int, bob_bit: int, cfg: NoiseConfig, seed,
     u_b = generate_noise(johnson_psd(r_b, cfg), cfg, rng)
 
     if adversary is None:
-        trace = compose_loop(u_a, u_b, r_a, r_b, cfg.sample_rate)
+        trace = compose_loop(u_a, u_b, r_a, r_b)
         view_a = view_b = trace
     else:
         view_a, view_b = adversary(u_a, u_b, r_a, r_b, cfg)

@@ -96,7 +96,6 @@ class WireTrace:
 
     voltage: np.ndarray
     current: np.ndarray
-    sample_rate: float
 
     def __post_init__(self):
         self.voltage = np.asarray(self.voltage, dtype=np.float64)
@@ -118,7 +117,6 @@ class SpectraEstimate:
 
     s_u: float  # V^2/Hz
     s_i: float  # A^2/Hz
-    n_samples: int
 
     def __post_init__(self):
         if self.s_u < 0 or self.s_i < 0:
@@ -153,8 +151,8 @@ def generate_noise(psd: float, cfg: NoiseConfig, seed) -> np.ndarray:
     return rng.normal(0.0, sigma, cfg.samples_per_bit)
 
 
-def compose_loop(u_a: np.ndarray, u_b: np.ndarray, r_a: float, r_b: float,
-                 sample_rate: float = 0.0) -> WireTrace:
+def compose_loop(u_a: np.ndarray, u_b: np.ndarray, r_a: float,
+                 r_b: float) -> WireTrace:
     """Solve the series loop for each sample.
 
     With generator voltages u_a, u_b behind resistances r_a, r_b joined by
@@ -176,8 +174,7 @@ def compose_loop(u_a: np.ndarray, u_b: np.ndarray, r_a: float, r_b: float,
         raise ValueError(f"r_a + r_b must be positive, got {r_sum}")
     current = (u_a - u_b) / r_sum
     voltage = (u_a * r_b + u_b * r_a) / r_sum
-    return WireTrace(voltage=voltage, current=current,
-                     sample_rate=sample_rate)
+    return WireTrace(voltage=voltage, current=current)
 
 
 def measure_spectra(trace: WireTrace, cfg: NoiseConfig) -> SpectraEstimate:
@@ -186,12 +183,19 @@ def measure_spectra(trace: WireTrace, cfg: NoiseConfig) -> SpectraEstimate:
     Under the white-in-band assumption the PSD is sample-variance divided
     by bandwidth.  Uses the unbiased (ddof=1) sample variance.
     """
-    n = len(trace)
-    if n < 2:
+    if len(trace) < 2:
         raise ValueError("need at least 2 samples to estimate spectra")
-    s_u = float(np.var(trace.voltage, ddof=1)) / cfg.bandwidth
-    s_i = float(np.var(trace.current, ddof=1)) / cfg.bandwidth
-    return SpectraEstimate(s_u=s_u, s_i=s_i, n_samples=n)
+    return SpectraEstimate(
+        s_u=_sample_variance(trace.voltage) / cfg.bandwidth,
+        s_i=_sample_variance(trace.current) / cfg.bandwidth)
+
+
+def _sample_variance(x: np.ndarray) -> float:
+    """``np.var(x, ddof=1)`` of a float64 array, written as numpy's own
+    steps (sum, divide, subtract, square, sum, divide) so the result is
+    bit-identical without its per-call dispatch overhead."""
+    d = x - np.add.reduce(x, axis=None) / x.size
+    return float(np.add.reduce(d * d, axis=None) / (x.size - 1))
 
 
 def infer_partner_resistance(s_i: float, r_a: float,
@@ -259,5 +263,4 @@ def analytic_spectra(r_a: float, r_b: float,
     return SpectraEstimate(
         s_u=four_kt * parallel_resistance(r_a, r_b),
         s_i=four_kt / (r_a + r_b),
-        n_samples=0,
     )

@@ -142,7 +142,7 @@ def test_criterion_05_pair_inference_oracle():
     four_kt = 4 * CFG.boltzmann_k * CFG.t_eff
     rejected = False
     try:
-        infer_resistor_pair(SpectraEstimate(four_kt, four_kt, 0), CFG)
+        infer_resistor_pair(SpectraEstimate(four_kt, four_kt), CFG)
     except InconsistentSpectraError:
         rejected = True
     report(5, ok == 100 and rejected,
@@ -165,7 +165,7 @@ def test_criterion_06_passive_eve_nullity():
         su_sum += rec.spectra_alice.s_u
         si_sum += rec.spectra_alice.s_i
     accuracy = correct / n
-    pooled = SpectraEstimate(su_sum / n, si_sum / n, 0)
+    pooled = SpectraEstimate(su_sum / n, si_sum / n)
     low, high = infer_resistor_pair(pooled, CFG)
     pair_ok = (abs(low - CFG.r_low) / CFG.r_low < 0.10
                and abs(high - CFG.r_high) / CFG.r_high < 0.10)

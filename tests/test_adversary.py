@@ -56,7 +56,7 @@ class TestPassiveEavesdrop:
         assert np.median(highs) == pytest.approx(CFG.r_high, rel=0.10)
 
     def test_zero_trace_propagates_error(self):
-        tr = WireTrace(np.zeros(100), np.zeros(100), CFG.sample_rate)
+        tr = WireTrace(np.zeros(100), np.zeros(100))
         with pytest.raises(ValueError):
             passive_eavesdrop(tr, CFG, rng=0)
 

@@ -364,6 +364,31 @@ class TestOutOfRangeNumbers:
         assert capsys.readouterr().out == ""
         assert not ks.exists()
 
+    @pytest.mark.parametrize("n_sessions,faults", [
+        ("1", "5:wrong_key"),
+        ("1", "-1:mitm_auth"),
+        ("1", "5:wrong_key,-1:mitm_auth"),
+        ("3", "0:wrong_key,3:mitm_refresh"),
+        ("0", "0:wrong_key"),
+    ], ids=["past_end", "negative", "both", "one_past_last", "no_sessions"])
+    def test_fault_index_outside_sessions_exits_2(self, n_sessions, faults,
+                                                  tmp_path, capsys):
+        ks = tmp_path / "ks.jsonl"
+        code = cli.main(["card-lifetime", "--n_sessions", n_sessions,
+                         f"--faults={faults}", "--keystore", str(ks)])
+        assert code == 2
+        assert capsys.readouterr().out == ""
+        assert not ks.exists()
+
+    @pytest.mark.parametrize("amplitude", ["-1", "-1e-9"])
+    def test_negative_amplitude_exits_2(self, amplitude, capsys):
+        code = cli.main(["attack", "injection", f"--amplitude={amplitude}",
+                         "--trials", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "amplitude" in captured.err
+
 
 class TestRecordSchemas:
     def test_unknown_schema_rejected(self):

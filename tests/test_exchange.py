@@ -43,19 +43,48 @@ class TestClassifyLevel:
 
     def test_far_measurement_unclassifiable(self):
         mid = analytic_spectra(CFG.r_low, CFG.r_high, CFG)
-        off = SpectraEstimate(s_u=mid.s_u * 1e4, s_i=mid.s_i * 1e4,
-                              n_samples=0)
+        off = SpectraEstimate(s_u=mid.s_u * 1e4, s_i=mid.s_i * 1e4)
         with pytest.raises(UnclassifiableLevelError):
             classify_level(off, CFG)
 
+    @staticmethod
+    def _between(lo: SpectraEstimate, hi: SpectraEstimate,
+                 t: float) -> SpectraEstimate:
+        """The point a fraction ``t`` of the way from ``lo`` to ``hi`` in
+        (log s_u, log s_i)."""
+        return SpectraEstimate(s_u=lo.s_u * (hi.s_u / lo.s_u) ** t,
+                               s_i=lo.s_i * (hi.s_i / lo.s_i) ** t)
+
+    def test_margin_is_read_per_config(self):
+        # 0.4 of the MID-HH gap from MID: inside margin 0.5, outside 0.3.
+        levels = class_levels(CFG)
+        point = self._between(levels[LoopClass.MID], levels[LoopClass.HH],
+                              0.4)
+        strict = NoiseConfig(classify_margin=0.3)
+        for _ in range(2):  # alternate, so a stale cached level would show
+            assert classify_level(point, CFG) is LoopClass.MID
+            with pytest.raises(UnclassifiableLevelError):
+                classify_level(point, strict)
+
+    def test_levels_are_read_per_config(self):
+        # 0.55 of the way from MID to HH; raising r_high by 30 % moves HH
+        # far enough that the point falls nearer MID instead.
+        levels = class_levels(CFG)
+        point = self._between(levels[LoopClass.MID], levels[LoopClass.HH],
+                              0.55)
+        wider = NoiseConfig(r_high=1.3 * CFG.r_high)
+        for _ in range(2):
+            assert classify_level(point, CFG) is LoopClass.HH
+            assert classify_level(point, wider) is LoopClass.MID
+
     def test_nonpositive_spectra_rejected(self):
         with pytest.raises(ValueError):
-            classify_level(SpectraEstimate(0.0, 1e-10, 0), CFG)
+            classify_level(SpectraEstimate(0.0, 1e-10), CFG)
 
 
 class TestMonitorCompare:
     def test_identical_traces_silent(self):
-        tr = WireTrace(np.ones(100), np.ones(100), CFG.sample_rate)
+        tr = WireTrace(np.ones(100), np.ones(100))
         rep = monitor_compare(tr, tr)
         assert not rep.alarm
         assert rep.max_abs_voltage_diff == 0.0
@@ -65,13 +94,28 @@ class TestMonitorCompare:
         rng = np.random.default_rng(2)
         v = rng.normal(size=200)
         i = rng.normal(size=200)
-        a = WireTrace(v, i, CFG.sample_rate)
+        a = WireTrace(v, i)
         v2 = v.copy()
         v2[57] += 10 * np.sqrt(np.mean(v ** 2))
-        b = WireTrace(v2, i, CFG.sample_rate)
+        b = WireTrace(v2, i)
         rep = monitor_compare(a, b)
         assert rep.alarm
         assert first_divergence_index(a, b) == 57
+
+    def test_same_object_equals_full_comparison(self):
+        rec = run_bit_period(0, 1, CFG, 5)
+        tr = rec.trace
+        twin = WireTrace(tr.voltage.copy(), tr.current.copy())
+        assert monitor_compare(tr, tr) == monitor_compare(tr, twin)
+        assert rec.monitor == monitor_compare(tr, twin)
+
+    def test_spike_in_a_copy_still_alarms(self):
+        tr = run_bit_period(1, 0, CFG, 6).trace
+        current = tr.current.copy()
+        current[3] += 1e-3 * np.sqrt(np.mean(current ** 2))
+        spiked = WireTrace(tr.voltage.copy(), current)
+        assert monitor_compare(tr, spiked).alarm
+        assert first_divergence_index(tr, spiked) == 3
 
     def test_split_traces_alarm_quickly(self):
         # independent noise on each half: alarm within the first 100
@@ -79,16 +123,16 @@ class TestMonitorCompare:
         rng = np.random.default_rng(3)
         early = 0
         for _ in range(1000):
-            a = WireTrace(rng.normal(size=100), rng.normal(size=100), 0.0)
-            b = WireTrace(rng.normal(size=100), rng.normal(size=100), 0.0)
+            a = WireTrace(rng.normal(size=100), rng.normal(size=100))
+            b = WireTrace(rng.normal(size=100), rng.normal(size=100))
             idx = first_divergence_index(a, b)
             early += idx is not None and idx < 100
         assert early >= 999
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            monitor_compare(WireTrace(np.ones(3), np.ones(3), 0.0),
-                            WireTrace(np.ones(4), np.ones(4), 0.0))
+            monitor_compare(WireTrace(np.ones(3), np.ones(3)),
+                            WireTrace(np.ones(4), np.ones(4)))
 
 
 class TestRunBitPeriod:

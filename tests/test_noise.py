@@ -112,8 +112,22 @@ class TestComposeLoop:
 
 
 class TestMeasureSpectra:
+    @pytest.mark.parametrize("n", [2, 3, 100, 101, 4097])
+    def test_equals_numpy_var_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1e-8, 1e-3, 1.0, 1e3):
+            v = rng.normal(rng.normal() * scale, scale, n)
+            i = rng.normal(0.0, scale * 1e-4, n)
+            s = measure_spectra(WireTrace(v, i), CFG)
+            assert s.s_u == float(np.var(v, ddof=1)) / CFG.bandwidth
+            assert s.s_i == float(np.var(i, ddof=1)) / CFG.bandwidth
+
+    def test_single_sample_rejected(self):
+        with pytest.raises(ValueError):
+            measure_spectra(WireTrace(np.ones(1), np.ones(1)), CFG)
+
     def test_all_zero_trace(self):
-        tr = WireTrace(np.zeros(100), np.zeros(100), CFG.sample_rate)
+        tr = WireTrace(np.zeros(100), np.zeros(100))
         s = measure_spectra(tr, CFG)
         assert s.s_u == 0.0 and s.s_i == 0.0
 
@@ -172,7 +186,7 @@ class TestInferResistorPair:
     def test_inconsistent_spectra_rejected(self):
         four_kt = 4 * CFG.boltzmann_k * CFG.t_eff
         # force s_u * s_i > (4kT)^2 / 4
-        s = SpectraEstimate(s_u=four_kt, s_i=four_kt, n_samples=0)
+        s = SpectraEstimate(s_u=four_kt, s_i=four_kt)
         with pytest.raises(InconsistentSpectraError):
             infer_resistor_pair(s, CFG)
 
