@@ -51,6 +51,7 @@ from .card import (
 from .exchange import (
     BitExchangeRecord,
     ChannelCompromisedError,
+    ExchangeNotConvergedError,
     ExchangeStats,
     LoopClass,
     MonitorReport,

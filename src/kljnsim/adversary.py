@@ -30,7 +30,6 @@ from .exchange import (
     LoopClass,
     _bit_resistance,
     classify_level,
-    first_divergence_index,
     run_bit_period,
     spawn_seeds,
 )
@@ -57,7 +56,6 @@ class EveEstimate:
 
 @dataclass
 class AttackOutcome:
-    kind: str  # passive | mitm | injection
     detected: bool
     detection_sample_index: Optional[int]
     bits_learned: int
@@ -77,8 +75,6 @@ def passive_eavesdrop(trace: WireTrace, cfg: NoiseConfig,
     coin flip (``rng`` seeds that flip).  Pair inference may fail on a
     noisy period whose spectra have no real solution; she records None.
     """
-    if len(trace) == 0:
-        raise ValueError("empty trace")
     spectra = measure_spectra(trace, cfg)
     loop_class = classify_level(spectra, cfg)
     try:
@@ -107,12 +103,10 @@ class MitmHook:
 
     def __init__(self, cfg: NoiseConfig, seed):
         self.rng = np.random.default_rng(seed)
-        self.eve_bits: list[tuple[int, int]] = []
 
     def __call__(self, u_a, u_b, r_a, r_b, cfg):
         bit_to_a = int(self.rng.integers(0, 2))
         bit_to_b = int(self.rng.integers(0, 2))
-        self.eve_bits.append((bit_to_a, bit_to_b))
         r_eve_a = _bit_resistance(bit_to_a, cfg)
         r_eve_b = _bit_resistance(bit_to_b, cfg)
         u_eve_a = generate_noise(johnson_psd(r_eve_a, cfg), cfg, self.rng)
@@ -142,7 +136,7 @@ class InjectionHook:
         return view_a, view_b
 
 
-def _attack_period(kind: str, cfg: NoiseConfig, bits_seed, period_seed,
+def _attack_period(cfg: NoiseConfig, bits_seed, period_seed,
                    hook: AdversaryHook, monitor_enabled: bool,
                    bits_learned: Callable[[BitExchangeRecord, int], int],
                    ) -> AttackOutcome:
@@ -152,7 +146,6 @@ def _attack_period(kind: str, cfg: NoiseConfig, bits_seed, period_seed,
     a_bit = int(bit_rng.integers(0, 2))
     b_bit = int(bit_rng.integers(0, 2))
     rec = run_bit_period(a_bit, b_bit, cfg, period_seed, adversary=hook)
-    index = first_divergence_index(rec.trace, rec.bob_trace)
     detected = monitor_enabled and rec.monitor.alarm
     if monitor_enabled:
         retained = int(rec.retained)
@@ -160,9 +153,9 @@ def _attack_period(kind: str, cfg: NoiseConfig, bits_seed, period_seed,
         # Without the comparison the parties retain on classification alone.
         retained = int(rec.loop_class is LoopClass.MID)
     return AttackOutcome(
-        kind=kind,
         detected=detected,
-        detection_sample_index=index if detected else None,
+        detection_sample_index=rec.monitor.first_divergence
+        if detected else None,
         bits_learned=bits_learned(rec, retained),
         bits_retained_by_parties=retained,
     )
@@ -180,7 +173,7 @@ def mitm_attack(cfg: NoiseConfig, seed,
     """
     bits_seed, hook_seed, period_seed = spawn_seeds(seed, 3)
     # Eve sits in both loops: every bit the parties keep is hers.
-    return _attack_period("mitm", cfg, bits_seed, period_seed,
+    return _attack_period(cfg, bits_seed, period_seed,
                           MitmHook(cfg, hook_seed), monitor_enabled,
                           lambda rec, retained: retained)
 
@@ -198,7 +191,7 @@ def inject_current(cfg: NoiseConfig, injection: np.ndarray, seed,
     """
     bits_seed, period_seed = spawn_seeds(seed, 2)
     return _attack_period(
-        "injection", cfg, bits_seed, period_seed, InjectionHook(injection),
+        cfg, bits_seed, period_seed, InjectionHook(injection),
         monitor_enabled,
         lambda rec, retained: int(rec.loop_class in (LoopClass.LL,
                                                      LoopClass.HH)))

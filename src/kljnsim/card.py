@@ -182,8 +182,6 @@ class SessionLedger:
     """One session's state trail: phase path, transcript, audit fields."""
 
     phase: str = "idle"
-    broken_count: int = 0
-    canceled: bool = False
     transcript: list = dc_field(default_factory=list)
     consumed_segment: Optional[tuple[int, int]] = None  # (generation, index)
     key_b_bits_used: int = 0
@@ -341,17 +339,12 @@ def initialize_card(identity: CardIdentity, m_max: int, n_d: int, rng,
     return card, server
 
 
-def authenticate_tag(data: bytes, key_segment: BitString,
-                     segment_len: Optional[int] = None) -> int:
+def authenticate_tag(data: bytes, key_segment: BitString) -> int:
     """64-bit keyed tag of the monitoring data.
 
     The segment keys a polynomial universal hash (see ``tags``);
     identical (data, segment) always give identical tags.
     """
-    expected = segment_len if segment_len is not None else len(key_segment)
-    if len(key_segment) != expected:
-        raise ValueError(
-            f"segment length {len(key_segment)} != expected {expected}")
     return poly_tag(data, segment_to_key(key_segment))
 
 
@@ -368,7 +361,6 @@ class AuthResult:
     status: str  # "success" | "broken"
     ledger: SessionLedger
     key_b_card: Optional[KeyB] = None
-    key_b_terminal: Optional[KeyB] = None
     reason: str = ""
 
 
@@ -430,8 +422,6 @@ def authenticate_session(card: CardState, terminal: Terminal,
         if record.broken_count_mirror >= record.key_c.m_max:
             record.canceled = True
             card.canceled = True
-        ledger.broken_count = record.broken_count_mirror
-        ledger.canceled = record.canceled
         ledger.log("attack_recorded", reason)
         ledger.advance("broken")
         server.journal(record)
@@ -473,19 +463,15 @@ def authenticate_session(card: CardState, terminal: Terminal,
                           reason="tag_mismatch")
 
     burn_segment()
-    ledger.broken_count = record.broken_count_mirror
     ledger.advance("authenticated")
     server.journal(record)
-    key_b_card = KeyB(bits=BitString(card_key.bits, "key_b"))
-    key_b_term = KeyB(bits=BitString(term_key.bits, "key_b"))
-    terminal.key_b = key_b_term
+    terminal.key_b = KeyB(bits=BitString(term_key.bits, "key_b"))
     return AuthResult(status="success", ledger=ledger,
-                      key_b_card=key_b_card, key_b_terminal=key_b_term)
+                      key_b_card=KeyB(bits=BitString(card_key.bits, "key_b")))
 
 
 @dataclass
 class TransactionResult:
-    ok: bool
     ciphertext: bytes
     decrypted_matches: bool
 
@@ -519,7 +505,7 @@ def run_transaction(card: CardState, terminal: Terminal, key_b: KeyB,
         ledger.key_b_bits_used = n_bits
         ledger.log("terminal_verify", {"matches": matches})
         ledger.advance("refreshing")
-        return TransactionResult(ok=True, ciphertext=ciphertext,
+        return TransactionResult(ciphertext=ciphertext,
                                  decrypted_matches=matches)
     except KeyExhaustedError:
         ledger.log("transaction_abort", "key B exhausted")

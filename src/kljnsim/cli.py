@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -34,8 +35,8 @@ from .card import (
     initialize_card,
     run_session,
 )
-from .exchange import ChannelCompromisedError, exchange_key, \
-    run_bit_period
+from .exchange import ChannelCompromisedError, ExchangeNotConvergedError, \
+    exchange_key, run_bit_period
 from .noise import NoiseConfig, SpectraEstimate, analytic_spectra, \
     infer_resistor_pair
 
@@ -115,7 +116,10 @@ def _coerce(key: str, value: str):
         if typ == "int":
             return int(value)
         if typ == "float":
-            return float(value)
+            number = float(value)
+            if not math.isfinite(number):
+                raise ValueError(f"{value!r} is not a finite number")
+            return number
         return value
     except ValueError as err:
         raise ConfigError(f"bad value for {key}: {err}") from err
@@ -393,8 +397,8 @@ def cmd_card_lifetime(cfg: RunConfig, emitter: Emitter) -> int:
         emitter.emit({
             "schema": "kljn.session", "version": 1,
             "session": i, "status": status, "fault": fault,
-            "broken_count": ledger.broken_count,
-            "canceled": ledger.canceled,
+            "broken_count": record.broken_count_mirror,
+            "canceled": record.canceled,
             "generation": card.generation,
             "segment": list(ledger.consumed_segment)
             if ledger.consumed_segment else None,
@@ -504,7 +508,7 @@ def main(argv=None) -> int:
     except ChannelCompromisedError as err:
         print(f"security abort: {err}", file=sys.stderr)
         return EXIT_SECURITY
-    except ConfigError as err:
+    except (ConfigError, ExchangeNotConvergedError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as err:

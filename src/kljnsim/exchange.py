@@ -15,7 +15,8 @@ pairs with the strong current gap and vice versa.
 The active-attack defense ("monitor") compares the instantaneous voltage
 and current values seen by the two ends over an authenticated channel; any
 per-sample difference beyond a tolerance raises an alarm and the bit is
-discarded.
+discarded.  The comparison is one pass per bit period: it finds the first
+sample over tolerance, and the alarm is whether there is one.
 """
 
 from __future__ import annotations
@@ -61,6 +62,11 @@ class ChannelCompromisedError(RuntimeError):
     """Alarm rate during an exchange exceeded the abort threshold."""
 
 
+class ExchangeNotConvergedError(RuntimeError):
+    """The period budget ran out before the target key length was
+    retained (settings under which almost no period classifies)."""
+
+
 class LoopClass(enum.Enum):
     LL = "LL"
     MID = "MID"  # LH or HL; physically indistinguishable
@@ -74,20 +80,19 @@ class LoopClass(enum.Enum):
 class MonitorReport:
     """Result of the two-end instantaneous comparison."""
 
-    max_abs_voltage_diff: float
-    max_abs_current_diff: float
-    alarm: bool
+    first_divergence: Optional[int]  # first sample over tolerance
+
+    @property
+    def alarm(self) -> bool:
+        return self.first_divergence is not None
 
 
 @dataclass
 class BitExchangeRecord:
     """Everything one bit period produced."""
 
-    alice_bit: int
-    bob_bit: int
     trace: WireTrace                      # end A's view
     spectra_alice: SpectraEstimate
-    spectra_bob: SpectraEstimate
     loop_class: Optional[LoopClass]       # None when unclassifiable
     retained: bool
     monitor: MonitorReport
@@ -169,43 +174,20 @@ def classify_level(s: SpectraEstimate, cfg: NoiseConfig) -> LoopClass:
     return best
 
 
-def _monitor_diffs(end_a_view: WireTrace, end_b_view: WireTrace,
-                   tolerance: float) -> list[tuple[np.ndarray, float]]:
-    """Per-sample |difference| between the two ends and its alarm
-    threshold, ``tolerance`` times the signal's RMS pooled over both
-    views: one (diffs, threshold) pair for voltage, then current."""
-    if len(end_a_view) != len(end_b_view):
-        raise ValueError("monitor views must have equal length")
-    out = []
-    for a, b in ((end_a_view.voltage, end_b_view.voltage),
-                 (end_a_view.current, end_b_view.current)):
-        # np.mean(a ** 2) spelled out: the same sum and divide, bit for bit.
-        rms = math.sqrt(0.5 * (np.add.reduce(a * a, axis=None) / a.size
-                               + np.add.reduce(b * b, axis=None) / b.size))
-        out.append((np.abs(a - b), tolerance * rms))
-    return out
-
-
 def monitor_compare(end_a_view: WireTrace, end_b_view: WireTrace,
                     tolerance: float = MONITOR_TOLERANCE) -> MonitorReport:
     """Compare the instantaneous values seen by the two ends.
 
-    Alarm iff any per-sample absolute difference in voltage or current
-    exceeds ``tolerance`` times the RMS of the respective signal (RMS
-    pooled over both views).  A shared ideal wire gives exactly zero
-    differences, so the honest-channel false-alarm rate is structurally
-    zero.  When both ends hold the very same (finite) trace object, that
-    all-zero report is returned without comparing the trace to itself.
+    Alarm iff ``first_divergence_index`` finds a sample over tolerance.  A
+    shared ideal wire gives exactly zero differences, so the honest-channel
+    false-alarm rate is structurally zero.  When both ends hold the very
+    same (finite) trace object, that silent report is returned without
+    comparing the trace to itself.
     """
     if end_a_view is end_b_view and tolerance >= 0:
-        return MonitorReport(0.0, 0.0, False)
-    (dv, limit_v), (di, limit_i) = _monitor_diffs(end_a_view, end_b_view,
-                                                  tolerance)
-    max_dv = float(dv.max())
-    max_di = float(di.max())
-    return MonitorReport(max_abs_voltage_diff=max_dv,
-                         max_abs_current_diff=max_di,
-                         alarm=bool(max_dv > limit_v or max_di > limit_i))
+        return MonitorReport(None)
+    return MonitorReport(first_divergence_index(end_a_view, end_b_view,
+                                                tolerance))
 
 
 def first_divergence_index(end_a_view: WireTrace, end_b_view: WireTrace,
@@ -213,13 +195,21 @@ def first_divergence_index(end_a_view: WireTrace, end_b_view: WireTrace,
                            ) -> Optional[int]:
     """Index of the first sample whose two-end difference breaks tolerance.
 
-    Returns None when no sample does (no alarm).  Used by attack harnesses
-    to report how quickly an intrusion is caught.
+    A sample breaks it when its absolute voltage or current difference
+    exceeds ``tolerance`` times the RMS of that signal pooled over both
+    views.  Returns None when no sample does (no alarm).
     """
-    (dv, limit_v), (di, limit_i) = _monitor_diffs(end_a_view, end_b_view,
-                                                  tolerance)
-    hits = np.nonzero((dv > limit_v) | (di > limit_i))[0]
-    return int(hits[0]) if hits.size else None
+    if len(end_a_view) != len(end_b_view):
+        raise ValueError("monitor views must have equal length")
+    over = np.zeros(len(end_a_view), dtype=bool)
+    for a, b in ((end_a_view.voltage, end_b_view.voltage),
+                 (end_a_view.current, end_b_view.current)):
+        # np.mean(a ** 2) spelled out: the same sum and divide, bit for bit.
+        rms = math.sqrt(0.5 * (np.add.reduce(a * a, axis=None) / a.size
+                               + np.add.reduce(b * b, axis=None) / b.size))
+        over |= np.abs(a - b) > tolerance * rms
+    first = int(over.argmax())
+    return first if over[first] else None
 
 
 def _classify_or_none(s: SpectraEstimate,
@@ -273,11 +263,8 @@ def run_bit_period(alice_bit: int, bob_bit: int, cfg: NoiseConfig, seed,
     loop_class = class_a if class_a is class_b else None
     retained = (loop_class is LoopClass.MID) and not monitor.alarm
     return BitExchangeRecord(
-        alice_bit=alice_bit,
-        bob_bit=bob_bit,
         trace=view_a,
         spectra_alice=spectra_a,
-        spectra_bob=spectra_b,
         loop_class=loop_class,
         retained=retained,
         monitor=monitor,
@@ -287,32 +274,29 @@ def run_bit_period(alice_bit: int, bob_bit: int, cfg: NoiseConfig, seed,
 
 def exchange_key(target_len: int, cfg: NoiseConfig, seed,
                  adversary: Optional[AdversaryHook] = None,
-                 bit_source: Optional[
-                     Callable[[np.random.Generator], tuple[int, int]]] = None,
                  record_sink: Optional[
                      Callable[[BitExchangeRecord], None]] = None,
                  ) -> tuple[BitString, BitString, ExchangeStats]:
     """Run bit periods until ``target_len`` secure bits are retained.
 
-    Both ends draw independent uniform bits each period (override with
-    ``bit_source`` for scripted scenarios).  End A inverts her retained
-    bits (the pre-agreed side), so both returned keys are identical.
-    ``record_sink`` receives every period's record as it happens (the
-    card protocol collects the monitor data to authenticate this way).
+    Both ends draw independent uniform bits each period.  End A inverts
+    her retained bits (the pre-agreed side), so both returned keys are
+    identical.  ``record_sink`` receives every period's record as it
+    happens (the card protocol collects the monitor data to authenticate
+    this way).
 
     Raises
     ------
     ChannelCompromisedError
         Once ALARM_ABORT_COUNT alarmed periods accumulate.
+    ExchangeNotConvergedError
+        When ``64 * target_len + 1024`` periods retain too few bits.
     """
     if target_len < 1:
         raise ValueError(f"target_len must be >= 1, got {target_len}")
     bit_rng_seed, noise_seed = spawn_seeds(seed, 2)
     bit_rng = np.random.default_rng(bit_rng_seed)
     noise_rng = np.random.default_rng(noise_seed)
-    if bit_source is None:
-        def bit_source(rng):
-            return int(rng.integers(0, 2)), int(rng.integers(0, 2))
 
     alice_bits: list[int] = []
     bob_bits: list[int] = []
@@ -320,9 +304,10 @@ def exchange_key(target_len: int, cfg: NoiseConfig, seed,
     max_periods = 64 * target_len + 1024  # generous; expected use is ~2x
     while stats.retained < target_len:
         if stats.periods_run >= max_periods:
-            raise RuntimeError(
+            raise ExchangeNotConvergedError(
                 f"exchange did not converge within {max_periods} periods")
-        a_bit, b_bit = bit_source(bit_rng)
+        a_bit = int(bit_rng.integers(0, 2))
+        b_bit = int(bit_rng.integers(0, 2))
         rec = run_bit_period(a_bit, b_bit, cfg, noise_rng,
                              adversary=adversary)
         stats.periods_run += 1
@@ -339,8 +324,8 @@ def exchange_key(target_len: int, cfg: NoiseConfig, seed,
             continue
         if rec.retained:
             stats.retained += 1
-            alice_bits.append(1 - rec.alice_bit)  # pre-agreed inversion
-            bob_bits.append(rec.bob_bit)
+            alice_bits.append(1 - a_bit)  # pre-agreed inversion
+            bob_bits.append(b_bit)
 
     alice_key = BitString(np.array(alice_bits, dtype=np.uint8), "raw_kljn")
     bob_key = BitString(np.array(bob_bits, dtype=np.uint8), "raw_kljn")

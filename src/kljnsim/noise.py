@@ -16,7 +16,7 @@ estimate is needed anywhere in the loop algebra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class NoiseConfig:
     sample_rate: float = 2e5
     samples_per_bit: int = 100
     classify_margin: float = 0.5
-    boltzmann_k: float = field(default=BOLTZMANN_K)
 
     def __post_init__(self):
         if self.r_low <= 0:
@@ -81,13 +80,16 @@ class NoiseConfig:
             raise ValueError(
                 f"classify_margin must lie in (0, 1), got "
                 f"{self.classify_margin}")
-        if self.boltzmann_k <= 0:
-            raise ValueError("boltzmann_k must be positive")
 
     @property
     def bit_period_seconds(self) -> float:
         """Duration of one bit period in simulated seconds."""
         return self.samples_per_bit / self.sample_rate
+
+    @property
+    def four_kt(self) -> float:
+        """4 k T_eff: the Johnson-noise voltage PSD per ohm (V^2/Hz/ohm)."""
+        return 4.0 * BOLTZMANN_K * self.t_eff
 
 
 @dataclass
@@ -130,7 +132,7 @@ def johnson_psd(r: float, cfg: NoiseConfig) -> float:
     """
     if r < 0:
         raise ValueError(f"resistance must be non-negative, got {r}")
-    return 4.0 * cfg.boltzmann_k * cfg.t_eff * r
+    return cfg.four_kt * r
 
 
 def generate_noise(psd: float, cfg: NoiseConfig, seed) -> np.ndarray:
@@ -207,7 +209,7 @@ def infer_partner_resistance(s_i: float, r_a: float,
     """
     if s_i <= 0:
         raise ValueError(f"s_i must be positive, got {s_i}")
-    return 4.0 * cfg.boltzmann_k * cfg.t_eff / s_i - r_a
+    return cfg.four_kt / s_i - r_a
 
 
 def infer_resistor_pair(s: SpectraEstimate,
@@ -229,7 +231,7 @@ def infer_resistor_pair(s: SpectraEstimate,
     """
     if s.s_u <= 0 or s.s_i <= 0:
         raise ValueError("both spectra must be positive for pair inference")
-    root_sum = 4.0 * cfg.boltzmann_k * cfg.t_eff / s.s_i
+    root_sum = cfg.four_kt / s.s_i
     root_prod = s.s_u / s.s_i
     disc = root_sum * root_sum - 4.0 * root_prod
     if disc < 0:
@@ -259,8 +261,7 @@ def analytic_spectra(r_a: float, r_b: float,
     s_u = 4 k T_eff * (R_a || R_b)   (Johnson PSD of the parallel pair)
     s_i = 4 k T_eff / (R_a + R_b)
     """
-    four_kt = 4.0 * cfg.boltzmann_k * cfg.t_eff
     return SpectraEstimate(
-        s_u=four_kt * parallel_resistance(r_a, r_b),
-        s_i=four_kt / (r_a + r_b),
+        s_u=cfg.four_kt * parallel_resistance(r_a, r_b),
+        s_i=cfg.four_kt / (r_a + r_b),
     )

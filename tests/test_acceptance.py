@@ -30,6 +30,7 @@ from kljnsim.card import (
 )
 from kljnsim.exchange import exchange_key, run_bit_period
 from kljnsim.noise import (
+    BOLTZMANN_K,
     NoiseConfig,
     analytic_spectra,
     compose_loop,
@@ -139,7 +140,7 @@ def test_criterion_05_pair_inference_oracle():
                                         CFG)
         ok += (abs(low - min(r_a, r_b)) / min(r_a, r_b) < 1e-9
                and abs(high - max(r_a, r_b)) / max(r_a, r_b) < 1e-9)
-    four_kt = 4 * CFG.boltzmann_k * CFG.t_eff
+    four_kt = 4 * BOLTZMANN_K * CFG.t_eff
     rejected = False
     try:
         infer_resistor_pair(SpectraEstimate(four_kt, four_kt), CFG)

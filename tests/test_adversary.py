@@ -150,5 +150,4 @@ class TestLeakAccounting:
     def test_mitm_hook_learns_what_parties_keep(self):
         hook = MitmHook(CFG, 77)
         rec = run_bit_period(0, 1, CFG, 88, adversary=hook)
-        assert len(hook.eve_bits) == 1
         assert rec.bob_trace is not None  # split wire: two distinct views

@@ -389,6 +389,37 @@ class TestOutOfRangeNumbers:
         assert captured.out == ""
         assert "amplitude" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["attack", "injection", "--amplitude", "nan"],
+        ["exchange", "--r_low", "nan"],
+        ["exchange", "--t_eff", "inf"],
+        ["rate", "--bandwidth", "nan"],
+        ["rate", "--r_high", "1e400"],
+    ])
+    def test_non_finite_number_exits_2(self, argv, capsys):
+        assert cli.main([*argv, "--trials", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a finite number" in captured.err
+
+    def test_non_finite_config_file_value_exits_2(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("sample_rate = inf\n")
+        assert cli.main(["rate", "--config", str(conf)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a finite number" in captured.err
+
+    @pytest.mark.parametrize("command", ["exchange", "rate"])
+    def test_exchange_that_cannot_converge_exits_2(self, command, capsys):
+        code = cli.main([command, "--r_high", "1000.001", "--trials", "1",
+                         "--target_bits", "16"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "did not converge" in captured.err
+
 
 class TestRecordSchemas:
     def test_unknown_schema_rejected(self):

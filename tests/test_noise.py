@@ -40,7 +40,7 @@ class TestJohnsonPsd:
     def test_current_psd_identity(self):
         # S_i = 4kT/(R_A+R_B) must invert back through the formula
         r_a, r_b = 1e3, 1e4
-        s_i = 4 * CFG.boltzmann_k * CFG.t_eff / (r_a + r_b)
+        s_i = 4 * BOLTZMANN_K * CFG.t_eff / (r_a + r_b)
         assert infer_partner_resistance(s_i, r_a, CFG) == pytest.approx(r_b)
 
 
@@ -151,7 +151,7 @@ class TestInferPartnerResistance:
 
     def test_boundary_zero(self):
         s_i = 1e-10
-        r_a = 4 * CFG.boltzmann_k * CFG.t_eff / s_i
+        r_a = 4 * BOLTZMANN_K * CFG.t_eff / s_i
         assert infer_partner_resistance(s_i, r_a, CFG) == pytest.approx(
             0.0, abs=1e-6)
 
@@ -184,7 +184,7 @@ class TestInferResistorPair:
         assert high == pytest.approx(5e3, rel=1e-9)
 
     def test_inconsistent_spectra_rejected(self):
-        four_kt = 4 * CFG.boltzmann_k * CFG.t_eff
+        four_kt = 4 * BOLTZMANN_K * CFG.t_eff
         # force s_u * s_i > (4kT)^2 / 4
         s = SpectraEstimate(s_u=four_kt, s_i=four_kt)
         with pytest.raises(InconsistentSpectraError):
@@ -204,7 +204,7 @@ class TestInferResistorPair:
 class TestIdentitiesAndInvariants:
     def test_sum_product_identities(self):
         rng = np.random.default_rng(3)
-        four_kt = 4 * CFG.boltzmann_k * CFG.t_eff
+        four_kt = 4 * BOLTZMANN_K * CFG.t_eff
         for _ in range(50):
             r_a = 10 ** rng.uniform(2, 6)
             r_b = 10 ** rng.uniform(2, 6)
@@ -268,4 +268,4 @@ class TestNoiseConfigValidation:
 
     def test_boltzmann_constant_pinned(self):
         assert BOLTZMANN_K == 1.380649e-23
-        assert NoiseConfig().boltzmann_k == BOLTZMANN_K
+        assert NoiseConfig().four_kt == 4.0 * BOLTZMANN_K * CFG.t_eff
