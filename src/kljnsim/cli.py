@@ -10,6 +10,9 @@ per line, UTF-8, the summary last; identical config and seed reproduce the
 stream byte for byte.
 
 Exit codes: 0 success, 2 config/usage error, 3 I/O error, 4 security abort.
+Output is strict JSON: a record that would carry an infinite or NaN number
+(settings so extreme that the physics leaves float range) is not written,
+and the run ends with exit 2.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .card import (
     run_session,
 )
 from .exchange import ChannelCompromisedError, ExchangeNotConvergedError, \
-    exchange_key, run_bit_period
+    class_levels, exchange_key, run_bit_period
 from .noise import NoiseConfig, SpectraEstimate, analytic_spectra, \
     infer_resistor_pair
 
@@ -78,24 +81,43 @@ class RunConfig:
     _MINIMUMS = {"trials": 1, "target_bits": 1, "m_max": 1,
                  "payload_bytes": 1, "n_sessions": 0, "seed": 0,
                  "amplitude": 0}
+    # Largest accepted samples_per_bit.  A card authentication holds every
+    # period's voltage and current, about 8 KB x samples_per_bit at the
+    # default payload, so 10 000 samples (100x the default) keeps it near
+    # 100 MB.
+    _MAX_SAMPLES_PER_BIT = 10_000
 
     def __post_init__(self):
         for key, low in self._MINIMUMS.items():
             if getattr(self, key) < low:
                 raise ConfigError(
                     f"{key} must be >= {low}, got {getattr(self, key)}")
+        if self.samples_per_bit > self._MAX_SAMPLES_PER_BIT:
+            raise ConfigError(
+                f"samples_per_bit must be <= {self._MAX_SAMPLES_PER_BIT}, "
+                f"got {self.samples_per_bit}")
         if self.n_d < 0 or self.n_d == 1:
             raise ConfigError(
                 f"n_d must be 0 (derived) or >= 2, got {self.n_d}")
 
     def noise_config(self) -> NoiseConfig:
         sample_rate = self.sample_rate or 2.0 * self.bandwidth
-        return NoiseConfig(
+        noise = NoiseConfig(
             r_low=self.r_low, r_high=self.r_high, t_eff=self.t_eff,
             bandwidth=self.bandwidth, sample_rate=sample_rate,
             samples_per_bit=self.samples_per_bit,
             classify_margin=self.classify_margin,
         )
+        # Classification works in log space: a level that underflows to 0
+        # or is undefined (NaN) cannot be placed there.  (An infinite one
+        # can: it is simply never nearest.)
+        for cls, level in class_levels(noise).items():
+            if not (level.s_u > 0 and level.s_i > 0):
+                raise ConfigError(
+                    f"the {cls} noise level (s_u={level.s_u}, "
+                    f"s_i={level.s_i}) leaves float range; t_eff, r_low "
+                    f"and r_high are too extreme")
+        return noise
 
     def derived_n_d(self) -> int:
         if self.n_d:
@@ -171,7 +193,13 @@ class Emitter:
             self._fh.close()
 
     def emit(self, obj: dict) -> None:
-        line = json.dumps(obj, separators=(",", ":"))
+        try:
+            line = json.dumps(obj, separators=(",", ":"), allow_nan=False)
+        except ValueError as err:
+            raise ConfigError(
+                f"a {obj.get('schema')} record holds a non-finite number "
+                f"({err}); the settings leave the simulated float range"
+            ) from err
         if self._fh is not None:
             self._fh.write(line + "\n")
         else:
@@ -254,32 +282,39 @@ def _attack_passive(cfg: RunConfig, noise: NoiseConfig,
         a_bit = int(rng.integers(0, 2))
         b_bit = 1 - a_bit  # forced secure periods: that is where Eve matters
         rec = run_bit_period(a_bit, b_bit, noise, rng)
-        est = passive_eavesdrop(rec.trace, noise, rng)
-        ok = est.bit_assignment_guess == (a_bit, b_bit)
+        # Eve measures the very trace the parties classified: a period
+        # they cannot classify (and discard) gives her no guess either.
+        est = passive_eavesdrop(rec.trace, noise, rng) \
+            if rec.loop_class is not None else None
+        ok = est is not None and est.bit_assignment_guess == (a_bit, b_bit)
         correct += ok
         pair_su.append(rec.spectra_alice.s_u)
         pair_si.append(rec.spectra_alice.s_i)
+        pair = est.pair_guess if est is not None else None
         emitter.emit({
             "schema": "kljn.attack_trial", "version": 1,
             "kind": "passive", "trial": trial,
             "detected": False,
-            "loop_class": str(est.loop_class_guess),
+            "loop_class": str(est.loop_class_guess)
+            if est is not None else None,
             "assignment_correct": bool(ok),
-            "pair_low": _round(est.pair_guess[0], 3)
-            if est.pair_guess else None,
-            "pair_high": _round(est.pair_guess[1], 3)
-            if est.pair_guess else None,
+            "pair_low": _round(pair[0], 3) if pair else None,
+            "pair_high": _round(pair[1], 3) if pair else None,
         })
     pooled = SpectraEstimate(s_u=float(np.mean(pair_su)),
                              s_i=float(np.mean(pair_si)))
-    low, high = infer_resistor_pair(pooled, noise)
+    try:
+        pooled_pair = [_round(r, 3) for r in
+                       infer_resistor_pair(pooled, noise)]
+    except ValueError:  # the pooled spectra admit no real pair
+        pooled_pair = [None, None]
     emitter.emit({
         "schema": "kljn.attack_summary", "version": 1,
         "kind": "passive", "trials": cfg.trials,
         "detection_rate": 0.0,
         "assignment_accuracy": _round(correct / cfg.trials),
-        "pooled_pair_low": _round(low, 3),
-        "pooled_pair_high": _round(high, 3),
+        "pooled_pair_low": pooled_pair[0],
+        "pooled_pair_high": pooled_pair[1],
     })
     return EXIT_OK
 

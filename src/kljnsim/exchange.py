@@ -155,12 +155,16 @@ def classify_level(s: SpectraEstimate, cfg: NoiseConfig) -> LoopClass:
 
     Distance is Euclidean in (log s_u, log s_i).  A measurement farther
     from its nearest level than ``classify_margin`` times that level's gap
-    to its own nearest neighbor is rejected as unclassifiable.
+    to its own nearest neighbor is rejected as unclassifiable, and so is
+    a zero spectrum (a variance that underflowed has no place in log
+    space).
     """
     if s.s_u <= 0:
-        raise ValueError(f"s_u must be positive to classify, got {s.s_u}")
+        raise UnclassifiableLevelError(
+            f"s_u must be positive to classify, got {s.s_u}")
     if s.s_i <= 0:
-        raise ValueError(f"s_i must be positive to classify, got {s.s_i}")
+        raise UnclassifiableLevelError(
+            f"s_i must be positive to classify, got {s.s_i}")
     mx, my = _log_point(s)
     best = None
     for cls, px, py, radius in _level_geometry(cfg):
@@ -198,6 +202,10 @@ def first_divergence_index(end_a_view: WireTrace, end_b_view: WireTrace,
     A sample breaks it when its absolute voltage or current difference
     exceeds ``tolerance`` times the RMS of that signal pooled over both
     views.  Returns None when no sample does (no alarm).
+
+    The check fails closed at the float edges: a non-finite sample in
+    either view breaks tolerance by itself, and a signal so large that its
+    squares overflow has its RMS taken relative to its largest magnitude.
     """
     if len(end_a_view) != len(end_b_view):
         raise ValueError("monitor views must have equal length")
@@ -205,11 +213,24 @@ def first_divergence_index(end_a_view: WireTrace, end_b_view: WireTrace,
     for a, b in ((end_a_view.voltage, end_b_view.voltage),
                  (end_a_view.current, end_b_view.current)):
         # np.mean(a ** 2) spelled out: the same sum and divide, bit for bit.
-        rms = math.sqrt(0.5 * (np.add.reduce(a * a, axis=None) / a.size
-                               + np.add.reduce(b * b, axis=None) / b.size))
-        over |= np.abs(a - b) > tolerance * rms
+        mean_sq = 0.5 * (np.add.reduce(a * a, axis=None) / a.size
+                         + np.add.reduce(b * b, axis=None) / b.size)
+        if math.isfinite(mean_sq):
+            over |= np.abs(a - b) > tolerance * math.sqrt(mean_sq)
+        else:
+            with np.errstate(all="ignore"):
+                over |= ~(np.isfinite(a) & np.isfinite(b))
+                over |= np.abs(a - b) > tolerance * _rescaled_rms(a, b)
     first = int(over.argmax())
     return first if over[first] else None
+
+
+def _rescaled_rms(a: np.ndarray, b: np.ndarray) -> float:
+    """Pooled RMS of ``a`` and ``b`` taken relative to their largest
+    magnitude, so no square overflows; NaN when a sample is not finite."""
+    peak = float(max(np.abs(a).max(), np.abs(b).max()))
+    return peak * math.sqrt(0.5 * (np.mean(np.square(a / peak))
+                                   + np.mean(np.square(b / peak))))
 
 
 def _classify_or_none(s: SpectraEstimate,

@@ -233,18 +233,24 @@ def infer_resistor_pair(s: SpectraEstimate,
         raise ValueError("both spectra must be positive for pair inference")
     root_sum = cfg.four_kt / s.s_i
     root_prod = s.s_u / s.s_i
-    disc = root_sum * root_sum - 4.0 * root_prod
+    # The discriminant is taken scaled by 2^-2e, with 2^e ~ root_sum (for
+    # root_sum >= 1), so root_sum^2 cannot overflow.  Scaling by a power
+    # of two is exact: the roots are the same floats as unscaled wherever
+    # the unscaled square is finite.
+    exp = max(math.frexp(root_sum)[1], 0)
+    sum_scaled = math.ldexp(root_sum, -exp)
+    disc = sum_scaled * sum_scaled - 4.0 * math.ldexp(root_prod, -2 * exp)
     if disc < 0:
         # Absorb float cancellation on degenerate (equal-resistor) input,
         # reject genuinely inconsistent spectra.
-        if disc > -1e-12 * root_sum * root_sum:
+        if disc > -1e-12 * sum_scaled * sum_scaled:
             disc = 0.0
         else:
             raise InconsistentSpectraError(
                 f"no real resistor pair for s_u={s.s_u!r}, s_i={s.s_i!r}")
     # Stable quadratic: the larger root by the +sqrt branch, the smaller
     # from the product, avoiding cancellation.
-    r_big = 0.5 * (root_sum + math.sqrt(disc))
+    r_big = math.ldexp(0.5 * (sum_scaled + math.sqrt(disc)), exp)
     r_small = root_prod / r_big if r_big > 0 else 0.0
     return (r_small, r_big)
 

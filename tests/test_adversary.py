@@ -114,6 +114,19 @@ class TestInjectCurrent:
         out = inject_current(CFG, inj, 6)
         assert not out.detected
 
+    @pytest.mark.parametrize("ratio", [1e3, 1e100, 1e160, 1e200, 1e300])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_injection_far_above_signal_always_alarms(self, ratio):
+        # From about 1e158 on the sum of the injection's squares overflows
+        # float64; the monitor must still see it.
+        rms = mid_current_rms(CFG)
+        rng = np.random.default_rng(8)
+        for trial in range(20):
+            inj = rng.normal(0, ratio * rms, CFG.samples_per_bit)
+            out = inject_current(CFG, inj, (9, trial))
+            assert out.detected
+            assert out.bits_retained_by_parties == 0
+
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             inject_current(CFG, np.zeros(CFG.samples_per_bit + 1), 1)

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kljnsim.adversary import MitmHook
 from kljnsim.card import (
@@ -25,10 +28,35 @@ from kljnsim.card import (
 )
 from kljnsim.noise import NoiseConfig
 from kljnsim.privacy import BitString
-from kljnsim.tags import FIELD_PRIME, poly_tag
+from kljnsim.tags import FIELD_PRIME, LIMB_BYTES, poly_tag, segment_to_key
 
 CFG = NoiseConfig()
 IDENTITY = CardIdentity("4111111111111111", "TEST HOLDER", "12/29")
+
+BLOCK_BYTES = 256 * LIMB_BYTES  # one block of the blocked tag evaluation
+EDGE_KEYS = [0, 1, FIELD_PRIME - 1, FIELD_PRIME, 2 ** 64 - 1]
+
+
+def horner_tag(data: bytes, key: int) -> int:
+    """Reference tag: Horner's rule one 7-byte limb at a time."""
+    x = key % FIELD_PRIME
+    acc = 0
+    for off in range(0, len(data), LIMB_BYTES):
+        m = int.from_bytes(data[off:off + LIMB_BYTES], "big")
+        acc = (acc + m) * x % FIELD_PRIME
+    return (acc + len(data) + 1) * x % FIELD_PRIME
+
+
+def loop_segment_key(bits: np.ndarray) -> int:
+    """Reference segment key: build each 64-bit word bit by bit, XOR."""
+    bits = np.concatenate([bits, np.zeros((-bits.size) % 64, np.uint8)])
+    key = 0
+    for blk in range(0, bits.size, 64):
+        word = 0
+        for b in bits[blk:blk + 64]:
+            word = (word << 1) | int(b)
+        key ^= word
+    return key
 
 
 def provision(m_max=3, n_d=102400, rng=1, keystore=None):
@@ -144,6 +172,58 @@ class TestAuthenticateTag:
         expected = sum(m * pow(x, d - j, FIELD_PRIME)
                        for j, m in enumerate(limbs)) % FIELD_PRIME
         assert poly_tag(data, key) == expected
+
+
+class TestBlockedTag:
+    """The blocked evaluation against the one-limb-at-a-time Horner rule,
+    across block boundaries (the frozen vectors are all shorter than one
+    block)."""
+
+    @given(data=st.binary(max_size=5 * BLOCK_BYTES + 6),
+           key=st.one_of(st.sampled_from(EDGE_KEYS),
+                         st.integers(0, 2 ** 64 - 1)))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_horner(self, data, key):
+        assert poly_tag(data, key) == horner_tag(data, key)
+
+    @pytest.mark.parametrize("size", [
+        BLOCK_BYTES - 1, BLOCK_BYTES, BLOCK_BYTES + 1,
+        3 * BLOCK_BYTES + 6, 16 * BLOCK_BYTES, 17 * BLOCK_BYTES + 7])
+    @pytest.mark.parametrize("key", EDGE_KEYS)
+    def test_all_ones_at_block_edges(self, size, key):
+        data = b"\xff" * size  # largest limbs: largest partial sums
+        assert poly_tag(data, key) == horner_tag(data, key)
+
+    @pytest.mark.parametrize("size", [819200, 819203])
+    def test_card_sized_message(self, size):
+        # the size of one end's monitoring data in a default session
+        rng = np.random.default_rng(size)
+        data = rng.bytes(size)
+        key = int(rng.integers(0, 2 ** 63)) * 2 + 1
+        assert poly_tag(data, key) == horner_tag(data, key)
+
+    def test_peak_memory_bounded(self):
+        data = np.random.default_rng(5).bytes(819200)
+        tracemalloc.start()
+        try:
+            poly_tag(data, 2 ** 64 - 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A whole-message int64 or float64 copy alone would be 6.5 MB.
+        assert peak <= 2 * 2 ** 20
+
+    @pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 128, 320])
+    def test_segment_key_equals_bit_loop(self, length):
+        bits = np.random.default_rng(length).integers(0, 2, length,
+                                                      dtype=np.uint8)
+        key = segment_to_key(BitString(bits, "key_c"))
+        assert key == loop_segment_key(bits)
+        assert 0 <= key < 2 ** 64
+
+    def test_segment_key_of_all_ones(self):
+        assert segment_to_key(BitString(np.ones(64, np.uint8), "key_c")) \
+            == 2 ** 64 - 1
 
 
 class TestAuthentication:

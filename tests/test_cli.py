@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kljnsim import cli
 from kljnsim.card import CardIdentity, Keystore, initialize_card
@@ -26,6 +31,13 @@ def run_proc(argv, env_extra=None, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "kljnsim.cli", *argv],
         capture_output=True, env=env, cwd=cwd)
+
+
+def strict_json(line: str):
+    """Parse one record, refusing the NaN/Infinity tokens of lax JSON."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(line, parse_constant=reject)
 
 
 FAST = ["--target_bits", "32", "--trials", "3", "--samples_per_bit", "100"]
@@ -410,6 +422,56 @@ class TestOutOfRangeNumbers:
         assert captured.out == ""
         assert "not a finite number" in captured.err
 
+    def test_samples_per_bit_above_bound_exits_2(self, capsys):
+        # rejected while the config is built: nothing is allocated
+        code = cli.main(["exchange", "--samples_per_bit", "100000000000",
+                         "--trials", "1", "--target_bits", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "samples_per_bit must be <= 10000" in captured.err
+
+    def test_non_finite_record_is_not_written(self, capsys):
+        with pytest.raises(cli.ConfigError, match="non-finite"):
+            cli.Emitter("").emit({"schema": "kljn.rate_report",
+                                  "secure_bit_rate": float("inf")})
+        assert capsys.readouterr().out == ""
+
+    def test_non_finite_record_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_round", lambda x, digits=10: math.nan)
+        assert cli.main(["rate", "--target_bits", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-finite" in captured.err
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.parametrize("argv,check", [
+        (["attack", "injection", "--amplitude", "1e300"],
+         lambda summary: summary["detection_rate"] == 1.0),
+        (["attack", "passive", "--r_high", "1e300"],
+         lambda summary: 1e299 < summary["pooled_pair_high"] < 1e301),
+    ])
+    def test_extreme_values_give_strict_json(self, argv, check, capsys):
+        assert cli.main([*argv, "--trials", "2"]) == 0
+        out = capsys.readouterr().out
+        assert check(strict_json(out.splitlines()[-1]))
+
+    def test_levels_out_of_float_range_exit_2(self, capsys):
+        # 4kT / (2 r_high) underflows to 0: no level to classify against
+        assert cli.main(["rate", "--r_high", "1.7e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "leaves float range" in captured.err
+
+    def test_unclassifiable_passive_period_gives_no_guess(self, capsys):
+        code, records = run_main(["attack", "passive", "--trials", "20",
+                                  "--classify_margin", "0.01"], capsys)
+        assert code == 0
+        blind = [r for r in records[:-1] if r["loop_class"] is None]
+        assert blind
+        assert not any(r["assignment_correct"] for r in blind)
+        assert all(r["pair_low"] is None for r in blind)
+
     @pytest.mark.parametrize("command", ["exchange", "rate"])
     def test_exchange_that_cannot_converge_exits_2(self, command, capsys):
         code = cli.main([command, "--r_high", "1000.001", "--trials", "1",
@@ -419,6 +481,44 @@ class TestOutOfRangeNumbers:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert "did not converge" in captured.err
+
+
+EXTREME_VALUES = {
+    "r_low": ["1e-300", "1", "1e100", "1e300"],
+    "r_high": ["1e-299", "1100", "1e150", "1e300", "1.7e308"],
+    "t_eff": ["1e-300", "1", "1e300"],
+    "bandwidth": ["1e-300", "1e-5", "1e300"],
+    "sample_rate": ["0", "1e306"],
+    "classify_margin": ["0.001", "0.01", "0.99"],
+    "amplitude": ["0", "1e-300", "1e200", "1e308"],
+    "n_d": ["2", "1000000000000"],
+}
+SMALL_COMMANDS = [
+    ["exchange", "--trials", "1", "--target_bits", "4"],
+    ["rate", "--target_bits", "4"],
+    ["attack", "passive", "--trials", "3"],
+    ["attack", "mitm", "--trials", "3"],
+    ["attack", "injection", "--trials", "3"],
+    ["card-lifetime", "--n_sessions", "1", "--payload_bytes", "1",
+     "--m_max", "1", "--keystore", ""],
+]
+
+
+class TestNoInputEndsInATraceback:
+    @given(command=st.sampled_from(SMALL_COMMANDS),
+           flags=st.lists(st.sampled_from(
+               [(key, value) for key, values in EXTREME_VALUES.items()
+                for value in values]), min_size=1, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_exit_code_and_strict_json(self, command, flags):
+        argv = [*command, *(f"--{key}={value}" for key, value in flags)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        assert code in (0, 2, 3, 4), err.getvalue()
+        for line in out.getvalue().splitlines():
+            validate_record(strict_json(line))
 
 
 class TestRecordSchemas:

@@ -92,6 +92,13 @@ class TestClassifyLevel:
         with pytest.raises(ValueError):
             classify_level(SpectraEstimate(0.0, 1e-10), CFG)
 
+    @pytest.mark.parametrize("s_u,s_i", [
+        (0.0, 1e-10), (1e-8, 0.0), (np.inf, 1e-10), (1e-8, np.inf)])
+    def test_zero_or_infinite_spectra_unclassifiable(self, s_u, s_i):
+        # a period measured so is discarded as an anomaly, never classified
+        with pytest.raises(UnclassifiableLevelError):
+            classify_level(SpectraEstimate(s_u, s_i), CFG)
+
 
 class TestMonitorCompare:
     def test_identical_traces_silent(self):
@@ -178,6 +185,28 @@ class TestMonitorCompare:
                                                          rec.bob_trace)
         assert indices[0] is not None and indices[-1] is None
         assert run_bit_period(0, 1, CFG, 45).monitor.first_divergence is None
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("channel", ["voltage", "current"])
+    def test_non_finite_sample_alarms(self, bad, channel):
+        rng = np.random.default_rng(47)
+        v, i = rng.normal(size=(2, 100))
+        spiked = {"voltage": v.copy(), "current": i.copy()}
+        spiked[channel][31] = bad
+        a, b = WireTrace(v, i), WireTrace(**spiked)
+        assert first_divergence_index(a, b) == 31
+        assert first_divergence_index(b, a) == 31
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_signal_rescaled(self):
+        rng = np.random.default_rng(48)
+        v, i = 1e300 * rng.normal(size=(2, 100))
+        a = WireTrace(v, i)
+        assert first_divergence_index(a, WireTrace(v.copy(),
+                                                   i.copy())) is None
+        nudged = i.copy()
+        nudged[70] *= 1 + 1e-3
+        assert first_divergence_index(a, WireTrace(v.copy(), nudged)) == 70
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):

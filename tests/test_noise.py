@@ -201,6 +201,31 @@ class TestInferResistorPair:
             assert high == pytest.approx(max(r_a, r_b), rel=1e-9)
 
 
+    def test_extreme_pair_stays_finite(self):
+        # (4kT/s_i)^2 overflows float64 here; the scaled form does not.
+        s = analytic_spectra(1e3, 1e300, CFG)
+        low, high = infer_resistor_pair(s, CFG)
+        assert low == pytest.approx(1e3, rel=1e-6)
+        assert high == pytest.approx(1e300, rel=1e-9)
+
+    def test_equals_unscaled_formula_bit_for_bit(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(2000):
+            r_a, r_b = 10 ** rng.uniform(-3, 150, 2)
+            exact = analytic_spectra(r_a, r_b, CFG)
+            s = SpectraEstimate(exact.s_u * (1 + rng.normal(0, 1e-3)),
+                                exact.s_i * (1 + rng.normal(0, 1e-3)))
+            root_sum = CFG.four_kt / s.s_i
+            root_prod = s.s_u / s.s_i
+            disc = root_sum * root_sum - 4.0 * root_prod
+            if disc <= -1e-12 * root_sum * root_sum:
+                with pytest.raises(InconsistentSpectraError):
+                    infer_resistor_pair(s, CFG)
+                continue
+            r_big = 0.5 * (root_sum + math.sqrt(max(disc, 0.0)))
+            assert infer_resistor_pair(s, CFG) == (root_prod / r_big, r_big)
+
+
 class TestIdentitiesAndInvariants:
     def test_sum_product_identities(self):
         rng = np.random.default_rng(3)
