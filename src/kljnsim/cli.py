@@ -361,9 +361,14 @@ def _parse_faults(script: str) -> dict[int, str]:
         if kind not in ("wrong_key", "mitm_auth", "mitm_refresh"):
             raise ConfigError(f"unknown fault kind {kind!r}")
         try:
-            faults[int(idx)] = kind
+            index = int(idx)
         except ValueError as err:
             raise ConfigError(f"bad fault session index {idx!r}") from err
+        if index in faults:
+            raise ConfigError(
+                f"fault session index {index} is given twice ({faults[index]}"
+                f" and {kind}); a session takes at most one fault")
+        faults[index] = kind
     return faults
 
 
@@ -527,8 +532,13 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
+    # Physics values near the float limits overflow inside numpy.  Those
+    # results are handled (the monitor fails closed, non-finite records
+    # exit 2), so numpy's own warnings would only leak internals onto
+    # stderr; one errstate for the whole command costs nothing per period.
     try:
-        with Emitter(cfg.output_path) as emitter:
+        with Emitter(cfg.output_path) as emitter, \
+                np.errstate(over="ignore", invalid="ignore"):
             if args.command == "exchange":
                 return cmd_exchange(cfg, emitter)
             if args.command == "attack":

@@ -53,6 +53,11 @@ ALARM_ABORT_COUNT = 3
 
 MONITOR_TOLERANCE = 1e-6  # relative to signal RMS
 
+# Largest block of noise an exchange draws ahead, in bytes (but at least one
+# period's).  A long exchange so holds about one block of generator
+# voltages, two while the next is drawn, instead of all of them at once.
+NOISE_BLOCK_BYTES = 400_000
+
 
 class UnclassifiableLevelError(ValueError):
     """Measured spectra fall outside every level's acceptance band."""
@@ -85,6 +90,9 @@ class MonitorReport:
     @property
     def alarm(self) -> bool:
         return self.first_divergence is not None
+
+
+_SILENT = MonitorReport(None)  # frozen, so every silent period shares it
 
 
 @dataclass
@@ -185,11 +193,11 @@ def monitor_compare(end_a_view: WireTrace, end_b_view: WireTrace,
     Alarm iff ``first_divergence_index`` finds a sample over tolerance.  A
     shared ideal wire gives exactly zero differences, so the honest-channel
     false-alarm rate is structurally zero.  When both ends hold the very
-    same (finite) trace object, that silent report is returned without
-    comparing the trace to itself.
+    same (finite) trace object, the shared silent report is returned
+    without comparing the trace to itself.
     """
     if end_a_view is end_b_view and tolerance >= 0:
-        return MonitorReport(None)
+        return _SILENT
     return MonitorReport(first_divergence_index(end_a_view, end_b_view,
                                                 tolerance))
 
@@ -249,6 +257,7 @@ def _bit_resistance(bit: int, cfg: NoiseConfig) -> float:
 
 def run_bit_period(alice_bit: int, bob_bit: int, cfg: NoiseConfig, seed,
                    adversary: Optional[AdversaryHook] = None,
+                   noise: Optional[tuple[np.ndarray, np.ndarray]] = None,
                    ) -> BitExchangeRecord:
     """Simulate one full bit period.
 
@@ -256,12 +265,20 @@ def run_bit_period(alice_bit: int, bob_bit: int, cfg: NoiseConfig, seed,
     sequences, solves the loop (or lets the adversary hook supply the two
     ends' views), measures and classifies at both ends, and runs the
     monitor comparison.  Pure function of (inputs, seed).
+
+    ``noise``, when given, is the period's pre-drawn generator voltages for
+    these bits' resistors, end A's then end B's (a pair of rows, or one
+    ``(2, samples_per_bit)`` array), and ``seed`` is not read:
+    ``exchange_key`` draws the noise of a block of periods at once.
     """
     r_a = _bit_resistance(alice_bit, cfg)
     r_b = _bit_resistance(bob_bit, cfg)
-    rng = np.random.default_rng(seed)
-    u_a = generate_noise(johnson_psd(r_a, cfg), cfg, rng)
-    u_b = generate_noise(johnson_psd(r_b, cfg), cfg, rng)
+    if noise is None:
+        rng = np.random.default_rng(seed)
+        u_a = generate_noise(johnson_psd(r_a, cfg), cfg, rng)
+        u_b = generate_noise(johnson_psd(r_b, cfg), cfg, rng)
+    else:
+        u_a, u_b = noise
 
     if adversary is None:
         trace = compose_loop(u_a, u_b, r_a, r_b)
@@ -306,6 +323,14 @@ def exchange_key(target_len: int, cfg: NoiseConfig, seed,
     happens (the card protocol collects the monitor data to authenticate
     this way).
 
+    Bits and generator voltages come from two generators private to the
+    exchange, drawn a block of periods at a time: about twice the bits
+    still needed (half the periods are discarded), at most
+    NOISE_BLOCK_BYTES of noise.  A block draw yields exactly the values
+    that one draw per period would, in the same order, so the result does
+    not depend on the block sizes; what a last block draws past the end
+    of the exchange is thrown away.
+
     Raises
     ------
     ChannelCompromisedError
@@ -318,35 +343,46 @@ def exchange_key(target_len: int, cfg: NoiseConfig, seed,
     bit_rng_seed, noise_seed = spawn_seeds(seed, 2)
     bit_rng = np.random.default_rng(bit_rng_seed)
     noise_rng = np.random.default_rng(noise_seed)
+    psd_of_bit = np.array([johnson_psd(cfg.r_low, cfg),
+                           johnson_psd(cfg.r_high, cfg)])
+    max_block = max(1, NOISE_BLOCK_BYTES // (16 * cfg.samples_per_bit))
 
     alice_bits: list[int] = []
     bob_bits: list[int] = []
     stats = ExchangeStats()
     max_periods = 64 * target_len + 1024  # generous; expected use is ~2x
     while stats.retained < target_len:
-        if stats.periods_run >= max_periods:
-            raise ExchangeNotConvergedError(
-                f"exchange did not converge within {max_periods} periods")
-        a_bit = int(bit_rng.integers(0, 2))
-        b_bit = int(bit_rng.integers(0, 2))
-        rec = run_bit_period(a_bit, b_bit, cfg, noise_rng,
-                             adversary=adversary)
-        stats.periods_run += 1
-        if record_sink is not None:
-            record_sink(rec)
-        if rec.monitor.alarm:
-            stats.alarms += 1
-            if stats.alarms >= ALARM_ABORT_COUNT:
-                raise ChannelCompromisedError(
-                    f"{stats.alarms} alarms in {stats.periods_run} periods")
-            continue
-        if rec.loop_class is None:
-            stats.anomalies += 1
-            continue
-        if rec.retained:
-            stats.retained += 1
-            alice_bits.append(1 - a_bit)  # pre-agreed inversion
-            bob_bits.append(b_bit)
+        block = min(2 * (target_len - stats.retained), max_block)
+        bits = bit_rng.integers(0, 2, (block, 2))
+        noise = generate_noise(psd_of_bit[bits], cfg, noise_rng)
+        a_bits, b_bits = bits.T.tolist()
+        for a_bit, b_bit, u_a, u_b in zip(a_bits, b_bits, noise[:, 0],
+                                          noise[:, 1]):
+            if stats.periods_run >= max_periods:
+                raise ExchangeNotConvergedError(
+                    f"exchange did not converge within {max_periods} "
+                    f"periods")
+            rec = run_bit_period(a_bit, b_bit, cfg, None,
+                                 adversary=adversary, noise=(u_a, u_b))
+            stats.periods_run += 1
+            if record_sink is not None:
+                record_sink(rec)
+            if rec.monitor.alarm:
+                stats.alarms += 1
+                if stats.alarms >= ALARM_ABORT_COUNT:
+                    raise ChannelCompromisedError(
+                        f"{stats.alarms} alarms in {stats.periods_run} "
+                        f"periods")
+                continue
+            if rec.loop_class is None:
+                stats.anomalies += 1
+                continue
+            if rec.retained:
+                stats.retained += 1
+                alice_bits.append(1 - a_bit)  # pre-agreed inversion
+                bob_bits.append(b_bit)
+                if stats.retained == target_len:
+                    break
 
     alice_key = BitString(np.array(alice_bits, dtype=np.uint8), "raw_kljn")
     bob_key = BitString(np.array(bob_bits, dtype=np.uint8), "raw_kljn")

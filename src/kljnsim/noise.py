@@ -106,8 +106,10 @@ class WireTrace:
             raise ValueError(
                 f"voltage/current length mismatch: {self.voltage.shape} vs "
                 f"{self.current.shape}")
-        if self.voltage.size == 0:
-            raise ValueError("trace must contain at least one sample")
+        if self.voltage.ndim != 1 or self.voltage.size == 0:
+            raise ValueError(
+                f"trace must be a non-empty 1-D sample sequence, got shape "
+                f"{self.voltage.shape}")
 
     def __len__(self) -> int:
         return self.voltage.size
@@ -135,22 +137,38 @@ def johnson_psd(r: float, cfg: NoiseConfig) -> float:
     return cfg.four_kt * r
 
 
-def generate_noise(psd: float, cfg: NoiseConfig, seed) -> np.ndarray:
-    """Synthesize one bit period of band-limited Gaussian noise.
+def generate_noise(psd, cfg: NoiseConfig, seed) -> np.ndarray:
+    """Synthesize band-limited Gaussian noise, one bit period per PSD.
 
-    Returns ``cfg.samples_per_bit`` zero-mean samples with variance
-    psd x bandwidth (exact for critical sampling, where successive samples
-    are independent).  Identical seeds give identical output; distinct seeds
-    give statistically independent periods.
+    A number ``psd`` gives ``cfg.samples_per_bit`` zero-mean samples with
+    variance psd x bandwidth (exact for critical sampling, where successive
+    samples are independent).  An array of PSDs gives one such period per
+    entry, shape ``psd.shape + (samples_per_bit,)``, drawn in row-major
+    order: bit for bit the samples that one scalar call per entry, in that
+    order, would draw from the same generator.  Identical seeds give
+    identical output; distinct seeds give statistically independent
+    periods.
 
     ``seed`` may be anything ``numpy.random.default_rng`` accepts, including
     an existing Generator.
     """
-    if psd < 0:
-        raise ValueError(f"psd must be non-negative, got {psd}")
     rng = np.random.default_rng(seed)
-    sigma = math.sqrt(psd * cfg.bandwidth)
-    return rng.normal(0.0, sigma, cfg.samples_per_bit)
+    if not isinstance(psd, np.ndarray):
+        if psd < 0:
+            raise ValueError(f"psd must be non-negative, got {psd}")
+        sigma = math.sqrt(psd * cfg.bandwidth)
+        return rng.normal(0.0, sigma, cfg.samples_per_bit)
+    psd = np.asarray(psd, dtype=np.float64)
+    if (psd < 0).any():
+        raise ValueError(f"psd must be non-negative, got {psd.min()}")
+    # np.sqrt and math.sqrt are both correctly rounded: the same sigmas.
+    # rng.normal(loc, scale) is loc + scale * (a standard normal draw),
+    # written out here because broadcasting an array of scales through
+    # rng.normal costs more than the two array operations.
+    out = rng.standard_normal(psd.shape + (cfg.samples_per_bit,))
+    out *= np.sqrt(psd * cfg.bandwidth)[..., None]
+    out += 0.0
+    return out
 
 
 def compose_loop(u_a: np.ndarray, u_b: np.ndarray, r_a: float,
@@ -171,33 +189,41 @@ def compose_loop(u_a: np.ndarray, u_b: np.ndarray, r_a: float,
         raise ValueError(
             f"generator traces must have equal length: {u_a.shape} vs "
             f"{u_b.shape}")
+    if u_a.ndim != 1 or u_a.size == 0:
+        raise ValueError(
+            f"generator traces must be non-empty 1-D sample sequences, got "
+            f"shape {u_a.shape}")
     r_sum = r_a + r_b
     if r_sum <= 0:
         raise ValueError(f"r_a + r_b must be positive, got {r_sum}")
-    current = (u_a - u_b) / r_sum
-    voltage = (u_a * r_b + u_b * r_a) / r_sum
-    return WireTrace(voltage=voltage, current=current)
+    # Two non-empty 1-D float64 arrays of one shape: WireTrace's checks
+    # would only re-confirm that, so the trace is built without them.
+    trace = object.__new__(WireTrace)
+    trace.current = (u_a - u_b) / r_sum
+    trace.voltage = (u_a * r_b + u_b * r_a) / r_sum
+    return trace
 
 
 def measure_spectra(trace: WireTrace, cfg: NoiseConfig) -> SpectraEstimate:
     """Estimate the band-averaged voltage and current PSDs of a trace.
 
     Under the white-in-band assumption the PSD is sample-variance divided
-    by bandwidth.  Uses the unbiased (ddof=1) sample variance.
+    by bandwidth.  Uses the unbiased (ddof=1) sample variance, computed
+    inline as ``np.var(x, ddof=1)``'s own steps (sum, divide, subtract,
+    square, sum, divide), so each is bit-identical to it without its
+    per-call dispatch overhead.
     """
-    if len(trace) < 2:
+    n = len(trace)
+    if n < 2:
         raise ValueError("need at least 2 samples to estimate spectra")
+    # A trace is 1-D, and reducing it along axis 0 is the same pairwise
+    # sum as over axis=None, with less argument handling.
+    v, c = trace.voltage, trace.current
+    dv = v - np.add.reduce(v, 0) / n
+    dc = c - np.add.reduce(c, 0) / n
     return SpectraEstimate(
-        s_u=_sample_variance(trace.voltage) / cfg.bandwidth,
-        s_i=_sample_variance(trace.current) / cfg.bandwidth)
-
-
-def _sample_variance(x: np.ndarray) -> float:
-    """``np.var(x, ddof=1)`` of a float64 array, written as numpy's own
-    steps (sum, divide, subtract, square, sum, divide) so the result is
-    bit-identical without its per-call dispatch overhead."""
-    d = x - np.add.reduce(x, axis=None) / x.size
-    return float(np.add.reduce(d * d, axis=None) / (x.size - 1))
+        s_u=float(np.add.reduce(dv * dv, 0)) / (n - 1) / cfg.bandwidth,
+        s_i=float(np.add.reduce(dc * dc, 0)) / (n - 1) / cfg.bandwidth)
 
 
 def infer_partner_resistance(s_i: float, r_a: float,

@@ -392,6 +392,36 @@ class TestOutOfRangeNumbers:
         assert capsys.readouterr().out == ""
         assert not ks.exists()
 
+    @pytest.mark.parametrize("faults", [
+        "0:wrong_key,0:mitm_auth", "2:mitm_refresh,2:mitm_refresh",
+        "1:wrong_key, 01:mitm_auth"])
+    def test_fault_index_given_twice_exits_2(self, faults, tmp_path, capsys):
+        # one session cannot take two faults; neither is dropped silently
+        ks = tmp_path / "ks.jsonl"
+        code = cli.main(["card-lifetime", "--n_sessions", "3",
+                         f"--faults={faults}", "--keystore", str(ks)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+        assert "given twice" in captured.err
+        assert not ks.exists()
+
+    @pytest.mark.parametrize("argv,stdout_sha256", [
+        (["attack", "injection", "--amplitude", "1e300", "--trials", "2"],
+         "885624b5399c3b97b629e137a95ff857cdf55efbd2803ce6b10ff7eb7fd4beef"),
+        (["exchange", "--r_high", "1e300", "--trials", "2"],
+         "fc781e634d2dd0a55e89c131871e5e06040d89b77ed6483bdc87012657037cf8"),
+    ])
+    def test_overflow_prints_no_numpy_warning(self, argv, stdout_sha256):
+        # The overflow is handled (the monitor fails closed), so stderr
+        # stays empty; stdout is the stream these commands always printed.
+        proc = run_proc(argv)
+        assert proc.returncode == 0
+        assert b"RuntimeWarning" not in proc.stderr
+        assert proc.stderr == b""
+        assert sha256(proc.stdout) == stdout_sha256
+
     @pytest.mark.parametrize("amplitude", ["-1", "-1e-9"])
     def test_negative_amplitude_exits_2(self, amplitude, capsys):
         code = cli.main(["attack", "injection", f"--amplitude={amplitude}",

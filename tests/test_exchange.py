@@ -1,9 +1,18 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from kljnsim import exchange
 from kljnsim.adversary import InjectionHook, MitmHook
 from kljnsim.exchange import (
+    ALARM_ABORT_COUNT,
     ChannelCompromisedError,
+    ExchangeNotConvergedError,
+    ExchangeStats,
     LoopClass,
     UnclassifiableLevelError,
     class_levels,
@@ -12,6 +21,7 @@ from kljnsim.exchange import (
     first_divergence_index,
     monitor_compare,
     run_bit_period,
+    spawn_seeds,
 )
 from kljnsim.noise import (
     NoiseConfig,
@@ -19,8 +29,73 @@ from kljnsim.noise import (
     WireTrace,
     analytic_spectra,
 )
+from kljnsim.privacy import BitString
 
 CFG = NoiseConfig()
+
+
+def scalar_exchange_key(target_len, cfg, seed, adversary=None,
+                        record_sink=None):
+    """Reference exchange: two scalar bit draws and one self-drawing
+    ``run_bit_period`` per period, the loop that block draws replaced."""
+    bit_rng_seed, noise_seed = spawn_seeds(seed, 2)
+    bit_rng = np.random.default_rng(bit_rng_seed)
+    noise_rng = np.random.default_rng(noise_seed)
+    alice_bits, bob_bits = [], []
+    stats = ExchangeStats()
+    max_periods = 64 * target_len + 1024
+    while stats.retained < target_len:
+        if stats.periods_run >= max_periods:
+            raise ExchangeNotConvergedError(
+                f"exchange did not converge within {max_periods} periods")
+        a_bit = int(bit_rng.integers(0, 2))
+        b_bit = int(bit_rng.integers(0, 2))
+        rec = run_bit_period(a_bit, b_bit, cfg, noise_rng,
+                             adversary=adversary)
+        stats.periods_run += 1
+        if record_sink is not None:
+            record_sink(rec)
+        if rec.monitor.alarm:
+            stats.alarms += 1
+            if stats.alarms >= ALARM_ABORT_COUNT:
+                raise ChannelCompromisedError(
+                    f"{stats.alarms} alarms in {stats.periods_run} periods")
+            continue
+        if rec.loop_class is None:
+            stats.anomalies += 1
+            continue
+        if rec.retained:
+            stats.retained += 1
+            alice_bits.append(1 - a_bit)
+            bob_bits.append(b_bit)
+    return (BitString(np.array(alice_bits, dtype=np.uint8), "raw_kljn"),
+            BitString(np.array(bob_bits, dtype=np.uint8), "raw_kljn"), stats)
+
+
+def record_bytes(rec) -> bytes:
+    """Everything a period record holds, as bytes."""
+    views = [rec.trace] + ([rec.bob_trace] if rec.bob_trace else [])
+    return b"".join(
+        [v.voltage.tobytes() + v.current.tobytes() for v in views]
+        + [repr((rec.spectra_alice, rec.loop_class, rec.retained,
+                 rec.monitor.first_divergence)).encode()])
+
+
+def run_both(target_len, cfg, seed, mitm_seed=None):
+    """(outcome, record bytes) of the block and the reference exchange;
+    the outcome is the keys and stats, or the error raised."""
+    results = []
+    for run in (exchange_key, scalar_exchange_key):
+        seen = []
+        hook = MitmHook(cfg, mitm_seed) if mitm_seed is not None else None
+        try:
+            alice, bob, stats = run(target_len, cfg, seed, adversary=hook,
+                                    record_sink=seen.append)
+            outcome = (alice.to01(), bob.to01(), stats)
+        except (ChannelCompromisedError, ExchangeNotConvergedError) as err:
+            outcome = (type(err), str(err))
+        results.append((outcome, [record_bytes(r) for r in seen]))
+    return results
 
 
 def max_based_alarm(a: WireTrace, b: WireTrace, tolerance: float) -> bool:
@@ -277,3 +352,62 @@ class TestExchangeKey:
 
         with pytest.raises(ChannelCompromisedError):
             exchange_key(16, CFG, 41, adversary=MitmHook(CFG, 42))
+
+
+class TestBlockDraws:
+    """``exchange_key`` draws bits and noise a block at a time; every key,
+    count, record and error equals the one-draw-per-period reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           target_len=st.one_of(st.integers(1, 8), st.integers(60, 200)),
+           samples_per_bit=st.sampled_from([100, 101, 257]),
+           periods_per_block=st.sampled_from([1, 3, 50, None]),
+           mitm=st.booleans())
+    def test_equals_scalar_reference(self, seed, target_len,
+                                     samples_per_bit, periods_per_block,
+                                     mitm):
+        cfg = NoiseConfig(samples_per_bit=samples_per_bit)
+        budget = exchange.NOISE_BLOCK_BYTES if periods_per_block is None \
+            else 16 * samples_per_bit * periods_per_block
+        with mock.patch.object(exchange, "NOISE_BLOCK_BYTES", budget):
+            (block, block_recs), (ref, ref_recs) = run_both(
+                target_len, cfg, seed, seed + 1 if mitm else None)
+        assert block == ref
+        assert block_recs == ref_recs
+        if mitm:
+            assert ref[0] is ChannelCompromisedError
+            assert len(ref_recs) == ALARM_ABORT_COUNT
+
+    def test_budget_crosses_blocks_at_default_size(self):
+        # about 600 periods wanted, at most 250 a block: several blocks
+        assert exchange.NOISE_BLOCK_BYTES // (16 * CFG.samples_per_bit) < 600
+        (block, block_recs), (ref, ref_recs) = run_both(300, CFG, 2024)
+        assert block == ref and block_recs == ref_recs
+        assert len(ref[0]) == 300
+
+    def test_not_converged_at_the_same_period(self):
+        # almost nothing classifies at this margin: the period budget ends it
+        cfg = NoiseConfig(classify_margin=0.001)
+        (block, block_recs), (ref, ref_recs) = run_both(4, cfg, 6)
+        assert block == ref == (ExchangeNotConvergedError,
+                                "exchange did not converge within 1280 "
+                                "periods")
+        assert block_recs == ref_recs and len(ref_recs) == 1280
+
+    @pytest.mark.parametrize("target_len,samples_per_bit", [
+        (2560, 100), (64, 10_000)])
+    def test_peak_memory_bounded(self, target_len, samples_per_bit):
+        # One uncapped block, both ends' noise for 2 x target_len periods,
+        # would alone take 8.2 MB and 20.5 MB here.  Capped, the block and
+        # the one before it (still referenced while the next is drawn) stay
+        # well under the bound.
+        cfg = NoiseConfig(samples_per_bit=samples_per_bit)
+        exchange_key(4, cfg, 0)  # first-call caches are not the exchange's
+        tracemalloc.start()
+        try:
+            exchange_key(target_len, cfg, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20

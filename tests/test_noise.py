@@ -74,6 +74,26 @@ class TestGenerateNoise:
         with pytest.raises(ValueError):
             generate_noise(-1e-9, CFG, seed=1)
 
+    @pytest.mark.parametrize("n", [100, 101, 257])
+    def test_array_of_psds_equals_scalar_calls(self, n):
+        # One call over a (P, 2) array of PSDs draws, bit for bit, what one
+        # scalar call per entry in row-major order draws; a zero PSD gives
+        # +0.0 samples both ways.
+        cfg = NoiseConfig(samples_per_bit=n)
+        psd = np.array([[johnson_psd(cfg.r_low, cfg), 0.0],
+                        [johnson_psd(cfg.r_high, cfg), 2.5e-9],
+                        [0.0, johnson_psd(cfg.r_low, cfg)]])
+        block = generate_noise(psd, cfg, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        scalar = np.array([[generate_noise(float(p), cfg, rng) for p in row]
+                           for row in psd])
+        assert block.shape == (3, 2, n)
+        assert np.array_equal(block.view(np.uint64), scalar.view(np.uint64))
+
+    def test_array_with_negative_psd_rejected(self):
+        with pytest.raises(ValueError):
+            generate_noise(np.array([1e-9, -1e-9]), CFG, seed=1)
+
 
 class TestComposeLoop:
     def test_symmetric_divider(self):
@@ -109,6 +129,21 @@ class TestComposeLoop:
     def test_zero_total_resistance_rejected(self):
         with pytest.raises(ValueError):
             compose_loop(np.zeros(4), np.zeros(4), 0.0, 0.0)
+
+    @pytest.mark.parametrize("shape", [(0,), (1, 4), ()])
+    def test_empty_or_not_1d_traces_rejected(self, shape):
+        with pytest.raises(ValueError):
+            compose_loop(np.zeros(shape), np.zeros(shape), 1e3, 1e3)
+        with pytest.raises(ValueError):
+            WireTrace(np.zeros(shape), np.zeros(shape))
+
+    def test_result_equals_a_checked_trace(self):
+        # integer input is taken as float64, as WireTrace itself would
+        tr = compose_loop(np.arange(5), np.ones(5, dtype=np.int32), 1e3, 2e3)
+        checked = WireTrace(tr.voltage, tr.current)
+        assert tr == checked
+        assert tr.voltage.dtype == tr.current.dtype == np.float64
+        assert len(tr) == 5
 
 
 class TestMeasureSpectra:
