@@ -178,8 +178,8 @@ def mitm_attack(cfg: NoiseConfig, seed,
                           lambda rec, retained: retained)
 
 
-def inject_current(cfg: NoiseConfig, injection: np.ndarray, seed,
-                   monitor_enabled: bool = True) -> AttackOutcome:
+def inject_current(cfg: NoiseConfig, injection: np.ndarray,
+                   seed) -> AttackOutcome:
     """One bit period with Eve's current fed into the wire.
 
     The ends see currents differing by the injected waveform; detection
@@ -191,8 +191,7 @@ def inject_current(cfg: NoiseConfig, injection: np.ndarray, seed,
     """
     bits_seed, period_seed = spawn_seeds(seed, 2)
     return _attack_period(
-        cfg, bits_seed, period_seed, InjectionHook(injection),
-        monitor_enabled,
+        cfg, bits_seed, period_seed, InjectionHook(injection), True,
         lambda rec, retained: int(rec.loop_class in (LoopClass.LL,
                                                      LoopClass.HH)))
 

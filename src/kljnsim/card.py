@@ -24,8 +24,9 @@ State machine (one session):
     idle -> identified -> key_located -> kljn_running -> authenticated
          -> transacting -> refreshing -> closed
 
-with ``broken`` reachable from kljn_running and authenticated, and an
-abort edge transacting -> closed (failed transaction, no refresh).
+with ``broken`` reachable from kljn_running (channel alarm or tag
+mismatch) and an abort edge transacting -> closed (key B exhausted, no
+refresh).  ``SessionLedger.phases`` keeps the path a session took.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .exchange import (
 )
 from .noise import NoiseConfig
 from .privacy import BitString, amplify
-from .tags import poly_tag, segment_to_key, tag_hex
+from .tags import poly_tag, segment_to_key
 
 MIN_SEGMENT_BITS = 64  # tag key size; floor for the per-session segment
 
@@ -56,7 +57,7 @@ _ALLOWED_TRANSITIONS = {
     "identified": {"key_located"},
     "key_located": {"kljn_running"},
     "kljn_running": {"authenticated", "broken"},
-    "authenticated": {"transacting", "broken"},
+    "authenticated": {"transacting"},
     "transacting": {"refreshing", "closed"},
     "refreshing": {"closed"},
     "closed": set(),
@@ -179,23 +180,23 @@ class KeyB:
 
 @dataclass
 class SessionLedger:
-    """One session's state trail: phase path, transcript, audit fields."""
+    """One session's trail: the phases it entered, in order, after the
+    initial ``idle``, and the audit fields the lifetime report reads."""
 
-    phase: str = "idle"
-    transcript: list = dc_field(default_factory=list)
+    phases: list[str] = dc_field(default_factory=list)
     consumed_segment: Optional[tuple[int, int]] = None  # (generation, index)
     key_b_bits_used: int = 0
     refreshed: bool = False
+
+    @property
+    def phase(self) -> str:
+        return self.phases[-1] if self.phases else "idle"
 
     def advance(self, new_phase: str) -> None:
         if new_phase not in _ALLOWED_TRANSITIONS[self.phase]:
             raise RuntimeError(
                 f"illegal phase transition {self.phase} -> {new_phase}")
-        self.phase = new_phase
-        self.log("phase", new_phase)
-
-    def log(self, kind: str, detail) -> None:
-        self.transcript.append((kind, detail))
+        self.phases.append(new_phase)
 
 
 @dataclass
@@ -358,7 +359,10 @@ class Terminal:
 
 @dataclass
 class AuthResult:
-    status: str  # "success" | "broken"
+    """How authentication ended: ``ledger.phase`` is ``authenticated``
+    (with the card's copy of key B) or ``broken`` (with the reason,
+    ``channel_alarm`` or ``tag_mismatch``)."""
+
     ledger: SessionLedger
     key_b_card: Optional[KeyB] = None
     reason: str = ""
@@ -391,14 +395,11 @@ def authenticate_session(card: CardState, terminal: Terminal,
 
     # (i) identity presentation
     ledger.advance("identified")
-    ledger.log("card->terminal", {"identity": card.identity.card_number})
     record = server.lookup(card.identity.card_number)
     if record is None:
-        ledger.log("refused", "unknown identity")
         raise CardRefusedError(
             f"unknown card {card.identity.card_number!r}")
     if record.canceled:
-        ledger.log("refused", "card canceled")
         raise CardRefusedError(
             f"card {card.identity.card_number!r} is canceled")
 
@@ -407,38 +408,32 @@ def authenticate_session(card: CardState, terminal: Terminal,
     ledger.advance("key_located")
     segment_index = max(card.key_c.cursor, record.key_c.cursor)
     if segment_index >= record.key_c.m_max:
-        ledger.log("refused", "key C exhausted")
         raise CardRefusedError("key C exhausted; card unusable")
-    ledger.log("segment_index", segment_index)
 
     def burn_segment():
         card.key_c.consume_through(segment_index)
         record.key_c.consume_through(segment_index)
         ledger.consumed_segment = (record.generation, segment_index)
 
-    def mark_broken(reason: str):
+    def mark_broken(reason: str) -> AuthResult:
         burn_segment()
         record.broken_count_mirror += 1
         if record.broken_count_mirror >= record.key_c.m_max:
             record.canceled = True
             card.canceled = True
-        ledger.log("attack_recorded", reason)
         ledger.advance("broken")
         server.journal(record)
+        return AuthResult(ledger=ledger, reason=reason)
 
     # (iii) KLJN exchange for key B
     ledger.advance("kljn_running")
     exchange_records: list[BitExchangeRecord] = []
     try:
-        card_key, term_key, stats = exchange_key(
+        card_key, term_key, _ = exchange_key(
             terminal.key_b_bits, cfg, seed, adversary=adversary,
             record_sink=exchange_records.append)
-    except ChannelCompromisedError as err:
-        mark_broken(f"channel alarm during authentication: {err}")
-        return AuthResult(status="broken", ledger=ledger,
-                          reason="channel_alarm")
-    ledger.log("exchange", {"periods": stats.periods_run,
-                            "alarms": stats.alarms})
+    except ChannelCompromisedError:
+        return mark_broken("channel_alarm")
 
     # (iv) both ends tag their own view of the instantaneous data with
     # their own copy of the segment, then cross-verify.  A card that cannot
@@ -447,26 +442,20 @@ def authenticate_session(card: CardState, terminal: Terminal,
     try:
         card_segment = card.key_c.segment(segment_index)
     except KeyExhaustedError:
-        mark_broken("card produced no tag for the adopted segment index")
-        return AuthResult(status="broken", ledger=ledger,
-                          reason="tag_mismatch")
+        return mark_broken("tag_mismatch")
     server_segment = record.key_c.segment(segment_index)
     card_tag = authenticate_tag(_monitor_bytes(exchange_records, "a"),
                                 card_segment)
     term_tag = authenticate_tag(_monitor_bytes(exchange_records, "b"),
                                 server_segment)
-    ledger.log("tags", {"card": tag_hex(card_tag),
-                        "terminal": tag_hex(term_tag)})
     if card_tag != term_tag:
-        mark_broken("authentication tag mismatch")
-        return AuthResult(status="broken", ledger=ledger,
-                          reason="tag_mismatch")
+        return mark_broken("tag_mismatch")
 
     burn_segment()
     ledger.advance("authenticated")
     server.journal(record)
     terminal.key_b = KeyB(bits=BitString(term_key.bits, "key_b"))
-    return AuthResult(status="success", ledger=ledger,
+    return AuthResult(ledger=ledger,
                       key_b_card=KeyB(bits=BitString(card_key.bits, "key_b")))
 
 
@@ -496,19 +485,16 @@ def run_transaction(card: CardState, terminal: Terminal, key_b: KeyB,
         pad_card = key_b.take(n_bits)
         cipher_bits = payload_bits ^ pad_card
         ciphertext = np.packbits(cipher_bits).tobytes()
-        ledger.log("card->terminal", {"ciphertext_bytes": len(ciphertext)})
         pad_term = terminal.key_b.take(n_bits)
         plain_bits = np.unpackbits(
             np.frombuffer(ciphertext, dtype=np.uint8))[:n_bits] ^ pad_term
         decrypted = np.packbits(plain_bits).tobytes()
         matches = decrypted == payload
         ledger.key_b_bits_used = n_bits
-        ledger.log("terminal_verify", {"matches": matches})
         ledger.advance("refreshing")
         return TransactionResult(ciphertext=ciphertext,
                                  decrypted_matches=matches)
     except KeyExhaustedError:
-        ledger.log("transaction_abort", "key B exhausted")
         ledger.advance("closed")
         raise
     finally:
@@ -517,10 +503,9 @@ def run_transaction(card: CardState, terminal: Terminal, key_b: KeyB,
             terminal.key_b.zeroize()
 
 
-def refresh_key_c(card: CardState, terminal: Terminal, server: Keystore,
-                  cfg: NoiseConfig, seed,
-                  adversary: Optional[AdversaryHook] = None,
-                  ledger: Optional[SessionLedger] = None) -> bool:
+def refresh_key_c(card: CardState, server: Keystore, cfg: NoiseConfig, seed,
+                  ledger: SessionLedger,
+                  adversary: Optional[AdversaryHook] = None) -> bool:
     """Replace C with fresh amplified KLJN material on both sides.
 
     Exchanges 8x the C length in raw secure bits, applies the three-stage
@@ -529,18 +514,16 @@ def refresh_key_c(card: CardState, terminal: Terminal, server: Keystore,
     alarm aborts without key replacement and without counting as broken.
     Returns True on success, False on abort.
     """
-    if ledger is not None and ledger.phase != "refreshing":
+    if ledger.phase != "refreshing":
         raise RuntimeError(
             f"refresh requires refreshing phase, got {ledger.phase}")
     record = server.lookup(card.identity.card_number)
     n_c = card.key_c.m_max * card.key_c.segment_len
     try:
-        card_raw, term_raw, stats = exchange_key(8 * n_c, cfg, seed,
-                                                 adversary=adversary)
-    except ChannelCompromisedError as err:
-        if ledger is not None:
-            ledger.log("refresh_abort", str(err))
-            ledger.advance("closed")
+        card_raw, term_raw, _ = exchange_key(8 * n_c, cfg, seed,
+                                             adversary=adversary)
+    except ChannelCompromisedError:
+        ledger.advance("closed")
         return False
     card_new = amplify(card_raw)
     term_new = amplify(term_raw)
@@ -554,11 +537,8 @@ def refresh_key_c(card: CardState, terminal: Terminal, server: Keystore,
                             m_max=old.m_max)
         holder.generation += 1
     server.journal(record)
-    if ledger is not None:
-        ledger.refreshed = True
-        ledger.log("refresh", {"periods": stats.periods_run,
-                               "new_generation": record.generation})
-        ledger.advance("closed")
+    ledger.refreshed = True
+    ledger.advance("closed")
     return True
 
 
@@ -572,12 +552,12 @@ def run_session(card: CardState, terminal: Terminal, server: Keystore,
     result = authenticate_session(card, terminal, server, cfg, auth_seed,
                                   adversary=auth_adversary)
     ledger = result.ledger
-    if result.status != "success":
+    if ledger.phase != "authenticated":
         return ledger
     try:
         run_transaction(card, terminal, result.key_b_card, payload, ledger)
     except KeyExhaustedError:
         return ledger
-    refresh_key_c(card, terminal, server, cfg, refresh_seed,
-                  adversary=refresh_adversary, ledger=ledger)
+    refresh_key_c(card, server, cfg, refresh_seed, ledger,
+                  adversary=refresh_adversary)
     return ledger

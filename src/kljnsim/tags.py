@@ -108,7 +108,3 @@ def segment_to_key(segment: BitString) -> int:
     padded[:bits.size] = bits
     words = np.packbits(padded).view(">u8")
     return int(np.bitwise_xor.reduce(words))
-
-
-def tag_hex(tag: int) -> str:
-    return f"{tag:016x}"

@@ -254,7 +254,7 @@ def test_criterion_11_card_policy(tmp_path):
                                    keystore=store)
     for attempt in range(3):
         res = _fraud_attempt(identity, store, CFG, 1100 + attempt)
-        assert res.status == "broken"
+        assert res.ledger.phase == "broken"
     canceled_ok = server.canceled
     refused_ok = False
     try:
@@ -271,9 +271,9 @@ def test_criterion_11_card_policy(tmp_path):
         _fraud_attempt(identity_b, store_b, CFG, 1110 + attempt)
     terminal = Terminal(key_b_bits=128)
     res = authenticate_session(card_b, terminal, store_b, CFG, 1120)
-    recovered_ok = res.status == "success"
+    recovered_ok = res.ledger.phase == "authenticated"
     run_transaction(card_b, terminal, res.key_b_card, bytes(8), res.ledger)
-    refreshed_ok = refresh_key_c(card_b, terminal, store_b, CFG, 1121,
+    refreshed_ok = refresh_key_c(card_b, store_b, CFG, 1121,
                                  ledger=res.ledger)
     synced_ok = card_b.key_c.bits.to_hex() == server_b.key_c.bits.to_hex()
 
@@ -289,13 +289,13 @@ def test_criterion_11_card_policy(tmp_path):
         term = Terminal(key_b_bits=128)
         res = authenticate_session(card_c, term, store_c, CFG,
                                    (1130, session))
-        assert res.status == "success"
+        assert res.ledger.phase == "authenticated"
         segments.append(res.ledger.consumed_segment)
         tr = run_transaction(card_c, term, res.key_b_card, payload,
                              res.ledger)
         pad = bytes(a ^ b for a, b in zip(tr.ciphertext, payload))
         pads.append(pad)
-        assert refresh_key_c(card_c, term, store_c, CFG, (1131, session),
+        assert refresh_key_c(card_c, store_c, CFG, (1131, session),
                              ledger=res.ledger)
     audit_ok = (len(set(segments)) == 100 and len(set(pads)) == 100
                 and card_c.generation == 100)

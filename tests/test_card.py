@@ -67,6 +67,11 @@ def small_terminal():
     return Terminal(key_b_bits=128)
 
 
+CLEAN_PATH = ["identified", "key_located", "kljn_running", "authenticated",
+              "transacting", "refreshing", "closed"]
+BROKEN_PATH = ["identified", "key_located", "kljn_running", "broken"]
+
+
 class TestKeyLengthRequired:
     @pytest.mark.parametrize("m,n_d,expected", [
         (1, 2, 1),
@@ -232,7 +237,7 @@ class TestAuthentication:
         card, server = provision(keystore=store)
         terminal = small_terminal()
         result = authenticate_session(card, terminal, store, CFG, 100)
-        assert result.status == "success"
+        assert result.ledger.phase == "authenticated"
         assert result.key_b_card.bits.to01() == \
             terminal.key_b.bits.to01()
         assert card.key_c.cursor == server.key_c.cursor == 1
@@ -246,7 +251,7 @@ class TestAuthentication:
         clone = CardState(identity=IDENTITY, key_c=fake.key_c)
         result = authenticate_session(clone, small_terminal(), store, CFG,
                                       101)
-        assert result.status == "broken"
+        assert result.ledger.phase == "broken"
         assert result.reason == "tag_mismatch"
         assert server.broken_count_mirror == 1
         assert not server.canceled
@@ -264,7 +269,7 @@ class TestAuthentication:
             clone = CardState(identity=IDENTITY, key_c=fake.key_c)
             result = authenticate_session(clone, small_terminal(), store,
                                           CFG, 200 + attempt)
-            assert result.status == "broken"
+            assert result.ledger.phase == "broken"
         assert server.canceled
         assert server.broken_count_mirror == 3
         with pytest.raises(CardRefusedError):
@@ -284,7 +289,7 @@ class TestAuthentication:
         assert server.key_c.cursor == 2
         result = authenticate_session(card, small_terminal(), store, CFG,
                                       500)
-        assert result.status == "success"
+        assert result.ledger.phase == "authenticated"
         assert card.key_c.cursor == server.key_c.cursor == 3
 
     def test_unknown_identity_refused_without_consumption(self):
@@ -301,7 +306,7 @@ class TestAuthentication:
         card, server = provision(keystore=store)
         result = authenticate_session(card, small_terminal(), store, CFG,
                                       600, adversary=MitmHook(CFG, 601))
-        assert result.status == "broken"
+        assert result.ledger.phase == "broken"
         assert result.reason == "channel_alarm"
         assert server.broken_count_mirror == 1
 
@@ -312,7 +317,7 @@ class TestTransaction:
         card, _ = provision(keystore=store)
         terminal = small_terminal()
         result = authenticate_session(card, terminal, store, CFG, seed)
-        assert result.status == "success"
+        assert result.ledger.phase == "authenticated"
         return card, terminal, result
 
     def test_zero_payload_exposes_keystream(self):
@@ -375,7 +380,7 @@ class TestRefresh:
                         result.ledger)
         old_c = card.key_c
         old_hex = old_c.bits.to_hex()
-        ok = refresh_key_c(card, terminal, store, CFG, 801,
+        ok = refresh_key_c(card, store, CFG, 801,
                            ledger=result.ledger)
         assert ok
         assert card.key_c.bits.to_hex() == server.key_c.bits.to_hex()
@@ -394,7 +399,7 @@ class TestRefresh:
         run_transaction(card, terminal, result.key_b_card, bytes(8),
                         result.ledger)
         old_hex = card.key_c.bits.to_hex()
-        ok = refresh_key_c(card, terminal, store, CFG, 811,
+        ok = refresh_key_c(card, store, CFG, 811,
                            adversary=MitmHook(CFG, 812),
                            ledger=result.ledger)
         assert not ok
@@ -421,10 +426,43 @@ class TestSessionOrchestration:
         card, _ = provision(m_max=2, keystore=store)
         ledger = run_session(card, small_terminal(), store, CFG, 901,
                              b"payload!")
-        phases = [d for k, d in ledger.transcript if k == "phase"]
-        assert phases == ["identified", "key_located", "kljn_running",
-                          "authenticated", "transacting", "refreshing",
-                          "closed"]
+        assert ledger.phases == ["identified", "key_located",
+                                 "kljn_running", "authenticated",
+                                 "transacting", "refreshing", "closed"]
+
+    @pytest.mark.parametrize("ending,path,refreshed", [
+        ("clean", CLEAN_PATH, True),
+        ("refresh_alarm", CLEAN_PATH, False),
+        ("auth_alarm", BROKEN_PATH, False),
+        ("wrong_key", BROKEN_PATH, False),
+        ("clone_without_segment", BROKEN_PATH, False),
+        ("key_b_exhausted", CLEAN_PATH[:5] + ["closed"], False),
+    ])
+    def test_phase_path_of_every_ending(self, ending, path, refreshed):
+        store = Keystore()
+        card, server = provision(m_max=2, keystore=store)
+        payload = b"payload!"
+        hooks = {}
+        if ending == "refresh_alarm":
+            hooks["refresh_adversary"] = MitmHook(CFG, 931)
+        elif ending == "auth_alarm":
+            hooks["auth_adversary"] = MitmHook(CFG, 932)
+        elif ending in ("wrong_key", "clone_without_segment"):
+            fake, _ = initialize_card(CardIdentity("f", "EVE", "01/01"), 1,
+                                      102400, rng=933)
+            card = CardState(identity=IDENTITY, key_c=fake.key_c)
+            if ending == "clone_without_segment":
+                # an earlier fraud burned segment 0, so the adopted index
+                # is 1, past the clone's single segment
+                server.key_c.consume_through(0)
+        elif ending == "key_b_exhausted":
+            payload = bytes(17)  # 136 bits against a 128-bit key B
+        ledger = run_session(card, small_terminal(), store, CFG, 930,
+                             payload, **hooks)
+        assert ledger.phases == path
+        assert ledger.refreshed == refreshed
+        # only a broken session counts toward cancellation
+        assert server.broken_count_mirror == (path[-1] == "broken")
 
     def test_illegal_transition_rejected(self):
         ledger = SessionLedger()

@@ -474,7 +474,6 @@ class TestOutOfRangeNumbers:
         assert captured.out == ""
         assert "non-finite" in captured.err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.parametrize("argv,check", [
         (["attack", "injection", "--amplitude", "1e300"],
          lambda summary: summary["detection_rate"] == 1.0),
@@ -540,7 +539,6 @@ class TestNoInputEndsInATraceback:
                [(key, value) for key, values in EXTREME_VALUES.items()
                 for value in values]), min_size=1, max_size=3))
     @settings(max_examples=60, deadline=None)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_exit_code_and_strict_json(self, command, flags):
         argv = [*command, *(f"--{key}={value}" for key, value in flags)]
         out, err = io.StringIO(), io.StringIO()
