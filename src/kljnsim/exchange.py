@@ -17,6 +17,11 @@ and current values seen by the two ends over an authenticated channel; any
 per-sample difference beyond a tolerance raises an alarm and the bit is
 discarded.  The comparison is one pass per bit period: it finds the first
 sample over tolerance, and the alarm is whether there is one.
+
+``exchange_key`` draws, and on an honest wire also solves and measures, a
+block of periods at once; ``run_bit_period`` still classifies and monitors
+each period and returns its record.  Every result is bit for bit that of
+one period at a time.
 """
 
 from __future__ import annotations
@@ -55,8 +60,9 @@ MONITOR_TOLERANCE = 1e-6  # relative to signal RMS
 
 # Largest block of noise an exchange draws ahead, in bytes (but at least one
 # period's).  A long exchange so holds about one block of generator
-# voltages, two while the next is drawn, instead of all of them at once.
-NOISE_BLOCK_BYTES = 400_000
+# voltages, and on an honest wire that block's solved trace, instead of all
+# of them at once.  Results do not depend on it.
+NOISE_BLOCK_BYTES = 100_000
 
 
 class UnclassifiableLevelError(ValueError):
@@ -258,6 +264,7 @@ def _bit_resistance(bit: int, cfg: NoiseConfig) -> float:
 def run_bit_period(alice_bit: int, bob_bit: int, cfg: NoiseConfig, seed,
                    adversary: Optional[AdversaryHook] = None,
                    noise: Optional[tuple[np.ndarray, np.ndarray]] = None,
+                   solved: Optional[tuple[WireTrace, SpectraEstimate]] = None,
                    ) -> BitExchangeRecord:
     """Simulate one full bit period.
 
@@ -270,25 +277,35 @@ def run_bit_period(alice_bit: int, bob_bit: int, cfg: NoiseConfig, seed,
     these bits' resistors, end A's then end B's (a pair of rows, or one
     ``(2, samples_per_bit)`` array), and ``seed`` is not read:
     ``exchange_key`` draws the noise of a block of periods at once.
+
+    ``solved``, when given, is the period's shared honest wire, already
+    solved and measured: its trace and that trace's spectra.  Nothing is
+    drawn, solved or measured, and the bits and ``seed`` are not read; the
+    period is classified and monitored as usual.  ``exchange_key`` solves
+    an honest block of periods at once this way.
     """
-    r_a = _bit_resistance(alice_bit, cfg)
-    r_b = _bit_resistance(bob_bit, cfg)
-    if noise is None:
-        rng = np.random.default_rng(seed)
-        u_a = generate_noise(johnson_psd(r_a, cfg), cfg, rng)
-        u_b = generate_noise(johnson_psd(r_b, cfg), cfg, rng)
+    if solved is not None:
+        view_a = view_b = solved[0]
+        spectra_a = spectra_b = solved[1]
     else:
-        u_a, u_b = noise
+        r_a = _bit_resistance(alice_bit, cfg)
+        r_b = _bit_resistance(bob_bit, cfg)
+        if noise is None:
+            rng = np.random.default_rng(seed)
+            u_a = generate_noise(johnson_psd(r_a, cfg), cfg, rng)
+            u_b = generate_noise(johnson_psd(r_b, cfg), cfg, rng)
+        else:
+            u_a, u_b = noise
 
-    if adversary is None:
-        trace = compose_loop(u_a, u_b, r_a, r_b)
-        view_a = view_b = trace
-    else:
-        view_a, view_b = adversary(u_a, u_b, r_a, r_b, cfg)
+        if adversary is None:
+            trace = compose_loop(u_a, u_b, r_a, r_b)
+            view_a = view_b = trace
+        else:
+            view_a, view_b = adversary(u_a, u_b, r_a, r_b, cfg)
 
-    spectra_a = measure_spectra(view_a, cfg)
-    spectra_b = spectra_a if view_b is view_a else measure_spectra(view_b,
-                                                                   cfg)
+        spectra_a = measure_spectra(view_a, cfg)
+        spectra_b = spectra_a if view_b is view_a \
+            else measure_spectra(view_b, cfg)
 
     # An unclassifiable measurement (or, under an adversary, disagreeing
     # end classifications) leaves loop_class None: discarded, logged as an
@@ -329,7 +346,16 @@ def exchange_key(target_len: int, cfg: NoiseConfig, seed,
     NOISE_BLOCK_BYTES of noise.  A block draw yields exactly the values
     that one draw per period would, in the same order, so the result does
     not depend on the block sizes; what a last block draws past the end
-    of the exchange is thrown away.
+    of the exchange is thrown away.  Under an adversary the first block
+    is at most ALARM_ABORT_COUNT periods, all that a cut wire needs to
+    abort.
+
+    With no adversary the wire is shared, and a block is solved at once:
+    one ``compose_loop`` over its generator rows and one
+    ``measure_spectra`` over the block trace, each row bit for bit its
+    one-period result.  ``run_bit_period`` then classifies and monitors
+    each period's solved row; under an adversary it takes the period's
+    noise and does all of it.
 
     Raises
     ------
@@ -343,27 +369,42 @@ def exchange_key(target_len: int, cfg: NoiseConfig, seed,
     bit_rng_seed, noise_seed = spawn_seeds(seed, 2)
     bit_rng = np.random.default_rng(bit_rng_seed)
     noise_rng = np.random.default_rng(noise_seed)
+    r_of_bit = np.array([cfg.r_low, cfg.r_high])
     psd_of_bit = np.array([johnson_psd(cfg.r_low, cfg),
                            johnson_psd(cfg.r_high, cfg)])
     max_block = max(1, NOISE_BLOCK_BYTES // (16 * cfg.samples_per_bit))
+    block_cap = max_block if adversary is None \
+        else min(ALARM_ABORT_COUNT, max_block)
 
     alice_bits: list[int] = []
     bob_bits: list[int] = []
     stats = ExchangeStats()
     max_periods = 64 * target_len + 1024  # generous; expected use is ~2x
     while stats.retained < target_len:
-        block = min(2 * (target_len - stats.retained), max_block)
+        block = min(2 * (target_len - stats.retained), block_cap)
+        block_cap = max_block
+        # Let the last block go before the next is drawn: its trace is held
+        # by its rows, and by the last record, which views a row.
+        solved = trace = rec = None
         bits = bit_rng.integers(0, 2, (block, 2))
         noise = generate_noise(psd_of_bit[bits], cfg, noise_rng)
+        if adversary is None:
+            r = r_of_bit[bits]
+            trace = compose_loop(noise[:, 0], noise[:, 1], r[:, 0], r[:, 1])
+            noise = None  # only the block trace is read from here on
+            solved = list(zip(trace.rows(), measure_spectra(trace, cfg)))
         a_bits, b_bits = bits.T.tolist()
-        for a_bit, b_bit, u_a, u_b in zip(a_bits, b_bits, noise[:, 0],
-                                          noise[:, 1]):
+        for k, (a_bit, b_bit) in enumerate(zip(a_bits, b_bits)):
             if stats.periods_run >= max_periods:
                 raise ExchangeNotConvergedError(
                     f"exchange did not converge within {max_periods} "
                     f"periods")
-            rec = run_bit_period(a_bit, b_bit, cfg, None,
-                                 adversary=adversary, noise=(u_a, u_b))
+            if solved is not None:
+                rec = run_bit_period(a_bit, b_bit, cfg, None,
+                                     solved=solved[k])
+            else:
+                rec = run_bit_period(a_bit, b_bit, cfg, None,
+                                     adversary=adversary, noise=noise[k])
             stats.periods_run += 1
             if record_sink is not None:
                 record_sink(rec)

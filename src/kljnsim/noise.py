@@ -7,6 +7,10 @@ noise synthesis, the per-sample loop solution, scalar spectrum estimation,
 and the two inversions an observer can apply to recover resistances from
 measured spectra.
 
+Synthesis, the loop solution and spectrum estimation each take one bit
+period or a block of them (one period per row) in a single call, and a
+block's every row is bit for bit what the one-period call gives.
+
 Spectra are treated as band-averaged scalars: for band-limited white noise
 sampled critically (sample_rate = 2 x bandwidth) the samples are i.i.d. and
 the flat in-band PSD equals variance / bandwidth, so no frequency-resolved
@@ -94,7 +98,9 @@ class NoiseConfig:
 
 @dataclass
 class WireTrace:
-    """One bit period's wire observables: voltage and loop current samples."""
+    """Wire observables, voltage and loop current samples: one bit period
+    as a 1-D ``(n,)`` pair, or a block of periods as ``(P, n)``, one
+    period per row.  ``len()`` is the samples per period either way."""
 
     voltage: np.ndarray
     current: np.ndarray
@@ -106,13 +112,27 @@ class WireTrace:
             raise ValueError(
                 f"voltage/current length mismatch: {self.voltage.shape} vs "
                 f"{self.current.shape}")
-        if self.voltage.ndim != 1 or self.voltage.size == 0:
+        if self.voltage.ndim not in (1, 2) or self.voltage.size == 0:
             raise ValueError(
-                f"trace must be a non-empty 1-D sample sequence, got shape "
-                f"{self.voltage.shape}")
+                f"trace must be a non-empty 1-D period or 2-D block of "
+                f"periods, got shape {self.voltage.shape}")
 
     def __len__(self) -> int:
-        return self.voltage.size
+        return self.voltage.shape[-1]
+
+    def rows(self) -> list[WireTrace]:
+        """A block's periods, each a 1-D trace viewing its row."""
+        return [_unchecked_trace(v, c)
+                for v, c in zip(self.voltage, self.current)]
+
+
+def _unchecked_trace(voltage: np.ndarray, current: np.ndarray) -> WireTrace:
+    """A trace of two float64 arrays of one valid shape, built without
+    ``WireTrace``'s checks, which would only re-confirm that."""
+    trace = object.__new__(WireTrace)
+    trace.voltage = voltage
+    trace.current = current
+    return trace
 
 
 @dataclass(frozen=True)
@@ -171,8 +191,8 @@ def generate_noise(psd, cfg: NoiseConfig, seed) -> np.ndarray:
     return out
 
 
-def compose_loop(u_a: np.ndarray, u_b: np.ndarray, r_a: float,
-                 r_b: float) -> WireTrace:
+def compose_loop(u_a: np.ndarray, u_b: np.ndarray, r_a: float | np.ndarray,
+                 r_b: float | np.ndarray) -> WireTrace:
     """Solve the series loop for each sample.
 
     With generator voltages u_a, u_b behind resistances r_a, r_b joined by
@@ -182,6 +202,12 @@ def compose_loop(u_a: np.ndarray, u_b: np.ndarray, r_a: float,
         u_w(t) = (u_a(t) * r_b + u_b(t) * r_a) / (r_a + r_b)
 
     Current is signed positive flowing from end A toward end B.
+
+    Generator traces of one period, shape ``(n,)``, take number
+    resistances.  A block of P periods, shape ``(P, n)``, takes one r_a
+    and one r_b per row (length-P arrays) and gives a block trace whose
+    every row is bit for bit the one-period solve of that row: the same
+    IEEE operations, only broadcast.
     """
     u_a = np.asarray(u_a, dtype=np.float64)
     u_b = np.asarray(u_b, dtype=np.float64)
@@ -189,22 +215,33 @@ def compose_loop(u_a: np.ndarray, u_b: np.ndarray, r_a: float,
         raise ValueError(
             f"generator traces must have equal length: {u_a.shape} vs "
             f"{u_b.shape}")
-    if u_a.ndim != 1 or u_a.size == 0:
+    if u_a.ndim not in (1, 2) or u_a.size == 0:
         raise ValueError(
-            f"generator traces must be non-empty 1-D sample sequences, got "
-            f"shape {u_a.shape}")
-    r_sum = r_a + r_b
-    if r_sum <= 0:
-        raise ValueError(f"r_a + r_b must be positive, got {r_sum}")
-    # Two non-empty 1-D float64 arrays of one shape: WireTrace's checks
-    # would only re-confirm that, so the trace is built without them.
-    trace = object.__new__(WireTrace)
-    trace.current = (u_a - u_b) / r_sum
-    trace.voltage = (u_a * r_b + u_b * r_a) / r_sum
-    return trace
+            f"generator traces must be a non-empty 1-D period or 2-D block "
+            f"of periods, got shape {u_a.shape}")
+    if u_a.ndim == 1:
+        r_sum = r_a + r_b
+        if r_sum <= 0:
+            raise ValueError(f"r_a + r_b must be positive, got {r_sum}")
+    else:
+        r_a = np.asarray(r_a, dtype=np.float64)[:, None]  # one per row
+        r_b = np.asarray(r_b, dtype=np.float64)[:, None]
+        r_sum = r_a + r_b
+        if (r_sum <= 0).any():
+            raise ValueError(
+                f"r_a + r_b must be positive, got {r_sum.min()}")
+    # The same operations as the formulas above, done in place where a
+    # temporary would otherwise hold another copy of a block.
+    voltage = u_a * r_b
+    voltage += u_b * r_a
+    voltage /= r_sum
+    current = u_a - u_b
+    current /= r_sum
+    return _unchecked_trace(voltage, current)
 
 
-def measure_spectra(trace: WireTrace, cfg: NoiseConfig) -> SpectraEstimate:
+def measure_spectra(trace: WireTrace, cfg: NoiseConfig,
+                    ) -> SpectraEstimate | list[SpectraEstimate]:
     """Estimate the band-averaged voltage and current PSDs of a trace.
 
     Under the white-in-band assumption the PSD is sample-variance divided
@@ -212,18 +249,30 @@ def measure_spectra(trace: WireTrace, cfg: NoiseConfig) -> SpectraEstimate:
     inline as ``np.var(x, ddof=1)``'s own steps (sum, divide, subtract,
     square, sum, divide), so each is bit-identical to it without its
     per-call dispatch overhead.
+
+    A one-period trace gives one ``SpectraEstimate``; a block trace gives
+    a list of them, one per row, each bit for bit the one-period estimate
+    of that row: a sum along the last axis of a row-major block is the
+    same pairwise sum as over the row alone.
     """
     n = len(trace)
     if n < 2:
         raise ValueError("need at least 2 samples to estimate spectra")
-    # A trace is 1-D, and reducing it along axis 0 is the same pairwise
-    # sum as over axis=None, with less argument handling.
     v, c = trace.voltage, trace.current
-    dv = v - np.add.reduce(v, 0) / n
-    dc = c - np.add.reduce(c, 0) / n
-    return SpectraEstimate(
-        s_u=float(np.add.reduce(dv * dv, 0)) / (n - 1) / cfg.bandwidth,
-        s_i=float(np.add.reduce(dc * dc, 0)) / (n - 1) / cfg.bandwidth)
+    if v.ndim == 1:
+        # Reducing a 1-D trace along axis 0 is the same pairwise sum as
+        # over axis=None, with less argument handling.
+        dv = v - np.add.reduce(v, 0) / n
+        dc = c - np.add.reduce(c, 0) / n
+        return SpectraEstimate(
+            s_u=float(np.add.reduce(dv * dv, 0)) / (n - 1) / cfg.bandwidth,
+            s_i=float(np.add.reduce(dc * dc, 0)) / (n - 1) / cfg.bandwidth)
+    psds = []
+    for x in (v, c):
+        dx = x - (np.add.reduce(x, 1) / n)[:, None]
+        dx *= dx  # squared in place: one working copy of the block at most
+        psds.append((np.add.reduce(dx, 1) / (n - 1) / cfg.bandwidth).tolist())
+    return [SpectraEstimate(s_u, s_i) for s_u, s_i in zip(*psds)]
 
 
 def infer_partner_resistance(s_i: float, r_a: float,

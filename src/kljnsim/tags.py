@@ -25,7 +25,9 @@ sums per block; every term is below 2^8 * 2^16 and a sum of 7B of them is
 below 2^35, far from int64 overflow.  The pieces are recombined and folded
 mod p in Python integers, with no rounding anywhere.  Blocks go through
 the product a fixed number at a time, so the int64 working copy stays a
-few hundred KB whatever the message length.
+few hundred KB whatever the message length.  The weight table is built
+per call for at most B limbs: a message of fewer full limbs than that
+builds weights for its own limbs only.
 
 The key is secret and single-use here (a fresh key-C segment per session),
 which is what makes the bound information-theoretic rather than
@@ -47,11 +49,12 @@ _CHUNK_BLOCKS = 16    # blocks per matrix product (~230 KB of int64)
 _PIECE_SHIFTS = np.array([0, 16, 32, 48], dtype=np.uint64)
 
 
-def _weight_table(x: int) -> tuple[np.ndarray, int]:
-    """The (7B, 4) int64 table of 16-bit weight pieces, and x^B mod p."""
-    powers = []  # x^B, x^(B-1), ..., x^1: the weight of limb i is x^(B-i)
+def _weight_table(x: int, limbs: int) -> tuple[np.ndarray, int]:
+    """The (7 limbs, 4) int64 table of 16-bit weight pieces for a block of
+    ``limbs`` limbs, and x^limbs mod p."""
+    powers = []  # x^limbs, ..., x^1: the weight of limb i is x^(limbs-i)
     pw = 1
-    for _ in range(_BLOCK_LIMBS):
+    for _ in range(limbs):
         pw = pw * x % FIELD_PRIME
         powers.append(pw)
     powers.reverse()
@@ -59,7 +62,7 @@ def _weight_table(x: int) -> tuple[np.ndarray, int]:
         [p * (1 << 8 * (LIMB_BYTES - 1 - t)) % FIELD_PRIME
          for p in powers for t in range(LIMB_BYTES)], dtype=np.uint64)
     pieces = (weights[:, None] >> _PIECE_SHIFTS) & np.uint64(0xFFFF)
-    return pieces.astype(np.int64), powers[0]
+    return pieces.astype(np.int64), pw
 
 
 def _fold(acc: int, sums: np.ndarray, x_step: int) -> int:
@@ -78,7 +81,7 @@ def poly_tag(data: bytes, key: int) -> int:
     x = key % FIELD_PRIME
     n_full = len(data) // LIMB_BYTES
     body = np.frombuffer(data, dtype=np.uint8, count=n_full * LIMB_BYTES)
-    table, x_block = _weight_table(x)
+    table, x_block = _weight_table(x, min(n_full, _BLOCK_LIMBS))
     row = _BLOCK_LIMBS * LIMB_BYTES
     head = (n_full % _BLOCK_LIMBS) * LIMB_BYTES  # bytes in the short block
     acc = 0
@@ -86,7 +89,7 @@ def poly_tag(data: bytes, key: int) -> int:
         # The short block takes the last rows of the table: its first limb
         # gets x^head_limbs, as if led by zero limbs, which add nothing.
         acc = _fold(0, body[None, :head].astype(np.int64)
-                    @ table[row - head:], 0)
+                    @ table[len(table) - head:], 0)
     blocks = body[head:].reshape(-1, row)
     for start in range(0, len(blocks), _CHUNK_BLOCKS):
         chunk = blocks[start:start + _CHUNK_BLOCKS].astype(np.int64)

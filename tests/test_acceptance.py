@@ -52,9 +52,17 @@ def report(num: int, ok: bool, text: str) -> None:
     assert ok, f"criterion {num}: {text}"
 
 
+# The repository's src, put first on a CLI child's PYTHONPATH: the child
+# imports the same kljnsim as the tests, with or without PYTHONPATH set.
+SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
+
+
 def run_cli(argv, cwd=None):
     env = dict(os.environ)
     env.pop("KLJN_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "kljnsim.cli", *argv],
                           capture_output=True, env=env, cwd=cwd)
 

@@ -199,6 +199,15 @@ class TestBlockedTag:
         data = b"\xff" * size  # largest limbs: largest partial sums
         assert poly_tag(data, key) == horner_tag(data, key)
 
+    @pytest.mark.parametrize("size", [
+        0, 1, 6, LIMB_BYTES, LIMB_BYTES + 1, 9 * LIMB_BYTES,
+        2 * BLOCK_BYTES, 2 * BLOCK_BYTES + 3])
+    def test_table_sized_to_the_message(self, size):
+        # no full limb, fewer full limbs than a block, and whole blocks
+        data = np.random.default_rng(size).bytes(size)
+        for key in EDGE_KEYS + [0x0123456789ABCDEF]:
+            assert poly_tag(data, key) == horner_tag(data, key)
+
     @pytest.mark.parametrize("size", [819200, 819203])
     def test_card_sized_message(self, size):
         # the size of one end's monitoring data in a default session

@@ -23,9 +23,17 @@ def run_main(argv, capsys):
     return code, [json.loads(line) for line in out.splitlines()]
 
 
+# The repository's src, put first on a CLI child's PYTHONPATH: the child
+# imports the same kljnsim as the tests, with or without PYTHONPATH set.
+SRC = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
+
+
 def run_proc(argv, env_extra=None, cwd=None):
     env = dict(os.environ)
     env.pop("KLJN_SEED", None)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

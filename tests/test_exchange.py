@@ -1,3 +1,4 @@
+import contextlib
 import tracemalloc
 from unittest import mock
 
@@ -411,3 +412,47 @@ class TestBlockDraws:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2 ** 20
+
+
+class TestBlockSolve:
+    """An honest exchange solves and measures each block in one call each,
+    and still calls ``run_bit_period`` once per period."""
+
+    @staticmethod
+    def _counting(target_len, seed, adversary=None):
+        """Run ``exchange_key`` with its callees counted; returns the
+        mocks by name and the stats (None when the exchange aborts)."""
+        names = ("generate_noise", "compose_loop", "measure_spectra",
+                 "run_bit_period")
+        with contextlib.ExitStack() as stack:
+            mocks = {name: stack.enter_context(mock.patch.object(
+                exchange, name, wraps=getattr(exchange, name)))
+                for name in names}
+            try:
+                stats = exchange_key(target_len, CFG, seed,
+                                     adversary=adversary)[2]
+            except ChannelCompromisedError:
+                stats = None
+        return mocks, stats
+
+    def test_one_solve_per_block_one_call_per_period(self):
+        mocks, stats = self._counting(300, 2024)  # several blocks
+        blocks = mocks["generate_noise"].call_count
+        assert blocks > 1
+        assert mocks["compose_loop"].call_count == blocks
+        assert mocks["measure_spectra"].call_count == blocks
+        periods = mocks["run_bit_period"]
+        assert periods.call_count == stats.periods_run
+        assert all("solved" in call.kwargs for call in periods.call_args_list)
+        drawn = sum(call.args[0].shape[0]
+                    for call in mocks["compose_loop"].call_args_list)
+        assert stats.periods_run <= drawn
+
+    def test_adversary_first_block_is_abort_sized(self):
+        mocks, stats = self._counting(256, 41, MitmHook(CFG, 42))
+        assert stats is None  # a cut wire aborts the exchange
+        first_psds = mocks["generate_noise"].call_args_list[0].args[0]
+        assert first_psds.shape == (ALARM_ABORT_COUNT, 2)
+        assert mocks["run_bit_period"].call_count == ALARM_ABORT_COUNT
+        assert all("noise" in call.kwargs
+                   for call in mocks["run_bit_period"].call_args_list)

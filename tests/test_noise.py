@@ -130,7 +130,7 @@ class TestComposeLoop:
         with pytest.raises(ValueError):
             compose_loop(np.zeros(4), np.zeros(4), 0.0, 0.0)
 
-    @pytest.mark.parametrize("shape", [(0,), (1, 4), ()])
+    @pytest.mark.parametrize("shape", [(0,), (1, 0), (2, 1, 4), ()])
     def test_empty_or_not_1d_traces_rejected(self, shape):
         with pytest.raises(ValueError):
             compose_loop(np.zeros(shape), np.zeros(shape), 1e3, 1e3)
@@ -176,6 +176,47 @@ class TestMeasureSpectra:
         ana = analytic_spectra(cfg.r_low, cfg.r_high, cfg)
         assert s.s_i == pytest.approx(ana.s_i, rel=0.05)
         assert s.s_u == pytest.approx(ana.s_u, rel=0.05)
+
+
+class TestBlockSolve:
+    """A block of periods is solved and measured in one call each, and
+    every row is bit for bit the one-period call on that row."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           n=st.sampled_from([2, 3, 100, 101, 257]),
+           periods=st.integers(1, 6),
+           scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e3]))
+    def test_rows_equal_one_period_calls(self, seed, n, periods, scale):
+        rng = np.random.default_rng(seed)
+        u_a = rng.normal(rng.normal() * scale, scale, (periods, n))
+        u_b = rng.normal(0.0, scale, (periods, n))
+        # per-row resistances: the two bit values and arbitrary ones
+        r_a, r_b = rng.choice([CFG.r_low, CFG.r_high, *10 ** rng.uniform(
+            0, 6, 2)], (2, periods))
+        block = compose_loop(u_a, u_b, r_a, r_b)
+        block_spectra = measure_spectra(block, CFG)
+        assert len(block) == n and len(block_spectra) == periods
+        for k, row in enumerate(block.rows()):
+            one = compose_loop(u_a[k], u_b[k], float(r_a[k]), float(r_b[k]))
+            for got, want in ((row.voltage, one.voltage),
+                              (row.current, one.current)):
+                assert np.array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+            want_spectra = measure_spectra(one, CFG)
+            assert block_spectra[k] == want_spectra
+            assert type(block_spectra[k].s_u) is float  # repr as one period
+            assert type(block_spectra[k].s_i) is float
+
+    def test_block_trace_accepted(self):
+        tr = WireTrace(np.zeros((3, 5)), np.ones((3, 5)))
+        assert len(tr) == 5
+        assert [len(row) for row in tr.rows()] == [5, 5, 5]
+
+    def test_block_with_a_nonpositive_loop_rejected(self):
+        with pytest.raises(ValueError):
+            compose_loop(np.zeros((2, 4)), np.zeros((2, 4)),
+                         np.array([1e3, 0.0]), np.array([1e3, 0.0]))
 
 
 class TestInferPartnerResistance:
