@@ -18,10 +18,10 @@ per-sample difference beyond a tolerance raises an alarm and the bit is
 discarded.  The comparison is one pass per bit period: it finds the first
 sample over tolerance, and the alarm is whether there is one.
 
-``exchange_key`` draws, and on an honest wire also solves and measures, a
-block of periods at once; ``run_bit_period`` still classifies and monitors
-each period and returns its record.  Every result is bit for bit that of
-one period at a time.
+``exchange_key`` draws, and on an honest wire also solves, measures,
+classifies and monitors, a block of periods at once; ``run_bit_period``
+then only builds each period's record, up to the period that completes
+the key.  Every result is bit for bit that of one period at a time.
 """
 
 from __future__ import annotations
@@ -64,6 +64,13 @@ MONITOR_TOLERANCE = 1e-6  # relative to signal RMS
 # of them at once.  Results do not depend on it.
 NOISE_BLOCK_BYTES = 100_000
 
+# A block is classified with numpy's log and hypot, which may differ from
+# math's in the last ulp or so.  Every log of a positive finite double lies
+# in [-745, 710], so every distance is below 2100 and such a difference
+# below 1e-11; a row whose decision hinges on less than this slack is left
+# to the scalar rule, so the block gives the scalar result bit for bit.
+_EXACT_SLACK = 1e-9
+
 
 class UnclassifiableLevelError(ValueError):
     """Measured spectra fall outside every level's acceptance band."""
@@ -85,6 +92,10 @@ class LoopClass(enum.Enum):
 
     def __str__(self) -> str:  # keeps CLI records compact
         return self.value
+
+
+# Read once per period: an Enum member lookup costs several times a global.
+_MID = LoopClass.MID
 
 
 @dataclass(frozen=True)
@@ -164,7 +175,8 @@ def _level_geometry(cfg: NoiseConfig,
         for cls, px, py in pts)
 
 
-def classify_level(s: SpectraEstimate, cfg: NoiseConfig) -> LoopClass:
+def classify_level(s: SpectraEstimate | list[SpectraEstimate],
+                   cfg: NoiseConfig) -> LoopClass | list[Optional[LoopClass]]:
     """Assign measured spectra to the nearest analytic level.
 
     Distance is Euclidean in (log s_u, log s_i).  A measurement farther
@@ -172,7 +184,19 @@ def classify_level(s: SpectraEstimate, cfg: NoiseConfig) -> LoopClass:
     to its own nearest neighbor is rejected as unclassifiable, and so is
     a zero spectrum (a variance that underflowed has no place in log
     space).
+
+    One ``SpectraEstimate`` gives its class or raises
+    ``UnclassifiableLevelError``.  A block's spectra, a list with one
+    estimate per period, give a list with one class per period, None where
+    the one-period call raises; every entry is bit for bit that call's.
     """
+    if isinstance(s, SpectraEstimate):
+        return _classify_one(s, _level_geometry(cfg))
+    return _classify_block(s, _level_geometry(cfg))
+
+
+def _classify_one(s: SpectraEstimate, geometry) -> LoopClass:
+    """The scalar rule: ``classify_level`` of one period's spectra."""
     if s.s_u <= 0:
         raise UnclassifiableLevelError(
             f"s_u must be positive to classify, got {s.s_u}")
@@ -181,7 +205,7 @@ def classify_level(s: SpectraEstimate, cfg: NoiseConfig) -> LoopClass:
             f"s_i must be positive to classify, got {s.s_i}")
     mx, my = _log_point(s)
     best = None
-    for cls, px, py, radius in _level_geometry(cfg):
+    for cls, px, py, radius in geometry:
         dist = math.hypot(mx - px, my - py)
         if best is None or dist < best_dist:  # ties keep the earlier class
             best, best_dist, best_radius = cls, dist, radius
@@ -190,6 +214,40 @@ def classify_level(s: SpectraEstimate, cfg: NoiseConfig) -> LoopClass:
             f"spectra {(s.s_u, s.s_i)} lie {best_dist:.3f} log-units from "
             f"nearest level {best}, beyond margin {best_radius:.3f}")
     return best
+
+
+def _classify_block(spectra: list[SpectraEstimate],
+                    geometry) -> list[Optional[LoopClass]]:
+    """``classify_level`` of each period of a block, in numpy.
+
+    ``argmin`` keeps the first minimum, the scalar tie rule.  A row whose
+    two nearest levels, or whose nearest level and that level's radius,
+    lie within ``_EXACT_SLACK`` of each other is decided by the scalar rule
+    instead, and so is a row with a spectrum that is not positive and
+    finite: all its distances are inf or NaN, which makes its margin NaN.
+    """
+    classes, *columns = zip(*geometry)
+    px, py, radius = np.array(columns)
+    pts = np.array([[s.s_u for s in spectra], [s.s_i for s in spectra]])
+    with np.errstate(all="ignore"):
+        mx, my = np.log(pts)
+        # One row per level, one column per period.
+        dist = np.hypot(mx - px[:, None], my - py[:, None])
+        best = dist.argmin(axis=0)
+        dist.sort(axis=0)
+        nearest = dist[0]
+        best_radius = radius[best]
+        margin = np.minimum(dist[1] - nearest,
+                            np.abs(nearest - best_radius))
+    by_code = classes + (None,)  # the last code: beyond the nearest radius
+    codes = np.where(nearest <= best_radius, best, len(classes))
+    out = [by_code[k] for k in codes.tolist()]
+    for row in np.flatnonzero(~(margin > _EXACT_SLACK)).tolist():
+        try:
+            out[row] = _classify_one(spectra[row], geometry)
+        except UnclassifiableLevelError:
+            out[row] = None
+    return out
 
 
 def monitor_compare(end_a_view: WireTrace, end_b_view: WireTrace,
@@ -264,7 +322,9 @@ def _bit_resistance(bit: int, cfg: NoiseConfig) -> float:
 def run_bit_period(alice_bit: int, bob_bit: int, cfg: NoiseConfig, seed,
                    adversary: Optional[AdversaryHook] = None,
                    noise: Optional[tuple[np.ndarray, np.ndarray]] = None,
-                   solved: Optional[tuple[WireTrace, SpectraEstimate]] = None,
+                   solved: Optional[tuple[WireTrace, SpectraEstimate,
+                                          Optional[LoopClass],
+                                          MonitorReport]] = None,
                    ) -> BitExchangeRecord:
     """Simulate one full bit period.
 
@@ -279,33 +339,35 @@ def run_bit_period(alice_bit: int, bob_bit: int, cfg: NoiseConfig, seed,
     ``exchange_key`` draws the noise of a block of periods at once.
 
     ``solved``, when given, is the period's shared honest wire, already
-    solved and measured: its trace and that trace's spectra.  Nothing is
-    drawn, solved or measured, and the bits and ``seed`` are not read; the
-    period is classified and monitored as usual.  ``exchange_key`` solves
-    an honest block of periods at once this way.
+    solved, measured, classified and monitored with its block: its trace,
+    that trace's spectra and class, and the block's monitor report.  Only
+    the record is built; the bits and ``seed`` are not read.
+    ``exchange_key`` handles an honest block of periods at once this way.
     """
     if solved is not None:
-        view_a = view_b = solved[0]
-        spectra_a = spectra_b = solved[1]
+        trace, spectra, loop_class, monitor = solved
+        # Positional: keyword arguments double the cost of this record.
+        return BitExchangeRecord(
+            trace, spectra, loop_class,
+            (loop_class is _MID) and not monitor.alarm, monitor)
+    r_a = _bit_resistance(alice_bit, cfg)
+    r_b = _bit_resistance(bob_bit, cfg)
+    if noise is None:
+        rng = np.random.default_rng(seed)
+        u_a = generate_noise(johnson_psd(r_a, cfg), cfg, rng)
+        u_b = generate_noise(johnson_psd(r_b, cfg), cfg, rng)
     else:
-        r_a = _bit_resistance(alice_bit, cfg)
-        r_b = _bit_resistance(bob_bit, cfg)
-        if noise is None:
-            rng = np.random.default_rng(seed)
-            u_a = generate_noise(johnson_psd(r_a, cfg), cfg, rng)
-            u_b = generate_noise(johnson_psd(r_b, cfg), cfg, rng)
-        else:
-            u_a, u_b = noise
+        u_a, u_b = noise
 
-        if adversary is None:
-            trace = compose_loop(u_a, u_b, r_a, r_b)
-            view_a = view_b = trace
-        else:
-            view_a, view_b = adversary(u_a, u_b, r_a, r_b, cfg)
+    if adversary is None:
+        trace = compose_loop(u_a, u_b, r_a, r_b)
+        view_a = view_b = trace
+    else:
+        view_a, view_b = adversary(u_a, u_b, r_a, r_b, cfg)
 
-        spectra_a = measure_spectra(view_a, cfg)
-        spectra_b = spectra_a if view_b is view_a \
-            else measure_spectra(view_b, cfg)
+    spectra_a = measure_spectra(view_a, cfg)
+    spectra_b = spectra_a if view_b is view_a \
+        else measure_spectra(view_b, cfg)
 
     # An unclassifiable measurement (or, under an adversary, disagreeing
     # end classifications) leaves loop_class None: discarded, logged as an
@@ -316,7 +378,7 @@ def run_bit_period(alice_bit: int, bob_bit: int, cfg: NoiseConfig, seed,
 
     monitor = monitor_compare(view_a, view_b)
     loop_class = class_a if class_a is class_b else None
-    retained = (loop_class is LoopClass.MID) and not monitor.alarm
+    retained = (loop_class is _MID) and not monitor.alarm
     return BitExchangeRecord(
         trace=view_a,
         spectra_alice=spectra_a,
@@ -336,9 +398,9 @@ def exchange_key(target_len: int, cfg: NoiseConfig, seed,
 
     Both ends draw independent uniform bits each period.  End A inverts
     her retained bits (the pre-agreed side), so both returned keys are
-    identical.  ``record_sink`` receives every period's record as it
-    happens (the card protocol collects the monitor data to authenticate
-    this way).
+    identical.  ``record_sink`` receives every period's record, in order
+    (the card protocol collects the monitor data to authenticate this
+    way).
 
     Bits and generator voltages come from two generators private to the
     exchange, drawn a block of periods at a time: about twice the bits
@@ -350,12 +412,14 @@ def exchange_key(target_len: int, cfg: NoiseConfig, seed,
     is at most ALARM_ABORT_COUNT periods, all that a cut wire needs to
     abort.
 
-    With no adversary the wire is shared, and a block is solved at once:
-    one ``compose_loop`` over its generator rows and one
-    ``measure_spectra`` over the block trace, each row bit for bit its
-    one-period result.  ``run_bit_period`` then classifies and monitors
-    each period's solved row; under an adversary it takes the period's
-    noise and does all of it.
+    With no adversary the wire is shared, and a block is handled at once:
+    one ``compose_loop`` over its generator rows, one ``measure_spectra``
+    over the block trace, one ``classify_level`` over its spectra and one
+    ``monitor_compare`` of the shared trace with itself, each bit for bit
+    the one-period results.  The stats and key bits are counted from the
+    block's classes, and ``run_bit_period`` builds each period's record up
+    to the period that completes the key.  Under an adversary
+    ``run_bit_period`` takes each period's noise and does all of it.
 
     Raises
     ------
@@ -381,49 +445,65 @@ def exchange_key(target_len: int, cfg: NoiseConfig, seed,
     stats = ExchangeStats()
     max_periods = 64 * target_len + 1024  # generous; expected use is ~2x
     while stats.retained < target_len:
+        room = max_periods - stats.periods_run  # periods left in the budget
+        if room <= 0:
+            raise ExchangeNotConvergedError(
+                f"exchange did not converge within {max_periods} periods")
         block = min(2 * (target_len - stats.retained), block_cap)
         block_cap = max_block
         # Let the last block go before the next is drawn: its trace is held
-        # by its rows, and by the last record, which views a row.
-        solved = trace = rec = None
+        # by the last record, which views a row.
+        trace = rec = None
         bits = bit_rng.integers(0, 2, (block, 2))
         noise = generate_noise(psd_of_bit[bits], cfg, noise_rng)
+        pairs = bits.tolist()[:room]
         if adversary is None:
             r = r_of_bit[bits]
             trace = compose_loop(noise[:, 0], noise[:, 1], r[:, 0], r[:, 1])
             noise = None  # only the block trace is read from here on
-            solved = list(zip(trace.rows(), measure_spectra(trace, cfg)))
-        a_bits, b_bits = bits.T.tolist()
-        for k, (a_bit, b_bit) in enumerate(zip(a_bits, b_bits)):
-            if stats.periods_run >= max_periods:
-                raise ExchangeNotConvergedError(
-                    f"exchange did not converge within {max_periods} "
-                    f"periods")
-            if solved is not None:
+            spectra = measure_spectra(trace, cfg)
+            classes = classify_level(spectra, cfg)[:room]
+            # Both ends hold the one shared trace: silent, so no period
+            # alarms and every MID period is retained.
+            monitor = monitor_compare(trace, trace)
+            kept = [k for k, c in enumerate(classes) if c is _MID]
+            kept = kept[:target_len - stats.retained]
+            if stats.retained + len(kept) == target_len:
+                classes = classes[:kept[-1] + 1]  # the key is complete
+            stats.periods_run += len(classes)
+            stats.retained += len(kept)
+            stats.anomalies += classes.count(None)
+            for (a_bit, b_bit), row, s, c in zip(pairs, trace.rows(), spectra,
+                                                 classes):
                 rec = run_bit_period(a_bit, b_bit, cfg, None,
-                                     solved=solved[k])
-            else:
+                                     solved=(row, s, c, monitor))
+                if record_sink is not None:
+                    record_sink(rec)
+        else:
+            kept = []
+            for k, (a_bit, b_bit) in enumerate(pairs):
                 rec = run_bit_period(a_bit, b_bit, cfg, None,
                                      adversary=adversary, noise=noise[k])
-            stats.periods_run += 1
-            if record_sink is not None:
-                record_sink(rec)
-            if rec.monitor.alarm:
-                stats.alarms += 1
-                if stats.alarms >= ALARM_ABORT_COUNT:
-                    raise ChannelCompromisedError(
-                        f"{stats.alarms} alarms in {stats.periods_run} "
-                        f"periods")
-                continue
-            if rec.loop_class is None:
-                stats.anomalies += 1
-                continue
-            if rec.retained:
-                stats.retained += 1
-                alice_bits.append(1 - a_bit)  # pre-agreed inversion
-                bob_bits.append(b_bit)
-                if stats.retained == target_len:
-                    break
+                stats.periods_run += 1
+                if record_sink is not None:
+                    record_sink(rec)
+                if rec.monitor.alarm:
+                    stats.alarms += 1
+                    if stats.alarms >= ALARM_ABORT_COUNT:
+                        raise ChannelCompromisedError(
+                            f"{stats.alarms} alarms in {stats.periods_run} "
+                            f"periods")
+                    continue
+                if rec.loop_class is None:
+                    stats.anomalies += 1
+                    continue
+                if rec.retained:
+                    stats.retained += 1
+                    kept.append(k)
+                    if stats.retained == target_len:
+                        break
+        alice_bits += [1 - pairs[k][0] for k in kept]  # pre-agreed inversion
+        bob_bits += [pairs[k][1] for k in kept]
 
     alice_key = BitString(np.array(alice_bits, dtype=np.uint8), "raw_kljn")
     bob_key = BitString(np.array(bob_bits, dtype=np.uint8), "raw_kljn")

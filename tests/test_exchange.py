@@ -1,4 +1,5 @@
 import contextlib
+import math
 import tracemalloc
 from unittest import mock
 
@@ -174,6 +175,108 @@ class TestClassifyLevel:
         # a period measured so is discarded as an anomaly, never classified
         with pytest.raises(UnclassifiableLevelError):
             classify_level(SpectraEstimate(s_u, s_i), CFG)
+
+
+def scalar_classes(spectra, cfg):
+    """The one-period rule on each row, None where it raises."""
+    out = []
+    for s in spectra:
+        try:
+            out.append(classify_level(s, cfg))
+        except UnclassifiableLevelError:
+            out.append(None)
+    return out
+
+
+def ulp_walks(log_u, log_i, steps):
+    """Spectra within ``steps`` ulps of exp(log_u), exp(log_i): each
+    coordinate stepped up and down with the other held, enough to cross
+    a boundary through that log-space point."""
+    center = [math.exp(log_u), math.exp(log_i)]
+    out = [SpectraEstimate(*center)]
+    for axis in (0, 1):
+        for direction in (math.inf, 0.0):
+            point = list(center)
+            for _ in range(steps):
+                point[axis] = math.nextafter(point[axis], direction)
+                out.append(SpectraEstimate(*point))
+    return out
+
+
+# (r_high, classify_margin, s_u, s_i): rows on an acceptance circle or a
+# bisector where a decision taken with numpy's log and hypot alone comes
+# out unlike the scalar rule's (found by a search along the boundaries,
+# numpy 2.4 on x86-64).  Other builds may round these alike; then they
+# only check that the block still equals the scalar rule.
+ROUNDED_APART = [
+    (1e4, 0.5, 2.038106788068318e-08, 4.7460303780323516e-15),
+    (1e4, 0.5, 1.2766752494081442e-07, 4.417457271314897e-15),
+    (80734.0, 0.78, 3.384199371469451e-09, 1.7715823286684869e-15),
+    (80734.0, 0.78, 3.5934433199049825e-05, 1.3044756866412361e-16),
+    (52114.0, 0.31, 2.5507863151461558e-06, 2.229424020465004e-16),
+    (6528.0, 0.4, 4.445452475691702e-08, 2.0036584569350414e-14),
+    (41557.0, 0.09, 1.518183881866535e-06, 6.437148912845049e-16),
+    (6017.0, 0.95, 1.1289541623927375e-07, 1.0534213151108106e-14),
+    (65654.0, 0.26, 4.337803253176455e-06, 3.060561715545228e-16),
+    (65654.0, 0.26, 1.2468166117347192e-06, 1.7980948005732322e-16),
+]
+
+SPECIAL_SPECTRA = [0.0, 5e-324, 1e-310, np.finfo(np.float64).tiny,
+                   np.finfo(np.float64).max, np.inf, np.nan]
+
+
+class TestBlockClassify:
+    """``classify_level`` on a block's spectra equals the one-period rule
+    on every row, bit for bit, where numpy's log and hypot and math's could
+    round a decision differently: on the bisector between two levels, on
+    a level's acceptance circle, and at the float edges."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(r_high=st.floats(1.2e3, 1e6),
+           margin=st.floats(0.01, 0.99),
+           pick=st.integers(0, 2),
+           t=st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=8),
+           on_circle=st.booleans())
+    def test_boundaries_equal_scalar(self, r_high, margin, pick, t,
+                                     on_circle):
+        cfg = NoiseConfig(r_high=r_high, classify_margin=margin)
+        geometry = exchange._level_geometry(cfg)
+        _, px, py, radius = geometry[pick]
+        _, qx, qy, _ = geometry[(pick + 1) % 3]
+        spectra = []
+        for u in t:
+            if on_circle:  # at angle u * pi on the circle of ``pick``
+                x = px + radius * math.cos(u * math.pi)
+                y = py + radius * math.sin(u * math.pi)
+            else:  # on the bisector of ``pick`` and the next level
+                x = 0.5 * (px + qx) - u * (qy - py)
+                y = 0.5 * (py + qy) + u * (qx - px)
+            spectra += ulp_walks(x, y, 24)
+        assert classify_level(spectra, cfg) == scalar_classes(spectra, cfg)
+
+    @pytest.mark.parametrize("r_high,margin,s_u,s_i", ROUNDED_APART)
+    def test_rows_rounded_apart_equal_scalar(self, r_high, margin, s_u,
+                                             s_i):
+        cfg = NoiseConfig(r_high=r_high, classify_margin=margin)
+        spectra = [SpectraEstimate(s_u, s_i)] + list(
+            class_levels(cfg).values())
+        assert classify_level(spectra, cfg) == scalar_classes(spectra, cfg)
+
+    @pytest.mark.parametrize("s_u", SPECIAL_SPECTRA)
+    @pytest.mark.parametrize("s_i", SPECIAL_SPECTRA + [1e-12])
+    def test_special_spectra_equal_scalar(self, s_u, s_i):
+        level = class_levels(CFG)[LoopClass.MID]
+        spectra = [SpectraEstimate(s_u, s_i), level,
+                   SpectraEstimate(s_i, s_u)]
+        assert classify_level(spectra, CFG) == scalar_classes(spectra, CFG)
+
+    def test_measured_block_equals_scalar(self):
+        rng = np.random.default_rng(8)
+        spectra = [run_bit_period(int(a), int(b), CFG, rng).spectra_alice
+                   for a, b in rng.integers(0, 2, (400, 2))]
+        classes = classify_level(spectra, CFG)
+        assert classes == scalar_classes(spectra, CFG)
+        assert set(classes) == {LoopClass.LL, LoopClass.MID, LoopClass.HH}
 
 
 class TestMonitorCompare:
@@ -381,7 +484,7 @@ class TestBlockDraws:
             assert len(ref_recs) == ALARM_ABORT_COUNT
 
     def test_budget_crosses_blocks_at_default_size(self):
-        # about 600 periods wanted, at most 250 a block: several blocks
+        # about 600 periods wanted, at most 62 a block: several blocks
         assert exchange.NOISE_BLOCK_BYTES // (16 * CFG.samples_per_bit) < 600
         (block, block_recs), (ref, ref_recs) = run_both(300, CFG, 2024)
         assert block == ref and block_recs == ref_recs
@@ -415,22 +518,24 @@ class TestBlockDraws:
 
 
 class TestBlockSolve:
-    """An honest exchange solves and measures each block in one call each,
-    and still calls ``run_bit_period`` once per period."""
+    """An honest exchange solves, measures, classifies and monitors each
+    block in one call each, and still calls ``run_bit_period`` once per
+    period, up to the period that completes the key."""
 
     @staticmethod
-    def _counting(target_len, seed, adversary=None):
+    def _counting(target_len, seed, adversary=None, record_sink=None):
         """Run ``exchange_key`` with its callees counted; returns the
         mocks by name and the stats (None when the exchange aborts)."""
         names = ("generate_noise", "compose_loop", "measure_spectra",
-                 "run_bit_period")
+                 "classify_level", "monitor_compare", "run_bit_period")
         with contextlib.ExitStack() as stack:
             mocks = {name: stack.enter_context(mock.patch.object(
                 exchange, name, wraps=getattr(exchange, name)))
                 for name in names}
             try:
                 stats = exchange_key(target_len, CFG, seed,
-                                     adversary=adversary)[2]
+                                     adversary=adversary,
+                                     record_sink=record_sink)[2]
             except ChannelCompromisedError:
                 stats = None
         return mocks, stats
@@ -456,3 +561,37 @@ class TestBlockSolve:
         assert mocks["run_bit_period"].call_count == ALARM_ABORT_COUNT
         assert all("noise" in call.kwargs
                    for call in mocks["run_bit_period"].call_args_list)
+
+    def test_classify_and_monitor_once_per_block(self):
+        mocks, stats = self._counting(300, 2024)
+        blocks = mocks["generate_noise"].call_count
+        assert blocks > 1
+        classify = mocks["classify_level"].call_args_list
+        assert len(classify) == blocks
+        assert [len(call.args[0]) for call in classify] == [
+            call.args[0].shape[0]
+            for call in mocks["generate_noise"].call_args_list]
+        monitor = mocks["monitor_compare"].call_args_list
+        assert len(monitor) == blocks
+        assert all(call.args[0] is call.args[1] for call in monitor)
+
+    @pytest.mark.parametrize("target_len,seed", [(1, 3), (37, 5), (300, 7)])
+    def test_records_stop_at_the_cut(self, target_len, seed):
+        records = []
+        mocks, stats = self._counting(target_len, seed,
+                                      record_sink=records.append)
+        assert mocks["run_bit_period"].call_count == stats.periods_run
+        assert len(records) == stats.periods_run
+        assert sum(rec.retained for rec in records) == target_len
+        assert records[-1].retained  # nothing past the completing period
+        assert stats.anomalies == sum(rec.loop_class is None
+                                      for rec in records)
+
+    def test_adversary_classifies_and_monitors_per_period(self):
+        mocks, stats = self._counting(256, 41, MitmHook(CFG, 42))
+        assert stats is None
+        periods = mocks["run_bit_period"].call_count
+        assert periods == ALARM_ABORT_COUNT
+        # each end classifies its own view, and the views are compared
+        assert mocks["classify_level"].call_count == 2 * periods
+        assert mocks["monitor_compare"].call_count == periods
