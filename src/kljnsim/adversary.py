@@ -101,7 +101,7 @@ class MitmHook:
     her via the current spectrum of a loop she half-owns).
     """
 
-    def __init__(self, cfg: NoiseConfig, seed):
+    def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
 
     def __call__(self, u_a, u_b, r_a, r_b, cfg):
@@ -174,7 +174,7 @@ def mitm_attack(cfg: NoiseConfig, seed,
     bits_seed, hook_seed, period_seed = spawn_seeds(seed, 3)
     # Eve sits in both loops: every bit the parties keep is hers.
     return _attack_period(cfg, bits_seed, period_seed,
-                          MitmHook(cfg, hook_seed), monitor_enabled,
+                          MitmHook(hook_seed), monitor_enabled,
                           lambda rec, retained: retained)
 
 

@@ -239,6 +239,8 @@ class ServerRecord:
         """Inverse of ``to_journal``."""
         (number, holder, expiry, c_hex, c_len, segment_len, cursor, m_max,
          broken_count, canceled, generation) = (obj[k] for k in cls.FIELDS)
+        if not isinstance(number, str):  # the store's key: hashable
+            raise TypeError(f"card_number must be a string, got {number!r}")
         return cls(
             identity=CardIdentity(number, holder, expiry),
             key_c=KeyC(bits=BitString.from_hex(c_hex, c_len, "key_c"),

@@ -409,9 +409,9 @@ def cmd_card_lifetime(cfg: RunConfig, emitter: Emitter) -> int:
                 cfg.m_max, cfg.derived_n_d(), clone_rng)
             acting_card = CardState(identity=identity, key_c=fake.key_c)
         elif fault == "mitm_auth":
-            auth_adv = MitmHook(noise, (cfg.seed, 0xA117, i))
+            auth_adv = MitmHook((cfg.seed, 0xA117, i))
         elif fault == "mitm_refresh":
-            refresh_adv = MitmHook(noise, (cfg.seed, 0x4EF4, i))
+            refresh_adv = MitmHook((cfg.seed, 0x4EF4, i))
         try:
             ledger = run_session(acting_card, terminal, store, noise,
                                  session_seeds[i], payload,

@@ -18,10 +18,12 @@ per-sample difference beyond a tolerance raises an alarm and the bit is
 discarded.  The comparison is one pass per bit period: it finds the first
 sample over tolerance, and the alarm is whether there is one.
 
-``exchange_key`` draws, and on an honest wire also solves, measures,
-classifies and monitors, a block of periods at once; ``run_bit_period``
-then only builds each period's record, up to the period that completes
-the key.  Every result is bit for bit that of one period at a time.
+``exchange_key`` draws a block of periods at once.  On an honest wire it
+also solves, measures, classifies and monitors the block at once; under an
+adversary it solves one period after another.  Either way one loop has
+``run_bit_period`` build each period's record, counts it, and cuts at the
+period that completes the key or at the last tolerated alarm.  Every
+result is bit for bit that of one period at a time.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -136,6 +139,13 @@ class ExchangeStats:
         if self.periods_run == 0:
             return 0.0
         return 1.0 - self.retained / self.periods_run
+
+
+# One solved period: end A's view, end B's view (None on a shared wire), end
+# A's spectra, the class both ends agree on (None when either end cannot
+# classify, or the two disagree) and the monitor report.
+SolvedPeriod = tuple[WireTrace, Optional[WireTrace], SpectraEstimate,
+                     Optional[LoopClass], MonitorReport]
 
 
 def spawn_seeds(seed, n: int) -> list[np.random.SeedSequence]:
@@ -319,74 +329,52 @@ def _bit_resistance(bit: int, cfg: NoiseConfig) -> float:
     return cfg.r_high if bit else cfg.r_low
 
 
+def _solve_period(u_a: np.ndarray, u_b: np.ndarray, r_a: float, r_b: float,
+                  cfg: NoiseConfig, adversary: Optional[AdversaryHook],
+                  ) -> SolvedPeriod:
+    """Solve, measure, classify and monitor one period from its two
+    generator traces, on a shared wire or through ``adversary``."""
+    if adversary is None:
+        view_a = view_b = compose_loop(u_a, u_b, r_a, r_b)
+    else:
+        view_a, view_b = adversary(u_a, u_b, r_a, r_b, cfg)
+    shared = view_b is view_a
+    spectra_a = measure_spectra(view_a, cfg)
+    spectra_b = spectra_a if shared else measure_spectra(view_b, cfg)
+    class_a = _classify_or_none(spectra_a, cfg)
+    class_b = class_a if shared else _classify_or_none(spectra_b, cfg)
+    return (view_a, None if shared else view_b, spectra_a,
+            class_a if class_a is class_b else None,
+            monitor_compare(view_a, view_b))
+
+
 def run_bit_period(alice_bit: int, bob_bit: int, cfg: NoiseConfig, seed,
                    adversary: Optional[AdversaryHook] = None,
-                   noise: Optional[tuple[np.ndarray, np.ndarray]] = None,
-                   solved: Optional[tuple[WireTrace, SpectraEstimate,
-                                          Optional[LoopClass],
-                                          MonitorReport]] = None,
+                   solved: Optional[SolvedPeriod] = None,
                    ) -> BitExchangeRecord:
-    """Simulate one full bit period.
+    """Simulate one full bit period and build its record.
 
     Maps bits to resistors at both ends, draws two independent noise
-    sequences, solves the loop (or lets the adversary hook supply the two
-    ends' views), measures and classifies at both ends, and runs the
-    monitor comparison.  Pure function of (inputs, seed).
+    sequences from ``seed``, solves the loop (or lets the adversary hook
+    supply the two ends' views), measures and classifies at both ends, and
+    runs the monitor comparison.  Pure function of (inputs, seed).
 
-    ``noise``, when given, is the period's pre-drawn generator voltages for
-    these bits' resistors, end A's then end B's (a pair of rows, or one
-    ``(2, samples_per_bit)`` array), and ``seed`` is not read:
-    ``exchange_key`` draws the noise of a block of periods at once.
-
-    ``solved``, when given, is the period's shared honest wire, already
-    solved, measured, classified and monitored with its block: its trace,
-    that trace's spectra and class, and the block's monitor report.  Only
-    the record is built; the bits and ``seed`` are not read.
-    ``exchange_key`` handles an honest block of periods at once this way.
+    ``solved``, when given, is the period as ``exchange_key`` already
+    solved it; only the record is built, and the bits, ``seed`` and
+    ``adversary`` are not read.
     """
-    if solved is not None:
-        trace, spectra, loop_class, monitor = solved
-        # Positional: keyword arguments double the cost of this record.
-        return BitExchangeRecord(
-            trace, spectra, loop_class,
-            (loop_class is _MID) and not monitor.alarm, monitor)
-    r_a = _bit_resistance(alice_bit, cfg)
-    r_b = _bit_resistance(bob_bit, cfg)
-    if noise is None:
+    if solved is None:
+        r_a = _bit_resistance(alice_bit, cfg)
+        r_b = _bit_resistance(bob_bit, cfg)
         rng = np.random.default_rng(seed)
         u_a = generate_noise(johnson_psd(r_a, cfg), cfg, rng)
         u_b = generate_noise(johnson_psd(r_b, cfg), cfg, rng)
-    else:
-        u_a, u_b = noise
-
-    if adversary is None:
-        trace = compose_loop(u_a, u_b, r_a, r_b)
-        view_a = view_b = trace
-    else:
-        view_a, view_b = adversary(u_a, u_b, r_a, r_b, cfg)
-
-    spectra_a = measure_spectra(view_a, cfg)
-    spectra_b = spectra_a if view_b is view_a \
-        else measure_spectra(view_b, cfg)
-
-    # An unclassifiable measurement (or, under an adversary, disagreeing
-    # end classifications) leaves loop_class None: discarded, logged as an
-    # anomaly by the exchange loop.
-    class_a = _classify_or_none(spectra_a, cfg)
-    class_b = class_a if view_b is view_a else _classify_or_none(spectra_b,
-                                                                 cfg)
-
-    monitor = monitor_compare(view_a, view_b)
-    loop_class = class_a if class_a is class_b else None
-    retained = (loop_class is _MID) and not monitor.alarm
-    return BitExchangeRecord(
-        trace=view_a,
-        spectra_alice=spectra_a,
-        loop_class=loop_class,
-        retained=retained,
-        monitor=monitor,
-        bob_trace=None if view_b is view_a else view_b,
-    )
+        solved = _solve_period(u_a, u_b, r_a, r_b, cfg, adversary)
+    view_a, view_b, spectra, loop_class, monitor = solved
+    # Positional: keyword arguments double the cost of this record.
+    return BitExchangeRecord(view_a, spectra, loop_class,
+                             (loop_class is _MID) and not monitor.alarm,
+                             monitor, view_b)
 
 
 def exchange_key(target_len: int, cfg: NoiseConfig, seed,
@@ -408,18 +396,16 @@ def exchange_key(target_len: int, cfg: NoiseConfig, seed,
     NOISE_BLOCK_BYTES of noise.  A block draw yields exactly the values
     that one draw per period would, in the same order, so the result does
     not depend on the block sizes; what a last block draws past the end
-    of the exchange is thrown away.  Under an adversary the first block
-    is at most ALARM_ABORT_COUNT periods, all that a cut wire needs to
-    abort.
+    of the exchange is thrown away.
 
-    With no adversary the wire is shared, and a block is handled at once:
-    one ``compose_loop`` over its generator rows, one ``measure_spectra``
-    over the block trace, one ``classify_level`` over its spectra and one
-    ``monitor_compare`` of the shared trace with itself, each bit for bit
-    the one-period results.  The stats and key bits are counted from the
-    block's classes, and ``run_bit_period`` builds each period's record up
-    to the period that completes the key.  Under an adversary
-    ``run_bit_period`` takes each period's noise and does all of it.
+    Each block gives one solved period after another, in one of two ways.
+    On an honest wire the block is solved at once: one ``compose_loop``
+    over its generator rows, one ``measure_spectra`` over the block trace,
+    one ``classify_level`` over its spectra and one ``monitor_compare`` of
+    the shared trace with itself, each bit for bit the one-period results.
+    Under an adversary each period is solved in turn, its hook called only
+    when the period is reached.  One loop then has ``run_bit_period`` build
+    each record, counts it and cuts at the period that completes the key.
 
     Raises
     ------
@@ -437,8 +423,6 @@ def exchange_key(target_len: int, cfg: NoiseConfig, seed,
     psd_of_bit = np.array([johnson_psd(cfg.r_low, cfg),
                            johnson_psd(cfg.r_high, cfg)])
     max_block = max(1, NOISE_BLOCK_BYTES // (16 * cfg.samples_per_bit))
-    block_cap = max_block if adversary is None \
-        else min(ALARM_ABORT_COUNT, max_block)
 
     alice_bits: list[int] = []
     bob_bits: list[int] = []
@@ -449,61 +433,45 @@ def exchange_key(target_len: int, cfg: NoiseConfig, seed,
         if room <= 0:
             raise ExchangeNotConvergedError(
                 f"exchange did not converge within {max_periods} periods")
-        block = min(2 * (target_len - stats.retained), block_cap)
-        block_cap = max_block
-        # Let the last block go before the next is drawn: its trace is held
-        # by the last record, which views a row.
-        trace = rec = None
+        block = min(2 * (target_len - stats.retained), max_block)
+        # Let the last block go before the next is drawn: the last record
+        # views one of its rows, and the solved periods hold the rest.
+        trace = rec = period = solved = None
         bits = bit_rng.integers(0, 2, (block, 2))
         noise = generate_noise(psd_of_bit[bits], cfg, noise_rng)
         pairs = bits.tolist()[:room]
+        r = r_of_bit[bits]
         if adversary is None:
-            r = r_of_bit[bits]
             trace = compose_loop(noise[:, 0], noise[:, 1], r[:, 0], r[:, 1])
-            noise = None  # only the block trace is read from here on
             spectra = measure_spectra(trace, cfg)
-            classes = classify_level(spectra, cfg)[:room]
-            # Both ends hold the one shared trace: silent, so no period
-            # alarms and every MID period is retained.
-            monitor = monitor_compare(trace, trace)
-            kept = [k for k, c in enumerate(classes) if c is _MID]
-            kept = kept[:target_len - stats.retained]
-            if stats.retained + len(kept) == target_len:
-                classes = classes[:kept[-1] + 1]  # the key is complete
-            stats.periods_run += len(classes)
-            stats.retained += len(kept)
-            stats.anomalies += classes.count(None)
-            for (a_bit, b_bit), row, s, c in zip(pairs, trace.rows(), spectra,
-                                                 classes):
-                rec = run_bit_period(a_bit, b_bit, cfg, None,
-                                     solved=(row, s, c, monitor))
-                if record_sink is not None:
-                    record_sink(rec)
+            # Both ends hold the one shared trace: silent for every period.
+            solved = zip(trace.rows(), repeat(None), spectra,
+                         classify_level(spectra, cfg),
+                         repeat(monitor_compare(trace, trace)))
         else:
-            kept = []
-            for k, (a_bit, b_bit) in enumerate(pairs):
-                rec = run_bit_period(a_bit, b_bit, cfg, None,
-                                     adversary=adversary, noise=noise[k])
-                stats.periods_run += 1
-                if record_sink is not None:
-                    record_sink(rec)
-                if rec.monitor.alarm:
-                    stats.alarms += 1
-                    if stats.alarms >= ALARM_ABORT_COUNT:
-                        raise ChannelCompromisedError(
-                            f"{stats.alarms} alarms in {stats.periods_run} "
-                            f"periods")
-                    continue
-                if rec.loop_class is None:
-                    stats.anomalies += 1
-                    continue
-                if rec.retained:
-                    stats.retained += 1
-                    kept.append(k)
-                    if stats.retained == target_len:
-                        break
-        alice_bits += [1 - pairs[k][0] for k in kept]  # pre-agreed inversion
-        bob_bits += [pairs[k][1] for k in kept]
+            # Lazy: the hook runs only for the periods the loop reaches.
+            solved = (_solve_period(u_a, u_b, r_a, r_b, cfg, adversary)
+                      for (u_a, u_b), (r_a, r_b) in zip(noise, r.tolist()))
+        noise = None  # only the block trace, or the generator, reads it now
+        for (a_bit, b_bit), period in zip(pairs, solved):
+            rec = run_bit_period(a_bit, b_bit, cfg, None, solved=period)
+            stats.periods_run += 1
+            if record_sink is not None:
+                record_sink(rec)
+            if rec.monitor.alarm:
+                stats.alarms += 1
+                if stats.alarms >= ALARM_ABORT_COUNT:
+                    raise ChannelCompromisedError(
+                        f"{stats.alarms} alarms in {stats.periods_run} "
+                        f"periods")
+            elif rec.loop_class is None:
+                stats.anomalies += 1
+            elif rec.retained:
+                stats.retained += 1
+                alice_bits.append(1 - a_bit)  # pre-agreed inversion
+                bob_bits.append(b_bit)
+                if stats.retained == target_len:
+                    break
 
     alice_key = BitString(np.array(alice_bits, dtype=np.uint8), "raw_kljn")
     bob_key = BitString(np.array(bob_bits, dtype=np.uint8), "raw_kljn")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,14 @@ from kljnsim.adversary import (
     passive_eavesdrop,
 )
 from kljnsim.exchange import LoopClass, run_bit_period
-from kljnsim.noise import NoiseConfig, WireTrace, analytic_spectra
+from kljnsim.noise import (
+    NoiseConfig,
+    WireTrace,
+    analytic_spectra,
+    compose_loop,
+    generate_noise,
+    johnson_psd,
+)
 
 CFG = NoiseConfig()
 
@@ -161,6 +170,59 @@ class TestLeakAccounting:
         assert read >= 495
 
     def test_mitm_hook_learns_what_parties_keep(self):
-        hook = MitmHook(CFG, 77)
+        hook = MitmHook(77)
         rec = run_bit_period(0, 1, CFG, 88, adversary=hook)
         assert rec.bob_trace is not None  # split wire: two distinct views
+
+
+class TestZeroInformation:
+    """On a MID period the wire carries no information on which end holds
+    which resistor (Kish, Phys. Lett. A 352:178, 2006).  Eve splits N
+    forced MID periods at the median of a measured spectrum and guesses
+    the ends from the side each period falls on.  At N = 1e5 one binomial
+    sigma is 0.0016, so chance is 0.5 +- 0.0063 at 4 sigma.  A 5 %
+    temperature excess at end A (Hao, IEE Proc. Inf. Secur. 153:141, 2006)
+    is the positive control: it moves both splits by about 30 sigma."""
+
+    N = 100_000
+    BLOCK = 10_000  # rows per draw: 16 MB of noise
+    SIGMA = math.sqrt(0.25 / N)
+
+    def split_accuracies(self, temperature_ratios, seed=2006):
+        """{end A's temperature ratio: (s_u accuracy, s_i accuracy)} over
+        the same N periods, LH or HL by a random bit.
+
+        Eve takes each period's sample variances, ``measure_spectra``'s
+        PSDs times the bandwidth; the log is monotone, so their median
+        split is that of log s_u and log s_i.  A hotter end A raises s_u
+        when it holds r_low and s_i when it holds r_high, so above the
+        median Eve guesses those."""
+        rng = np.random.default_rng(seed)
+        psd = np.array([johnson_psd(CFG.r_low, CFG),
+                        johnson_psd(CFG.r_high, CFG)])
+        r = np.array([CFG.r_low, CFG.r_high])
+        a_bits = []
+        variances = {ratio: [] for ratio in temperature_ratios}
+        for _ in range(self.N // self.BLOCK):
+            a = rng.integers(0, 2, self.BLOCK)
+            u = generate_noise(psd[np.stack([a, 1 - a], 1)], CFG, rng)
+            a_bits.append(a)
+            for ratio in temperature_ratios:
+                trace = compose_loop(math.sqrt(ratio) * u[:, 0], u[:, 1],
+                                     r[a], r[1 - a])
+                variances[ratio].append((trace.voltage.var(1, ddof=1),
+                                         trace.current.var(1, ddof=1)))
+        a = np.concatenate(a_bits)
+        out = {}
+        for ratio, blocks in variances.items():
+            s_u, s_i = (np.concatenate(col) for col in zip(*blocks))
+            out[ratio] = (np.mean((s_u > np.median(s_u)) == (a == 0)),
+                          np.mean((s_i > np.median(s_i)) == (a == 1)))
+        return out
+
+    def test_mid_wire_hides_the_ends(self):
+        acc = self.split_accuracies((1.0, 1.05))
+        for accuracy in acc[1.0]:  # equal temperature: chance
+            assert abs(accuracy - 0.5) <= 4 * self.SIGMA
+        for accuracy in acc[1.05]:  # the control: the test can see a leak
+            assert accuracy > 0.5 + 8 * self.SIGMA

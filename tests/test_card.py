@@ -314,7 +314,7 @@ class TestAuthentication:
         store = Keystore()
         card, server = provision(keystore=store)
         result = authenticate_session(card, small_terminal(), store, CFG,
-                                      600, adversary=MitmHook(CFG, 601))
+                                      600, adversary=MitmHook(601))
         assert result.ledger.phase == "broken"
         assert result.reason == "channel_alarm"
         assert server.broken_count_mirror == 1
@@ -409,7 +409,7 @@ class TestRefresh:
                         result.ledger)
         old_hex = card.key_c.bits.to_hex()
         ok = refresh_key_c(card, store, CFG, 811,
-                           adversary=MitmHook(CFG, 812),
+                           adversary=MitmHook(812),
                            ledger=result.ledger)
         assert not ok
         assert card.key_c.bits.to_hex() == old_hex  # old C intact
@@ -453,9 +453,9 @@ class TestSessionOrchestration:
         payload = b"payload!"
         hooks = {}
         if ending == "refresh_alarm":
-            hooks["refresh_adversary"] = MitmHook(CFG, 931)
+            hooks["refresh_adversary"] = MitmHook(931)
         elif ending == "auth_alarm":
-            hooks["auth_adversary"] = MitmHook(CFG, 932)
+            hooks["auth_adversary"] = MitmHook(932)
         elif ending in ("wrong_key", "clone_without_segment"):
             fake, _ = initialize_card(CardIdentity("f", "EVE", "01/01"), 1,
                                       102400, rng=933)

@@ -268,10 +268,14 @@ class TestKeystoreInspect:
         assert "torn" in captured.err
 
     @pytest.mark.parametrize("bad", ["not json", '{"schema": "kljn.card_rec',
-                                     '{"card_number": "4"}'],
-                             ids=["text", "cut_short", "missing_fields"])
+                                     '{"card_number": "4"}', [1], {"n": 4}],
+                             ids=["text", "cut_short", "missing_fields",
+                                  "list_number", "object_number"])
     def test_unreadable_inner_line_exits_3(self, tmp_path, capsys, bad):
         ks = self.provisioned(tmp_path)
+        if not isinstance(bad, str):  # a valid record with this card number
+            line = json.loads(ks.read_text(encoding="utf-8").splitlines()[0])
+            bad = json.dumps({**line, "card_number": bad})
         ks.write_text(bad + "\n" + ks.read_text(encoding="utf-8"),
                       encoding="utf-8")
         assert cli.main(["keystore-inspect", "--keystore", str(ks)]) == 3

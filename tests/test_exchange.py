@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kljnsim import exchange
@@ -83,15 +83,32 @@ def record_bytes(rec) -> bytes:
                  rec.monitor.first_divergence)).encode()])
 
 
-def run_both(target_len, cfg, seed, mitm_seed=None):
-    """(outcome, record bytes) of the block and the reference exchange;
-    the outcome is the keys and stats, or the error raised."""
+def make_hook(kind, cfg, seed):
+    """A fresh adversary of ``kind``: None (an honest wire), "mitm", or an
+    injection of "zero" current or of "tiny" noise at 1e-9 x the loop
+    current's RMS, far below the monitor tolerance."""
+    if kind == "mitm":
+        return MitmHook(seed)
+    if kind == "zero":
+        return InjectionHook(np.zeros(cfg.samples_per_bit))
+    if kind == "tiny":
+        mid = analytic_spectra(cfg.r_low, cfg.r_high, cfg)
+        loop_rms = np.sqrt(mid.s_i * cfg.bandwidth)
+        return InjectionHook(np.random.default_rng(seed).normal(
+            0, 1e-9 * loop_rms, cfg.samples_per_bit))
+    return None
+
+
+def run_both(target_len, cfg, seed, hook=None, hook_seed=None):
+    """(outcome, record bytes) of the block and the reference exchange,
+    each under a fresh ``make_hook(hook, cfg, hook_seed)``; the outcome is
+    the keys and stats, or the error raised."""
     results = []
     for run in (exchange_key, scalar_exchange_key):
         seen = []
-        hook = MitmHook(cfg, mitm_seed) if mitm_seed is not None else None
         try:
-            alice, bob, stats = run(target_len, cfg, seed, adversary=hook,
+            alice, bob, stats = run(target_len, cfg, seed,
+                                    adversary=make_hook(hook, cfg, hook_seed),
                                     record_sink=seen.append)
             outcome = (alice.to01(), bob.to01(), stats)
         except (ChannelCompromisedError, ExchangeNotConvergedError) as err:
@@ -352,7 +369,7 @@ class TestMonitorCompare:
         mid = analytic_spectra(CFG.r_low, CFG.r_high, CFG)
         loop_rms = np.sqrt(mid.s_i * CFG.bandwidth)
         rng = np.random.default_rng(43)
-        hooks = [MitmHook(CFG, 44)] + [
+        hooks = [MitmHook(44)] + [
             InjectionHook(rng.normal(0, ratio * loop_rms,
                                      CFG.samples_per_bit))
             for ratio in (10.0, 1e-5, 1e-9)]
@@ -455,7 +472,7 @@ class TestExchangeKey:
         from kljnsim.adversary import MitmHook
 
         with pytest.raises(ChannelCompromisedError):
-            exchange_key(16, CFG, 41, adversary=MitmHook(CFG, 42))
+            exchange_key(16, CFG, 41, adversary=MitmHook(42))
 
 
 class TestBlockDraws:
@@ -467,21 +484,40 @@ class TestBlockDraws:
            target_len=st.one_of(st.integers(1, 8), st.integers(60, 200)),
            samples_per_bit=st.sampled_from([100, 101, 257]),
            periods_per_block=st.sampled_from([1, 3, 50, None]),
-           mitm=st.booleans())
+           hook=st.sampled_from([None, "mitm", "zero", "tiny"]))
+    # Hostile exchanges that complete a 200-bit key, at every budget.
+    @example(seed=11, target_len=200, samples_per_bit=100,
+             periods_per_block=1, hook="zero")
+    @example(seed=11, target_len=200, samples_per_bit=100,
+             periods_per_block=3, hook="zero")
+    @example(seed=11, target_len=200, samples_per_bit=100,
+             periods_per_block=50, hook="zero")
+    @example(seed=11, target_len=200, samples_per_bit=100,
+             periods_per_block=None, hook="zero")
+    @example(seed=11, target_len=200, samples_per_bit=100,
+             periods_per_block=1, hook="tiny")
+    @example(seed=11, target_len=200, samples_per_bit=100,
+             periods_per_block=3, hook="tiny")
+    @example(seed=11, target_len=200, samples_per_bit=100,
+             periods_per_block=50, hook="tiny")
+    @example(seed=11, target_len=200, samples_per_bit=100,
+             periods_per_block=None, hook="tiny")
     def test_equals_scalar_reference(self, seed, target_len,
                                      samples_per_bit, periods_per_block,
-                                     mitm):
+                                     hook):
         cfg = NoiseConfig(samples_per_bit=samples_per_bit)
         budget = exchange.NOISE_BLOCK_BYTES if periods_per_block is None \
             else 16 * samples_per_bit * periods_per_block
         with mock.patch.object(exchange, "NOISE_BLOCK_BYTES", budget):
             (block, block_recs), (ref, ref_recs) = run_both(
-                target_len, cfg, seed, seed + 1 if mitm else None)
+                target_len, cfg, seed, hook, seed + 1)
         assert block == ref
         assert block_recs == ref_recs
-        if mitm:
+        if hook == "mitm":
             assert ref[0] is ChannelCompromisedError
             assert len(ref_recs) == ALARM_ABORT_COUNT
+        elif hook is not None:  # below tolerance: the key completes
+            assert len(ref[0]) == target_len
 
     def test_budget_crosses_blocks_at_default_size(self):
         # about 600 periods wanted, at most 62 a block: several blocks
@@ -553,13 +589,19 @@ class TestBlockSolve:
                     for call in mocks["compose_loop"].call_args_list)
         assert stats.periods_run <= drawn
 
-    def test_adversary_first_block_is_abort_sized(self):
-        mocks, stats = self._counting(256, 41, MitmHook(CFG, 42))
+    def test_adversary_hook_runs_only_to_the_abort(self):
+        hook = mock.Mock(wraps=MitmHook(42))
+        mocks, stats = self._counting(256, 41, hook)
         assert stats is None  # a cut wire aborts the exchange
+        # The first block is drawn at full size, but it is solved lazily:
+        # the hook sees no period past the one that aborts.
         first_psds = mocks["generate_noise"].call_args_list[0].args[0]
-        assert first_psds.shape == (ALARM_ABORT_COUNT, 2)
+        max_block = exchange.NOISE_BLOCK_BYTES // (16 * CFG.samples_per_bit)
+        assert first_psds.shape == (min(2 * 256, max_block), 2)
+        assert first_psds.shape[0] > ALARM_ABORT_COUNT
+        assert hook.call_count == ALARM_ABORT_COUNT
         assert mocks["run_bit_period"].call_count == ALARM_ABORT_COUNT
-        assert all("noise" in call.kwargs
+        assert all("solved" in call.kwargs
                    for call in mocks["run_bit_period"].call_args_list)
 
     def test_classify_and_monitor_once_per_block(self):
@@ -588,7 +630,7 @@ class TestBlockSolve:
                                       for rec in records)
 
     def test_adversary_classifies_and_monitors_per_period(self):
-        mocks, stats = self._counting(256, 41, MitmHook(CFG, 42))
+        mocks, stats = self._counting(256, 41, MitmHook(42))
         assert stats is None
         periods = mocks["run_bit_period"].call_count
         assert periods == ALARM_ABORT_COUNT
