@@ -55,7 +55,6 @@ from .exchange import (
     ExchangeStats,
     LoopClass,
     MonitorReport,
-    UnclassifiableLevelError,
     class_levels,
     classify_level,
     exchange_key,

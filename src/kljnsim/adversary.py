@@ -49,7 +49,7 @@ from .noise import (
 class EveEstimate:
     """What passive Eve extracts from one bit period."""
 
-    loop_class_guess: LoopClass
+    loop_class_guess: Optional[LoopClass]
     pair_guess: Optional[tuple[float, float]]
     bit_assignment_guess: Optional[tuple[int, int]]  # (alice, bob)
 
@@ -72,11 +72,15 @@ def passive_eavesdrop(trace: WireTrace, cfg: NoiseConfig,
 
     She reuses the public classification thresholds.  For LL/HH she knows
     both bits; for MID she knows the pair values but assigns ends by a
-    coin flip (``rng`` seeds that flip).  Pair inference may fail on a
-    noisy period whose spectra have no real solution; she records None.
+    coin flip (``rng`` seeds that flip).  A period she cannot classify
+    gives her nothing: every field is None, and ``rng`` is not drawn from.
+    Pair inference may fail on a noisy period whose spectra have no real
+    solution; she records None.
     """
     spectra = measure_spectra(trace, cfg)
     loop_class = classify_level(spectra, cfg)
+    if loop_class is None:
+        return EveEstimate(None, None, None)
     try:
         pair = infer_resistor_pair(spectra, cfg)
     except InconsistentSpectraError:

@@ -219,10 +219,13 @@ class ServerRecord:
     canceled: bool = False
     generation: int = 0
 
-    # Journal record layout, in its fixed field order.
-    FIELDS = ("card_number", "holder_name", "expiry", "c_hex", "c_len",
-              "segment_len", "cursor", "m_max", "broken_count", "canceled",
-              "generation")
+    # Journal record layout, in its fixed field order, with each field's
+    # type; a count maps to its least value instead, and is a plain int,
+    # never a bool.
+    FIELDS = {"card_number": str, "holder_name": str, "expiry": str,
+              "c_hex": str, "c_len": 0, "segment_len": 1, "cursor": 0,
+              "m_max": 1, "broken_count": 0, "canceled": bool,
+              "generation": 0}
 
     def to_journal(self) -> dict:
         """The record as one ``kljn.card_record`` journal object."""
@@ -236,11 +239,19 @@ class ServerRecord:
 
     @classmethod
     def from_journal(cls, obj: dict) -> "ServerRecord":
-        """Inverse of ``to_journal``."""
+        """Inverse of ``to_journal``; raises TypeError or ValueError for
+        a field of the wrong type or below its least value."""
+        values = [obj[k] for k in cls.FIELDS]
+        for (key, kind), value in zip(cls.FIELDS.items(), values):
+            if isinstance(kind, int):  # a count
+                if type(value) is not int or value < kind:
+                    raise ValueError(
+                        f"{key} must be an int >= {kind}, got {value!r}")
+            elif type(value) is not kind:
+                raise TypeError(
+                    f"{key} must be a {kind.__name__}, got {value!r}")
         (number, holder, expiry, c_hex, c_len, segment_len, cursor, m_max,
-         broken_count, canceled, generation) = (obj[k] for k in cls.FIELDS)
-        if not isinstance(number, str):  # the store's key: hashable
-            raise TypeError(f"card_number must be a string, got {number!r}")
+         broken_count, canceled, generation) = values
         return cls(
             identity=CardIdentity(number, holder, expiry),
             key_c=KeyC(bits=BitString.from_hex(c_hex, c_len, "key_c"),
@@ -304,7 +315,8 @@ class Keystore:
                         continue
                     try:
                         record = ServerRecord.from_journal(json.loads(line))
-                    except (ValueError, KeyError, TypeError) as err:
+                    except (ValueError, KeyError, TypeError,
+                            RecursionError) as err:  # too deep to parse
                         if not line.endswith(b"\n"):
                             store.torn_tail = True
                             continue

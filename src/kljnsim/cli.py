@@ -39,7 +39,7 @@ from .card import (
     run_session,
 )
 from .exchange import ChannelCompromisedError, ExchangeNotConvergedError, \
-    class_levels, exchange_key, run_bit_period
+    class_levels, exchange_key, run_bit_period, spawn_seeds
 from .noise import NoiseConfig, SpectraEstimate, analytic_spectra, \
     infer_resistor_pair
 
@@ -119,12 +119,16 @@ class RunConfig:
                     f"and r_high are too extreme")
         return noise
 
+    @property
+    def key_b_bits(self) -> int:
+        """Key B size: twice the payload's bits."""
+        return 2 * 8 * self.payload_bytes
+
     def derived_n_d(self) -> int:
         if self.n_d:
             return self.n_d
         # voltage+current samples over the expected authentication exchange
-        key_b_bits = 2 * 8 * self.payload_bytes
-        return 2 * self.samples_per_bit * 2 * key_b_bits
+        return 2 * self.samples_per_bit * 2 * self.key_b_bits
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -284,19 +288,17 @@ def _attack_passive(cfg: RunConfig, noise: NoiseConfig,
         rec = run_bit_period(a_bit, b_bit, noise, rng)
         # Eve measures the very trace the parties classified: a period
         # they cannot classify (and discard) gives her no guess either.
-        est = passive_eavesdrop(rec.trace, noise, rng) \
-            if rec.loop_class is not None else None
-        ok = est is not None and est.bit_assignment_guess == (a_bit, b_bit)
+        est = passive_eavesdrop(rec.trace, noise, rng)
+        ok = est.bit_assignment_guess == (a_bit, b_bit)
         correct += ok
         pair_su.append(rec.spectra_alice.s_u)
         pair_si.append(rec.spectra_alice.s_i)
-        pair = est.pair_guess if est is not None else None
+        pair = est.pair_guess
         emitter.emit({
             "schema": "kljn.attack_trial", "version": 1,
             "kind": "passive", "trial": trial,
             "detected": False,
-            "loop_class": str(est.loop_class_guess)
-            if est is not None else None,
+            "loop_class": est.loop_class_guess and str(est.loop_class_guess),
             "assignment_correct": bool(ok),
             "pair_low": _round(pair[0], 3) if pair else None,
             "pair_high": _round(pair[1], 3) if pair else None,
@@ -382,9 +384,8 @@ def cmd_card_lifetime(cfg: RunConfig, emitter: Emitter) -> int:
             f"{cfg.n_sessions - 1} (n_sessions={cfg.n_sessions})")
     store = Keystore.load(cfg.keystore) if cfg.keystore else Keystore()
     identity = CardIdentity("4000000000000000", "SIMULATED HOLDER", "12/30")
-    root = np.random.SeedSequence(cfg.seed)
-    provision_seed, clone_seed, *session_seeds = root.spawn(
-        2 + cfg.n_sessions)
+    provision_seed, clone_seed, *session_seeds = spawn_seeds(
+        cfg.seed, 2 + cfg.n_sessions)
     try:
         card, record = initialize_card(identity, cfg.m_max,
                                        cfg.derived_n_d(), provision_seed,
@@ -400,7 +401,7 @@ def cmd_card_lifetime(cfg: RunConfig, emitter: Emitter) -> int:
     key_b_sessions = 0
     for i in range(cfg.n_sessions):
         fault = faults.get(i)
-        terminal = Terminal(key_b_bits=2 * 8 * cfg.payload_bytes)
+        terminal = Terminal(key_b_bits=cfg.key_b_bits)
         acting_card = card
         auth_adv = refresh_adv = None
         if fault == "wrong_key":

@@ -18,10 +18,12 @@ per-sample difference beyond a tolerance raises an alarm and the bit is
 discarded.  The comparison is one pass per bit period: it finds the first
 sample over tolerance, and the alarm is whether there is one.
 
-``exchange_key`` draws a block of periods at once.  On an honest wire it
-also solves, measures, classifies and monitors the block at once; under an
-adversary it solves one period after another.  Either way one loop has
-``run_bit_period`` build each period's record, counts it, and cuts at the
+A bit period has one result, its ``BitExchangeRecord``; a period that
+cannot be classified has ``loop_class`` None, as ``classify_level`` gives
+None for spectra it cannot place.  ``exchange_key`` draws a block of
+periods at once.  On an honest wire it also solves, measures, classifies
+and monitors the block at once; under an adversary it solves one period
+after another.  Either way one loop counts each record and cuts at the
 period that completes the key or at the last tolerated alarm.  Every
 result is bit for bit that of one period at a time.
 """
@@ -75,10 +77,6 @@ NOISE_BLOCK_BYTES = 100_000
 _EXACT_SLACK = 1e-9
 
 
-class UnclassifiableLevelError(ValueError):
-    """Measured spectra fall outside every level's acceptance band."""
-
-
 class ChannelCompromisedError(RuntimeError):
     """Alarm rate during an exchange exceeded the abort threshold."""
 
@@ -121,10 +119,16 @@ class BitExchangeRecord:
 
     trace: WireTrace                      # end A's view
     spectra_alice: SpectraEstimate
-    loop_class: Optional[LoopClass]       # None when unclassifiable
-    retained: bool
+    # The class both ends agree on; None when either end cannot classify
+    # its view, or the two disagree.
+    loop_class: Optional[LoopClass]
     monitor: MonitorReport
     bob_trace: Optional[WireTrace] = None  # set only when views differ
+
+    @property
+    def retained(self) -> bool:
+        """The period yields a secure bit: MID, and no alarm."""
+        return self.loop_class is _MID and not self.monitor.alarm
 
 
 @dataclass
@@ -139,13 +143,6 @@ class ExchangeStats:
         if self.periods_run == 0:
             return 0.0
         return 1.0 - self.retained / self.periods_run
-
-
-# One solved period: end A's view, end B's view (None on a shared wire), end
-# A's spectra, the class both ends agree on (None when either end cannot
-# classify, or the two disagree) and the monitor report.
-SolvedPeriod = tuple[WireTrace, Optional[WireTrace], SpectraEstimate,
-                     Optional[LoopClass], MonitorReport]
 
 
 def spawn_seeds(seed, n: int) -> list[np.random.SeedSequence]:
@@ -186,7 +183,8 @@ def _level_geometry(cfg: NoiseConfig,
 
 
 def classify_level(s: SpectraEstimate | list[SpectraEstimate],
-                   cfg: NoiseConfig) -> LoopClass | list[Optional[LoopClass]]:
+                   cfg: NoiseConfig,
+                   ) -> Optional[LoopClass] | list[Optional[LoopClass]]:
     """Assign measured spectra to the nearest analytic level.
 
     Distance is Euclidean in (log s_u, log s_i).  A measurement farther
@@ -195,35 +193,29 @@ def classify_level(s: SpectraEstimate | list[SpectraEstimate],
     a zero spectrum (a variance that underflowed has no place in log
     space).
 
-    One ``SpectraEstimate`` gives its class or raises
-    ``UnclassifiableLevelError``.  A block's spectra, a list with one
-    estimate per period, give a list with one class per period, None where
-    the one-period call raises; every entry is bit for bit that call's.
+    One ``SpectraEstimate`` gives its class, or None when it is
+    unclassifiable.  A block's spectra, a list with one estimate per
+    period, give a list with one class per period; every entry is bit for
+    bit the one-period call's.
     """
     if isinstance(s, SpectraEstimate):
         return _classify_one(s, _level_geometry(cfg))
     return _classify_block(s, _level_geometry(cfg))
 
 
-def _classify_one(s: SpectraEstimate, geometry) -> LoopClass:
+def _classify_one(s: SpectraEstimate, geometry) -> Optional[LoopClass]:
     """The scalar rule: ``classify_level`` of one period's spectra."""
-    if s.s_u <= 0:
-        raise UnclassifiableLevelError(
-            f"s_u must be positive to classify, got {s.s_u}")
-    if s.s_i <= 0:
-        raise UnclassifiableLevelError(
-            f"s_i must be positive to classify, got {s.s_i}")
+    if s.s_u <= 0 or s.s_i <= 0:
+        return None
     mx, my = _log_point(s)
     best = None
     for cls, px, py, radius in geometry:
         dist = math.hypot(mx - px, my - py)
         if best is None or dist < best_dist:  # ties keep the earlier class
             best, best_dist, best_radius = cls, dist, radius
-    if best_dist > best_radius:
-        raise UnclassifiableLevelError(
-            f"spectra {(s.s_u, s.s_i)} lie {best_dist:.3f} log-units from "
-            f"nearest level {best}, beyond margin {best_radius:.3f}")
-    return best
+    # A NaN distance is not beyond the radius, so NaN spectra still get a
+    # class; giving them None would change streams.
+    return None if best_dist > best_radius else best
 
 
 def _classify_block(spectra: list[SpectraEstimate],
@@ -253,10 +245,7 @@ def _classify_block(spectra: list[SpectraEstimate],
     codes = np.where(nearest <= best_radius, best, len(classes))
     out = [by_code[k] for k in codes.tolist()]
     for row in np.flatnonzero(~(margin > _EXACT_SLACK)).tolist():
-        try:
-            out[row] = _classify_one(spectra[row], geometry)
-        except UnclassifiableLevelError:
-            out[row] = None
+        out[row] = _classify_one(spectra[row], geometry)
     return out
 
 
@@ -315,14 +304,6 @@ def _rescaled_rms(a: np.ndarray, b: np.ndarray) -> float:
                                    + np.mean(np.square(b / peak))))
 
 
-def _classify_or_none(s: SpectraEstimate,
-                      cfg: NoiseConfig) -> Optional[LoopClass]:
-    try:
-        return classify_level(s, cfg)
-    except UnclassifiableLevelError:
-        return None
-
-
 def _bit_resistance(bit: int, cfg: NoiseConfig) -> float:
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit}")
@@ -331,7 +312,7 @@ def _bit_resistance(bit: int, cfg: NoiseConfig) -> float:
 
 def _solve_period(u_a: np.ndarray, u_b: np.ndarray, r_a: float, r_b: float,
                   cfg: NoiseConfig, adversary: Optional[AdversaryHook],
-                  ) -> SolvedPeriod:
+                  ) -> BitExchangeRecord:
     """Solve, measure, classify and monitor one period from its two
     generator traces, on a shared wire or through ``adversary``."""
     if adversary is None:
@@ -341,40 +322,39 @@ def _solve_period(u_a: np.ndarray, u_b: np.ndarray, r_a: float, r_b: float,
     shared = view_b is view_a
     spectra_a = measure_spectra(view_a, cfg)
     spectra_b = spectra_a if shared else measure_spectra(view_b, cfg)
-    class_a = _classify_or_none(spectra_a, cfg)
-    class_b = class_a if shared else _classify_or_none(spectra_b, cfg)
-    return (view_a, None if shared else view_b, spectra_a,
-            class_a if class_a is class_b else None,
-            monitor_compare(view_a, view_b))
+    class_a = classify_level(spectra_a, cfg)
+    class_b = class_a if shared else classify_level(spectra_b, cfg)
+    # Positional: keyword arguments double the cost of a record.
+    return BitExchangeRecord(view_a, spectra_a,
+                             class_a if class_a is class_b else None,
+                             monitor_compare(view_a, view_b),
+                             None if shared else view_b)
 
 
 def run_bit_period(alice_bit: int, bob_bit: int, cfg: NoiseConfig, seed,
                    adversary: Optional[AdversaryHook] = None,
-                   solved: Optional[SolvedPeriod] = None,
+                   solved: Optional[BitExchangeRecord] = None,
                    ) -> BitExchangeRecord:
-    """Simulate one full bit period and build its record.
+    """Simulate one full bit period and return its record.
 
     Maps bits to resistors at both ends, draws two independent noise
     sequences from ``seed``, solves the loop (or lets the adversary hook
     supply the two ends' views), measures and classifies at both ends, and
     runs the monitor comparison.  Pure function of (inputs, seed).
 
-    ``solved``, when given, is the period as ``exchange_key`` already
-    solved it; only the record is built, and the bits, ``seed`` and
-    ``adversary`` are not read.
+    ``solved``, when given, is a record ``exchange_key`` already built,
+    and is returned unchanged; the bits, ``seed`` and ``adversary`` are not
+    read.  It is there only so that the benchmark's tracer, which counts
+    periods at this call, sees every period of an exchange.
     """
-    if solved is None:
-        r_a = _bit_resistance(alice_bit, cfg)
-        r_b = _bit_resistance(bob_bit, cfg)
-        rng = np.random.default_rng(seed)
-        u_a = generate_noise(johnson_psd(r_a, cfg), cfg, rng)
-        u_b = generate_noise(johnson_psd(r_b, cfg), cfg, rng)
-        solved = _solve_period(u_a, u_b, r_a, r_b, cfg, adversary)
-    view_a, view_b, spectra, loop_class, monitor = solved
-    # Positional: keyword arguments double the cost of this record.
-    return BitExchangeRecord(view_a, spectra, loop_class,
-                             (loop_class is _MID) and not monitor.alarm,
-                             monitor, view_b)
+    if solved is not None:
+        return solved
+    r_a = _bit_resistance(alice_bit, cfg)
+    r_b = _bit_resistance(bob_bit, cfg)
+    rng = np.random.default_rng(seed)
+    u_a = generate_noise(johnson_psd(r_a, cfg), cfg, rng)
+    u_b = generate_noise(johnson_psd(r_b, cfg), cfg, rng)
+    return _solve_period(u_a, u_b, r_a, r_b, cfg, adversary)
 
 
 def exchange_key(target_len: int, cfg: NoiseConfig, seed,
@@ -398,14 +378,14 @@ def exchange_key(target_len: int, cfg: NoiseConfig, seed,
     not depend on the block sizes; what a last block draws past the end
     of the exchange is thrown away.
 
-    Each block gives one solved period after another, in one of two ways.
-    On an honest wire the block is solved at once: one ``compose_loop``
-    over its generator rows, one ``measure_spectra`` over the block trace,
-    one ``classify_level`` over its spectra and one ``monitor_compare`` of
-    the shared trace with itself, each bit for bit the one-period results.
-    Under an adversary each period is solved in turn, its hook called only
-    when the period is reached.  One loop then has ``run_bit_period`` build
-    each record, counts it and cuts at the period that completes the key.
+    Each block gives one period's record after another, in one of two
+    ways.  On an honest wire the block is solved at once: one
+    ``compose_loop`` over its generator rows, one ``measure_spectra`` over
+    the block trace, one ``classify_level`` over its spectra and one
+    ``monitor_compare`` of the shared trace with itself, each bit for bit
+    the one-period results.  Under an adversary each period is solved in
+    turn, its hook called only when the period is reached.  One loop then
+    counts each record and cuts at the period that completes the key.
 
     Raises
     ------
@@ -435,8 +415,8 @@ def exchange_key(target_len: int, cfg: NoiseConfig, seed,
                 f"exchange did not converge within {max_periods} periods")
         block = min(2 * (target_len - stats.retained), max_block)
         # Let the last block go before the next is drawn: the last record
-        # views one of its rows, and the solved periods hold the rest.
-        trace = rec = period = solved = None
+        # views one of its rows, and the block's records hold the rest.
+        trace = rec = period = records = None
         bits = bit_rng.integers(0, 2, (block, 2))
         noise = generate_noise(psd_of_bit[bits], cfg, noise_rng)
         pairs = bits.tolist()[:room]
@@ -445,15 +425,15 @@ def exchange_key(target_len: int, cfg: NoiseConfig, seed,
             trace = compose_loop(noise[:, 0], noise[:, 1], r[:, 0], r[:, 1])
             spectra = measure_spectra(trace, cfg)
             # Both ends hold the one shared trace: silent for every period.
-            solved = zip(trace.rows(), repeat(None), spectra,
-                         classify_level(spectra, cfg),
-                         repeat(monitor_compare(trace, trace)))
+            records = map(BitExchangeRecord, trace.rows(), spectra,
+                          classify_level(spectra, cfg),
+                          repeat(monitor_compare(trace, trace)))
         else:
             # Lazy: the hook runs only for the periods the loop reaches.
-            solved = (_solve_period(u_a, u_b, r_a, r_b, cfg, adversary)
-                      for (u_a, u_b), (r_a, r_b) in zip(noise, r.tolist()))
+            records = (_solve_period(u_a, u_b, r_a, r_b, cfg, adversary)
+                       for (u_a, u_b), (r_a, r_b) in zip(noise, r.tolist()))
         noise = None  # only the block trace, or the generator, reads it now
-        for (a_bit, b_bit), period in zip(pairs, solved):
+        for (a_bit, b_bit), period in zip(pairs, records):
             rec = run_bit_period(a_bit, b_bit, cfg, None, solved=period)
             stats.periods_run += 1
             if record_sink is not None:

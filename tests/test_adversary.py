@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kljnsim.adversary import (
+    EveEstimate,
     InjectionHook,
     MitmHook,
     inject_current,
@@ -64,10 +65,10 @@ class TestPassiveEavesdrop:
         assert np.median(lows) == pytest.approx(CFG.r_low, rel=0.10)
         assert np.median(highs) == pytest.approx(CFG.r_high, rel=0.10)
 
-    def test_zero_trace_propagates_error(self):
+    def test_zero_trace_gives_no_estimate(self):
         tr = WireTrace(np.zeros(100), np.zeros(100))
-        with pytest.raises(ValueError):
-            passive_eavesdrop(tr, CFG, rng=0)
+        est = passive_eavesdrop(tr, CFG, rng=0)
+        assert est == EveEstimate(None, None, None)
 
 
 class TestMitmAttack:

@@ -6,13 +6,15 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kljnsim import cli
-from kljnsim.card import CardIdentity, Keystore, initialize_card
+from kljnsim.card import CardIdentity, Keystore, ServerRecord, \
+    initialize_card
 from kljnsim.exchange import ChannelCompromisedError
 from kljnsim.records import SchemaError, validate_record
 
@@ -227,6 +229,20 @@ class TestRateCommand:
         assert ratio == pytest.approx(0.5, rel=0.05)
 
 
+# Journal field values of the wrong type or below their least value, each
+# in an otherwise valid card record, and their test ids.
+WRONGLY_TYPED = [
+    {"card_number": [1]}, {"card_number": {"n": 4}}, {"holder_name": [1]},
+    {"expiry": {"a": 1}}, {"generation": "x"}, {"generation": -5},
+    {"canceled": "no"}, {"segment_len": 0}, {"cursor": True},
+    {"broken_count": -3}, {"c_len": 1.0}, {"m_max": False}]
+WRONGLY_TYPED_IDS = [
+    "list_number", "object_number", "list_holder", "object_expiry",
+    "text_generation", "negative_generation", "text_canceled",
+    "zero_segment_len", "bool_cursor", "negative_broken_count",
+    "float_c_len", "bool_m_max"]
+
+
 class TestKeystoreInspect:
     def test_inspect_after_lifetime(self, tmp_path, capsys):
         ks = tmp_path / "ks.jsonl"
@@ -267,19 +283,44 @@ class TestKeystoreInspect:
         assert [json.loads(x) for x in captured.out.splitlines()] == intact
         assert "torn" in captured.err
 
-    @pytest.mark.parametrize("bad", ["not json", '{"schema": "kljn.card_rec',
-                                     '{"card_number": "4"}', [1], {"n": 4}],
-                             ids=["text", "cut_short", "missing_fields",
-                                  "list_number", "object_number"])
+    @pytest.mark.parametrize("bad", [
+        "not json", '{"schema": "kljn.card_rec', '{"card_number": "4"}',
+        *WRONGLY_TYPED], ids=["text", "cut_short", "missing_fields",
+                              *WRONGLY_TYPED_IDS])
     def test_unreadable_inner_line_exits_3(self, tmp_path, capsys, bad):
         ks = self.provisioned(tmp_path)
-        if not isinstance(bad, str):  # a valid record with this card number
+        if not isinstance(bad, str):  # a valid record with these fields
             line = json.loads(ks.read_text(encoding="utf-8").splitlines()[0])
-            bad = json.dumps({**line, "card_number": bad})
+            bad = json.dumps({**line, **bad})
         ks.write_text(bad + "\n" + ks.read_text(encoding="utf-8"),
                       encoding="utf-8")
         assert cli.main(["keystore-inspect", "--keystore", str(ks)]) == 3
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("bad", WRONGLY_TYPED, ids=WRONGLY_TYPED_IDS)
+    def test_wrongly_typed_last_line_is_a_torn_tail(self, tmp_path, capsys,
+                                                    bad):
+        ks = self.provisioned(tmp_path)
+        intact = run_main(["keystore-inspect", "--keystore", str(ks)],
+                          capsys)[1]
+        line = json.loads(ks.read_text(encoding="utf-8").splitlines()[0])
+        with open(ks, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({**line, **bad}))  # no newline
+        code, records = run_main(["keystore-inspect", "--keystore", str(ks)],
+                                 capsys)
+        assert code == 0
+        assert records == intact
+
+    @pytest.mark.parametrize("command", [
+        ["keystore-inspect"], ["card-lifetime", "--n_sessions", "1"]])
+    def test_deeply_nested_line_exits_3(self, tmp_path, capsys, command):
+        # json.loads raises RecursionError, not ValueError, on this line
+        ks = tmp_path / "ks.jsonl"
+        ks.write_text("[" * 200_000 + "\n", encoding="utf-8")
+        assert cli.main([*command, "--keystore", str(ks)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not a card record" in captured.err
 
 
 class TestConfigHandling:
@@ -545,6 +586,71 @@ SMALL_COMMANDS = [
 ]
 
 
+# One valid journal line, unterminated, and the strategies that damage it.
+CARD_RECORD = initialize_card(
+    CardIdentity("4000000000000000", "HOLDER", "12/30"), 2, 2048, 5,
+)[1].to_journal()
+CARD_LINE = json.dumps(CARD_RECORD).encode()
+
+
+def card_line_with(fields: dict) -> bytes:
+    return json.dumps({**CARD_RECORD, **fields}).encode()
+
+
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+JOURNAL_LINES = st.one_of(
+    st.just(CARD_LINE),  # drawn more than once: a duplicated line
+    st.integers(0, len(CARD_LINE)).map(lambda k: CARD_LINE[:k]),
+    st.tuples(st.integers(0, len(CARD_LINE) - 1),
+              st.binary(min_size=1, max_size=1)).map(
+        lambda kb: CARD_LINE[:kb[0]] + kb[1] + CARD_LINE[kb[0] + 1:]),
+    st.tuples(st.sampled_from(list(ServerRecord.FIELDS)), ANY_JSON).map(
+        lambda fv: card_line_with({fv[0]: fv[1]})),
+    st.binary(max_size=40),  # mostly not UTF-8
+)
+JOURNALS = st.builds(lambda lines, end: b"\n".join(lines) + end,
+                     st.lists(JOURNAL_LINES, min_size=1, max_size=4),
+                     st.sampled_from([b"\n", b""]))
+
+CONFIG_LINES = st.one_of(
+    st.builds("{}={}".format,
+              st.sampled_from(sorted(cli._FIELD_TYPES)) | st.text(max_size=8),
+              st.text(max_size=12) | st.integers(-5, 10**6).map(str)
+              | st.floats().map(repr)),
+    st.text(max_size=20))
+CONFIG_BODIES = st.lists(CONFIG_LINES, max_size=5).map(
+    lambda lines: "\n".join(lines).encode()) | st.binary(max_size=40)
+
+
+def with_examples(name, values):
+    """Apply ``@example(name=value)`` for each value."""
+    def decorate(test):
+        for value in values:
+            test = example(**{name: value})(test)
+        return test
+    return decorate
+
+
+def exit_and_stdout(argv, file_bytes: bytes) -> tuple[int, str, str]:
+    """Run ``cli.main`` in process with ``file_bytes`` written to the path
+    that ``argv``'s ``{}`` placeholder names; (exit code, stdout, stderr).
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input")
+        with open(path, "wb") as fh:
+            fh.write(file_bytes)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = cli.main([arg.format(path) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
 class TestNoInputEndsInATraceback:
     @given(command=st.sampled_from(SMALL_COMMANDS),
            flags=st.lists(st.sampled_from(
@@ -558,6 +664,29 @@ class TestNoInputEndsInATraceback:
             code = cli.main(argv)
         assert code in (0, 2, 3, 4), err.getvalue()
         for line in out.getvalue().splitlines():
+            validate_record(strict_json(line))
+
+    @with_examples("journal", [
+        b"[" * 200_000 + b"\n",  # too deep for json.loads
+        *(card_line_with(bad) + b"\n" for bad in WRONGLY_TYPED)])
+    @given(journal=JOURNALS)
+    @settings(max_examples=100, deadline=None)
+    def test_journal_bytes(self, journal):
+        code, out, err = exit_and_stdout(
+            ["keystore-inspect", "--keystore", "{}"], journal)
+        assert code in (0, 2, 3), err
+        for line in out.splitlines():
+            validate_record(strict_json(line))
+
+    @given(body=CONFIG_BODIES)
+    @settings(max_examples=60, deadline=None)
+    def test_config_file_bodies(self, body):
+        # --output_path= keeps the stream on stdout whatever the file says
+        code, out, err = exit_and_stdout(
+            ["exchange", "--trials", "1", "--target_bits", "8",
+             "--output_path=", "--config", "{}"], body)
+        assert code in (0, 2, 3), err
+        for line in out.splitlines():
             validate_record(strict_json(line))
 
 
