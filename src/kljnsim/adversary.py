@@ -36,6 +36,7 @@ from .exchange import (
 from .noise import (
     InconsistentSpectraError,
     NoiseConfig,
+    SpectraEstimate,
     WireTrace,
     compose_loop,
     generate_noise,
@@ -47,8 +48,10 @@ from .noise import (
 
 @dataclass
 class EveEstimate:
-    """What passive Eve extracts from one bit period."""
+    """What passive Eve extracts from one bit period: the spectra she
+    measured on the wire, and her guesses from them."""
 
+    spectra: SpectraEstimate
     loop_class_guess: Optional[LoopClass]
     pair_guess: Optional[tuple[float, float]]
     bit_assignment_guess: Optional[tuple[int, int]]  # (alice, bob)
@@ -73,14 +76,14 @@ def passive_eavesdrop(trace: WireTrace, cfg: NoiseConfig,
     She reuses the public classification thresholds.  For LL/HH she knows
     both bits; for MID she knows the pair values but assigns ends by a
     coin flip (``rng`` seeds that flip).  A period she cannot classify
-    gives her nothing: every field is None, and ``rng`` is not drawn from.
-    Pair inference may fail on a noisy period whose spectra have no real
-    solution; she records None.
+    gives her only its spectra: every guess is None, and ``rng`` is not
+    drawn from.  Pair inference may fail on a noisy period whose spectra
+    have no real solution; she records None.
     """
     spectra = measure_spectra(trace, cfg)
     loop_class = classify_level(spectra, cfg)
     if loop_class is None:
-        return EveEstimate(None, None, None)
+        return EveEstimate(spectra, None, None, None)
     try:
         pair = infer_resistor_pair(spectra, cfg)
     except InconsistentSpectraError:
@@ -92,8 +95,8 @@ def passive_eavesdrop(trace: WireTrace, cfg: NoiseConfig,
     else:
         flip = int(np.random.default_rng(rng).integers(0, 2))
         assignment = (flip, 1 - flip)
-    return EveEstimate(loop_class_guess=loop_class, pair_guess=pair,
-                       bit_assignment_guess=assignment)
+    return EveEstimate(spectra=spectra, loop_class_guess=loop_class,
+                       pair_guess=pair, bit_assignment_guess=assignment)
 
 
 class MitmHook:

@@ -240,7 +240,12 @@ class ServerRecord:
     @classmethod
     def from_journal(cls, obj: dict) -> "ServerRecord":
         """Inverse of ``to_journal``; raises TypeError or ValueError for
-        a field of the wrong type or below its least value."""
+        a record of another schema or version, a field of the wrong type
+        or below its least value, or a ``c_hex`` other than the one
+        ``to_journal`` writes for ``c_len`` bits."""
+        header = (obj["schema"], obj["version"])
+        if header != ("kljn.card_record", 1) or type(header[1]) is not int:
+            raise ValueError(f"not a kljn.card_record version 1: {header!r}")
         values = [obj[k] for k in cls.FIELDS]
         for (key, kind), value in zip(cls.FIELDS.items(), values):
             if isinstance(kind, int):  # a count
@@ -252,10 +257,14 @@ class ServerRecord:
                     f"{key} must be a {kind.__name__}, got {value!r}")
         (number, holder, expiry, c_hex, c_len, segment_len, cursor, m_max,
          broken_count, canceled, generation) = values
+        bits = BitString.from_hex(c_hex, c_len, "key_c")
+        if bits.to_hex() != c_hex:  # extra digits, or padding bits set
+            raise ValueError(
+                f"c_hex is not {c_len} bits as to_journal writes them")
         return cls(
             identity=CardIdentity(number, holder, expiry),
-            key_c=KeyC(bits=BitString.from_hex(c_hex, c_len, "key_c"),
-                       segment_len=segment_len, cursor=cursor, m_max=m_max),
+            key_c=KeyC(bits=bits, segment_len=segment_len, cursor=cursor,
+                       m_max=m_max),
             broken_count_mirror=broken_count,
             canceled=canceled,
             generation=generation,

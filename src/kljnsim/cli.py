@@ -224,7 +224,7 @@ def cmd_exchange(cfg: RunConfig, emitter: Emitter) -> int:
     for trial in range(cfg.trials):
         alice, bob, stats = exchange_key(cfg.target_bits, noise,
                                          cfg.seed + trial)
-        agreement = alice.to01() == bob.to01()
+        agreement = np.array_equal(alice.bits, bob.bits)
         all_agree = all_agree and agreement
         total_periods += stats.periods_run
         total_alarms += stats.alarms
@@ -291,8 +291,8 @@ def _attack_passive(cfg: RunConfig, noise: NoiseConfig,
         est = passive_eavesdrop(rec.trace, noise, rng)
         ok = est.bit_assignment_guess == (a_bit, b_bit)
         correct += ok
-        pair_su.append(rec.spectra_alice.s_u)
-        pair_si.append(rec.spectra_alice.s_i)
+        pair_su.append(est.spectra.s_u)
+        pair_si.append(est.spectra.s_i)
         pair = est.pair_guess
         emitter.emit({
             "schema": "kljn.attack_trial", "version": 1,

@@ -115,10 +115,11 @@ _SILENT = MonitorReport(None)  # frozen, so every silent period shares it
 
 @dataclass
 class BitExchangeRecord:
-    """Everything one bit period produced."""
+    """What one bit period produced: the ends' views, the class they agree
+    on and the monitor report.  The spectra each end measured are only
+    classified, not kept."""
 
     trace: WireTrace                      # end A's view
-    spectra_alice: SpectraEstimate
     # The class both ends agree on; None when either end cannot classify
     # its view, or the two disagree.
     loop_class: Optional[LoopClass]
@@ -164,17 +165,14 @@ def class_levels(cfg: NoiseConfig) -> dict[LoopClass, SpectraEstimate]:
             for cls, (ra, rb) in pairs.items()}
 
 
-def _log_point(s: SpectraEstimate) -> tuple[float, float]:
-    return (math.log(s.s_u), math.log(s.s_i))
-
-
 @functools.lru_cache(maxsize=64)
 def _level_geometry(cfg: NoiseConfig,
                     ) -> tuple[tuple[LoopClass, float, float, float], ...]:
     """(class, log s_u, log s_i, acceptance radius) per level, in class
     order; the radius is ``classify_margin`` times the level's gap to its
     nearest neighbor.  Cached: ``classify_level`` runs every period."""
-    pts = [(cls, *_log_point(lv)) for cls, lv in class_levels(cfg).items()]
+    pts = [(cls, math.log(lv.s_u), math.log(lv.s_i))
+           for cls, lv in class_levels(cfg).items()]
     return tuple(
         (cls, px, py, cfg.classify_margin * min(
             math.hypot(px - qx, py - qy)
@@ -182,8 +180,7 @@ def _level_geometry(cfg: NoiseConfig,
         for cls, px, py in pts)
 
 
-def classify_level(s: SpectraEstimate | list[SpectraEstimate],
-                   cfg: NoiseConfig,
+def classify_level(s: SpectraEstimate | np.ndarray, cfg: NoiseConfig,
                    ) -> Optional[LoopClass] | list[Optional[LoopClass]]:
     """Assign measured spectra to the nearest analytic level.
 
@@ -194,20 +191,21 @@ def classify_level(s: SpectraEstimate | list[SpectraEstimate],
     space).
 
     One ``SpectraEstimate`` gives its class, or None when it is
-    unclassifiable.  A block's spectra, a list with one estimate per
-    period, give a list with one class per period; every entry is bit for
-    bit the one-period call's.
+    unclassifiable.  A block's spectra, the ``(2, P)`` array that
+    ``measure_spectra`` gives (s_u in row 0, s_i in row 1), give a list
+    with one class per column; every entry is bit for bit the one-period
+    call's.
     """
     if isinstance(s, SpectraEstimate):
-        return _classify_one(s, _level_geometry(cfg))
+        return _classify_one(s.s_u, s.s_i, _level_geometry(cfg))
     return _classify_block(s, _level_geometry(cfg))
 
 
-def _classify_one(s: SpectraEstimate, geometry) -> Optional[LoopClass]:
+def _classify_one(s_u: float, s_i: float, geometry) -> Optional[LoopClass]:
     """The scalar rule: ``classify_level`` of one period's spectra."""
-    if s.s_u <= 0 or s.s_i <= 0:
+    if s_u <= 0 or s_i <= 0:
         return None
-    mx, my = _log_point(s)
+    mx, my = math.log(s_u), math.log(s_i)
     best = None
     for cls, px, py, radius in geometry:
         dist = math.hypot(mx - px, my - py)
@@ -218,21 +216,21 @@ def _classify_one(s: SpectraEstimate, geometry) -> Optional[LoopClass]:
     return None if best_dist > best_radius else best
 
 
-def _classify_block(spectra: list[SpectraEstimate],
+def _classify_block(spectra: np.ndarray,
                     geometry) -> list[Optional[LoopClass]]:
     """``classify_level`` of each period of a block, in numpy.
 
-    ``argmin`` keeps the first minimum, the scalar tie rule.  A row whose
-    two nearest levels, or whose nearest level and that level's radius,
-    lie within ``_EXACT_SLACK`` of each other is decided by the scalar rule
-    instead, and so is a row with a spectrum that is not positive and
-    finite: all its distances are inf or NaN, which makes its margin NaN.
+    ``argmin`` keeps the first minimum, the scalar tie rule.  A period
+    whose two nearest levels, or whose nearest level and that level's
+    radius, lie within ``_EXACT_SLACK`` of each other is decided by the
+    scalar rule instead, and so is a period with a spectrum that is not
+    positive and finite: all its distances are inf or NaN, which makes its
+    margin NaN.
     """
     classes, *columns = zip(*geometry)
     px, py, radius = np.array(columns)
-    pts = np.array([[s.s_u for s in spectra], [s.s_i for s in spectra]])
     with np.errstate(all="ignore"):
-        mx, my = np.log(pts)
+        mx, my = np.log(spectra)
         # One row per level, one column per period.
         dist = np.hypot(mx - px[:, None], my - py[:, None])
         best = dist.argmin(axis=0)
@@ -244,8 +242,8 @@ def _classify_block(spectra: list[SpectraEstimate],
     by_code = classes + (None,)  # the last code: beyond the nearest radius
     codes = np.where(nearest <= best_radius, best, len(classes))
     out = [by_code[k] for k in codes.tolist()]
-    for row in np.flatnonzero(~(margin > _EXACT_SLACK)).tolist():
-        out[row] = _classify_one(spectra[row], geometry)
+    for k in np.flatnonzero(~(margin > _EXACT_SLACK)).tolist():
+        out[k] = _classify_one(*spectra[:, k].tolist(), geometry)
     return out
 
 
@@ -320,13 +318,11 @@ def _solve_period(u_a: np.ndarray, u_b: np.ndarray, r_a: float, r_b: float,
     else:
         view_a, view_b = adversary(u_a, u_b, r_a, r_b, cfg)
     shared = view_b is view_a
-    spectra_a = measure_spectra(view_a, cfg)
-    spectra_b = spectra_a if shared else measure_spectra(view_b, cfg)
-    class_a = classify_level(spectra_a, cfg)
-    class_b = class_a if shared else classify_level(spectra_b, cfg)
+    class_a = classify_level(measure_spectra(view_a, cfg), cfg)
+    class_b = class_a if shared else classify_level(
+        measure_spectra(view_b, cfg), cfg)
     # Positional: keyword arguments double the cost of a record.
-    return BitExchangeRecord(view_a, spectra_a,
-                             class_a if class_a is class_b else None,
+    return BitExchangeRecord(view_a, class_a if class_a is class_b else None,
                              monitor_compare(view_a, view_b),
                              None if shared else view_b)
 
@@ -423,10 +419,9 @@ def exchange_key(target_len: int, cfg: NoiseConfig, seed,
         r = r_of_bit[bits]
         if adversary is None:
             trace = compose_loop(noise[:, 0], noise[:, 1], r[:, 0], r[:, 1])
-            spectra = measure_spectra(trace, cfg)
             # Both ends hold the one shared trace: silent for every period.
-            records = map(BitExchangeRecord, trace.rows(), spectra,
-                          classify_level(spectra, cfg),
+            records = map(BitExchangeRecord, trace.rows(),
+                          classify_level(measure_spectra(trace, cfg), cfg),
                           repeat(monitor_compare(trace, trace)))
         else:
             # Lazy: the hook runs only for the periods the loop reaches.

@@ -241,7 +241,7 @@ def compose_loop(u_a: np.ndarray, u_b: np.ndarray, r_a: float | np.ndarray,
 
 
 def measure_spectra(trace: WireTrace, cfg: NoiseConfig,
-                    ) -> SpectraEstimate | list[SpectraEstimate]:
+                    ) -> SpectraEstimate | np.ndarray:
     """Estimate the band-averaged voltage and current PSDs of a trace.
 
     Under the white-in-band assumption the PSD is sample-variance divided
@@ -250,10 +250,12 @@ def measure_spectra(trace: WireTrace, cfg: NoiseConfig,
     square, sum, divide), so each is bit-identical to it without its
     per-call dispatch overhead.
 
-    A one-period trace gives one ``SpectraEstimate``; a block trace gives
-    a list of them, one per row, each bit for bit the one-period estimate
-    of that row: a sum along the last axis of a row-major block is the
-    same pairwise sum as over the row alone.
+    A one-period trace gives one ``SpectraEstimate``.  A block trace of P
+    periods gives one ``(2, P)`` float64 array, s_u in row 0 and s_i in
+    row 1, whose column k is bit for bit the one-period estimate of row k:
+    a sum along the last axis of a row-major block is the same pairwise
+    sum as over the row alone, and the divisions are the same IEEE
+    operations.
     """
     n = len(trace)
     if n < 2:
@@ -267,12 +269,12 @@ def measure_spectra(trace: WireTrace, cfg: NoiseConfig,
         return SpectraEstimate(
             s_u=float(np.add.reduce(dv * dv, 0)) / (n - 1) / cfg.bandwidth,
             s_i=float(np.add.reduce(dc * dc, 0)) / (n - 1) / cfg.bandwidth)
-    psds = []
-    for x in (v, c):
+    psds = np.empty((2, v.shape[0]))
+    for row, x in enumerate((v, c)):
         dx = x - (np.add.reduce(x, 1) / n)[:, None]
         dx *= dx  # squared in place: one working copy of the block at most
-        psds.append((np.add.reduce(dx, 1) / (n - 1) / cfg.bandwidth).tolist())
-    return [SpectraEstimate(s_u, s_i) for s_u, s_i in zip(*psds)]
+        psds[row] = np.add.reduce(dx, 1) / (n - 1) / cfg.bandwidth
+    return psds
 
 
 def infer_partner_resistance(s_i: float, r_a: float,

@@ -14,11 +14,13 @@ from kljnsim.adversary import (
 from kljnsim.exchange import LoopClass, run_bit_period
 from kljnsim.noise import (
     NoiseConfig,
+    SpectraEstimate,
     WireTrace,
     analytic_spectra,
     compose_loop,
     generate_noise,
     johnson_psd,
+    measure_spectra,
 )
 
 CFG = NoiseConfig()
@@ -68,7 +70,17 @@ class TestPassiveEavesdrop:
     def test_zero_trace_gives_no_estimate(self):
         tr = WireTrace(np.zeros(100), np.zeros(100))
         est = passive_eavesdrop(tr, CFG, rng=0)
-        assert est == EveEstimate(None, None, None)
+        assert est == EveEstimate(SpectraEstimate(0.0, 0.0), None, None,
+                                  None)
+
+    @pytest.mark.parametrize("bits", [(0, 1), None])
+    def test_spectra_are_the_measured_ones(self, bits):
+        # Eve's spectra are the trace's own, also where she cannot classify
+        trace = (run_bit_period(*bits, CFG, 15).trace if bits
+                 else WireTrace(np.zeros(100), np.zeros(100)))
+        est = passive_eavesdrop(trace, CFG, rng=0)
+        assert (est.loop_class_guess is None) is (bits is None)
+        assert est.spectra == measure_spectra(trace, CFG)
 
 
 class TestMitmAttack:

@@ -229,18 +229,37 @@ class TestRateCommand:
         assert ratio == pytest.approx(0.5, rel=0.05)
 
 
-# Journal field values of the wrong type or below their least value, each
-# in an otherwise valid card record, and their test ids.
+# One valid journal line, unterminated: the card ``provisioned`` writes.
+CARD_RECORD = initialize_card(
+    CardIdentity("4000000000000000", "HOLDER", "12/30"), 2, 2048, 5,
+)[1].to_journal()
+CARD_LINE = json.dumps(CARD_RECORD).encode()
+
+
+def card_line_with(fields: dict) -> bytes:
+    return json.dumps({**CARD_RECORD, **fields}).encode()
+
+
+# Journal field values of the wrong type or below their least value, a
+# foreign schema or version, and a c_hex that is not what ``to_journal``
+# writes for c_len bits, each in an otherwise valid card record, and
+# their test ids.
 WRONGLY_TYPED = [
     {"card_number": [1]}, {"card_number": {"n": 4}}, {"holder_name": [1]},
     {"expiry": {"a": 1}}, {"generation": "x"}, {"generation": -5},
     {"canceled": "no"}, {"segment_len": 0}, {"cursor": True},
-    {"broken_count": -3}, {"c_len": 1.0}, {"m_max": False}]
+    {"broken_count": -3}, {"c_len": 1.0}, {"m_max": False},
+    {"schema": "kljn.bogus", "version": 99}, {"version": 99},
+    {"version": True}, {"c_hex": CARD_RECORD["c_hex"] + "0000"},
+    # 127 of 128 bits, the unused last one set; 2 segments of 63 bits fit
+    {"c_hex": CARD_RECORD["c_hex"][:-1] + "1", "c_len": 127,
+     "segment_len": 63}]
 WRONGLY_TYPED_IDS = [
     "list_number", "object_number", "list_holder", "object_expiry",
     "text_generation", "negative_generation", "text_canceled",
     "zero_segment_len", "bool_cursor", "negative_broken_count",
-    "float_c_len", "bool_m_max"]
+    "float_c_len", "bool_m_max", "bogus_schema", "unknown_version",
+    "bool_version", "long_c_hex", "padding_bit_set"]
 
 
 class TestKeystoreInspect:
@@ -586,17 +605,7 @@ SMALL_COMMANDS = [
 ]
 
 
-# One valid journal line, unterminated, and the strategies that damage it.
-CARD_RECORD = initialize_card(
-    CardIdentity("4000000000000000", "HOLDER", "12/30"), 2, 2048, 5,
-)[1].to_journal()
-CARD_LINE = json.dumps(CARD_RECORD).encode()
-
-
-def card_line_with(fields: dict) -> bytes:
-    return json.dumps({**CARD_RECORD, **fields}).encode()
-
-
+# The strategies that damage one valid journal line, CARD_LINE.
 ANY_JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats()
     | st.text(max_size=8),

@@ -29,6 +29,9 @@ from kljnsim.noise import (
     SpectraEstimate,
     WireTrace,
     analytic_spectra,
+    compose_loop,
+    generate_noise,
+    measure_spectra,
 )
 from kljnsim.privacy import BitString
 
@@ -78,7 +81,7 @@ def record_bytes(rec) -> bytes:
     views = [rec.trace] + ([rec.bob_trace] if rec.bob_trace else [])
     return b"".join(
         [v.voltage.tobytes() + v.current.tobytes() for v in views]
-        + [repr((rec.spectra_alice, rec.loop_class, rec.retained,
+        + [repr((rec.loop_class, rec.retained,
                  rec.monitor.first_divergence)).encode()])
 
 
@@ -194,6 +197,12 @@ def scalar_classes(spectra, cfg):
     return [classify_level(s, cfg) for s in spectra]
 
 
+def block_of(spectra):
+    """A list of one-period spectra as the ``(2, P)`` block array that
+    ``measure_spectra`` gives: s_u in row 0, s_i in row 1."""
+    return np.array([[s.s_u for s in spectra], [s.s_i for s in spectra]])
+
+
 def ulp_walks(log_u, log_i, steps):
     """Spectra within ``steps`` ulps of exp(log_u), exp(log_i): each
     coordinate stepped up and down with the other held, enough to cross
@@ -258,7 +267,8 @@ class TestBlockClassify:
                 x = 0.5 * (px + qx) - u * (qy - py)
                 y = 0.5 * (py + qy) + u * (qx - px)
             spectra += ulp_walks(x, y, 24)
-        assert classify_level(spectra, cfg) == scalar_classes(spectra, cfg)
+        assert classify_level(block_of(spectra), cfg) == scalar_classes(
+            spectra, cfg)
 
     @pytest.mark.parametrize("r_high,margin,s_u,s_i", ROUNDED_APART)
     def test_rows_rounded_apart_equal_scalar(self, r_high, margin, s_u,
@@ -266,7 +276,8 @@ class TestBlockClassify:
         cfg = NoiseConfig(r_high=r_high, classify_margin=margin)
         spectra = [SpectraEstimate(s_u, s_i)] + list(
             class_levels(cfg).values())
-        assert classify_level(spectra, cfg) == scalar_classes(spectra, cfg)
+        assert classify_level(block_of(spectra), cfg) == scalar_classes(
+            spectra, cfg)
 
     @pytest.mark.parametrize("s_u", SPECIAL_SPECTRA)
     @pytest.mark.parametrize("s_i", SPECIAL_SPECTRA + [1e-12])
@@ -274,13 +285,17 @@ class TestBlockClassify:
         level = class_levels(CFG)[LoopClass.MID]
         spectra = [SpectraEstimate(s_u, s_i), level,
                    SpectraEstimate(s_i, s_u)]
-        assert classify_level(spectra, CFG) == scalar_classes(spectra, CFG)
+        assert classify_level(block_of(spectra), CFG) == scalar_classes(
+            spectra, CFG)
 
     def test_measured_block_equals_scalar(self):
         rng = np.random.default_rng(8)
-        spectra = [run_bit_period(int(a), int(b), CFG, rng).spectra_alice
-                   for a, b in rng.integers(0, 2, (400, 2))]
-        classes = classify_level(spectra, CFG)
+        r = np.array([CFG.r_low, CFG.r_high])[rng.integers(0, 2, (400, 2))]
+        u = generate_noise(r * CFG.four_kt, CFG, rng)
+        block = measure_spectra(
+            compose_loop(u[:, 0], u[:, 1], r[:, 0], r[:, 1]), CFG)
+        spectra = [SpectraEstimate(*column) for column in block.T.tolist()]
+        classes = classify_level(block, CFG)
         assert classes == scalar_classes(spectra, CFG)
         assert set(classes) == {LoopClass.LL, LoopClass.MID, LoopClass.HH}
 
@@ -599,12 +614,25 @@ class TestBlockSolve:
         assert blocks > 1
         classify = mocks["classify_level"].call_args_list
         assert len(classify) == blocks
-        assert [len(call.args[0]) for call in classify] == [
+        assert [call.args[0].shape[-1] for call in classify] == [
             call.args[0].shape[0]
             for call in mocks["generate_noise"].call_args_list]
         monitor = mocks["monitor_compare"].call_args_list
         assert len(monitor) == blocks
         assert all(call.args[0] is call.args[1] for call in monitor)
+
+    def test_honest_block_builds_no_per_period_spectra(self):
+        # A block's spectra stay one array from measurement to
+        # classification; only a one-period solve builds an estimate.
+        exchange_key(8, CFG, 0)  # the cached analytic levels are built once
+        with mock.patch.object(SpectraEstimate, "__post_init__",
+                               autospec=True,
+                               side_effect=SpectraEstimate.__post_init__,
+                               ) as built:
+            exchange_key(256, CFG, 9)
+            assert built.call_count == 0
+            run_bit_period(0, 1, CFG, 9)
+            assert built.call_count == 1
 
     @pytest.mark.parametrize("target_len,seed", [(1, 3), (37, 5), (300, 7)])
     def test_records_stop_at_the_cut(self, target_len, seed):
