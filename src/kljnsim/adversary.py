@@ -59,14 +59,13 @@ class EveEstimate:
 
 @dataclass
 class AttackOutcome:
-    detected: bool
-    detection_sample_index: Optional[int]
+    detection_sample_index: Optional[int]  # the monitor's first divergence
     bits_learned: int
     bits_retained_by_parties: int
 
-    def __post_init__(self):
-        if self.detected and self.detection_sample_index is None:
-            raise ValueError("detected attacks must carry a sample index")
+    @property
+    def detected(self) -> bool:
+        return self.detection_sample_index is not None
 
 
 def passive_eavesdrop(trace: WireTrace, cfg: NoiseConfig,
@@ -144,7 +143,7 @@ class InjectionHook:
 
 
 def _attack_period(cfg: NoiseConfig, bits_seed, period_seed,
-                   hook: AdversaryHook, monitor_enabled: bool,
+                   hook: AdversaryHook,
                    bits_learned: Callable[[BitExchangeRecord, int], int],
                    ) -> AttackOutcome:
     """One bit period of random bits under an active ``hook``;
@@ -153,35 +152,23 @@ def _attack_period(cfg: NoiseConfig, bits_seed, period_seed,
     a_bit = int(bit_rng.integers(0, 2))
     b_bit = int(bit_rng.integers(0, 2))
     rec = run_bit_period(a_bit, b_bit, cfg, period_seed, adversary=hook)
-    detected = monitor_enabled and rec.monitor.alarm
-    if monitor_enabled:
-        retained = int(rec.retained)
-    else:
-        # Without the comparison the parties retain on classification alone.
-        retained = int(rec.loop_class is LoopClass.MID)
+    retained = int(rec.retained)
     return AttackOutcome(
-        detected=detected,
-        detection_sample_index=rec.monitor.first_divergence
-        if detected else None,
+        detection_sample_index=rec.monitor.first_divergence,
         bits_learned=bits_learned(rec, retained),
-        bits_retained_by_parties=retained,
-    )
+        bits_retained_by_parties=retained)
 
 
-def mitm_attack(cfg: NoiseConfig, seed,
-                monitor_enabled: bool = True) -> AttackOutcome:
-    """One bit period under a man-in-the-middle, with or without defense.
+def mitm_attack(cfg: NoiseConfig, seed) -> AttackOutcome:
+    """One bit period under a man-in-the-middle.
 
-    With the monitor on, the two ends' exchanged instantaneous values
-    disagree and the period is discarded; the outcome records the sample
-    index at which the divergence first broke tolerance.  With the monitor
-    off, the parties keep any period both of them classified MID, and Eve
-    knows every such bit.
+    The two ends' exchanged instantaneous values disagree and the period
+    is discarded; the outcome records the sample index at which the
+    divergence first broke tolerance.
     """
     bits_seed, hook_seed, period_seed = spawn_seeds(seed, 3)
     # Eve sits in both loops: every bit the parties keep is hers.
-    return _attack_period(cfg, bits_seed, period_seed,
-                          MitmHook(hook_seed), monitor_enabled,
+    return _attack_period(cfg, bits_seed, period_seed, MitmHook(hook_seed),
                           lambda rec, retained: retained)
 
 
@@ -198,7 +185,7 @@ def inject_current(cfg: NoiseConfig, injection: np.ndarray,
     """
     bits_seed, period_seed = spawn_seeds(seed, 2)
     return _attack_period(
-        cfg, bits_seed, period_seed, InjectionHook(injection), True,
+        cfg, bits_seed, period_seed, InjectionHook(injection),
         lambda rec, retained: int(rec.loop_class in (LoopClass.LL,
                                                      LoopClass.HH)))
 

@@ -530,14 +530,14 @@ def run_transaction(card: CardState, terminal: Terminal, key_b: KeyB,
 
 def refresh_key_c(card: CardState, server: Keystore, cfg: NoiseConfig, seed,
                   ledger: SessionLedger,
-                  adversary: Optional[AdversaryHook] = None) -> bool:
+                  adversary: Optional[AdversaryHook] = None) -> None:
     """Replace C with fresh amplified KLJN material on both sides.
 
     Exchanges 8x the C length in raw secure bits, applies the three-stage
     XOR amplification, installs the result card-side and (over the secure
     terminal-server link) server-side, and resets the cursor.  A channel
     alarm aborts without key replacement and without counting as broken.
-    Returns True on success, False on abort.
+    ``ledger.refreshed`` tells which happened.
     """
     if ledger.phase != "refreshing":
         raise RuntimeError(
@@ -549,7 +549,7 @@ def refresh_key_c(card: CardState, server: Keystore, cfg: NoiseConfig, seed,
                                              adversary=adversary)
     except ChannelCompromisedError:
         ledger.advance("closed")
-        return False
+        return
     card_new = amplify(card_raw)
     term_new = amplify(term_raw)
     assert len(card_new) == n_c
@@ -564,7 +564,6 @@ def refresh_key_c(card: CardState, server: Keystore, cfg: NoiseConfig, seed,
     server.journal(record)
     ledger.refreshed = True
     ledger.advance("closed")
-    return True
 
 
 def run_session(card: CardState, terminal: Terminal, server: Keystore,

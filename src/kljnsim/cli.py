@@ -22,7 +22,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,16 +55,10 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """Everything a command run needs; flat so it maps 1:1 onto the
-    key=value config file and the --key flags."""
+    """Everything a command run needs: ``noise``, the run's NoiseConfig,
+    and the rest, flat so that with NoiseConfig's own fields it maps 1:1
+    onto the key=value config file and the --key flags."""
 
-    r_low: float = NoiseConfig.r_low
-    r_high: float = NoiseConfig.r_high
-    t_eff: float = NoiseConfig.t_eff
-    bandwidth: float = NoiseConfig.bandwidth
-    sample_rate: float = 0.0       # 0 -> 2 x bandwidth
-    samples_per_bit: int = NoiseConfig.samples_per_bit
-    classify_margin: float = NoiseConfig.classify_margin
     m_max: int = 5
     n_d: int = 0                   # 0 -> derived from session geometry
     trials: int = 10
@@ -76,48 +70,21 @@ class RunConfig:
     n_sessions: int = 3
     faults: str = ""               # "IDX:KIND,..." KIND in wrong_key|...
     keystore: str = "keystore.jsonl"
+    noise: NoiseConfig = field(default_factory=NoiseConfig)
 
     # Smallest accepted value; NoiseConfig checks the physics parameters.
     _MINIMUMS = {"trials": 1, "target_bits": 1, "m_max": 1,
                  "payload_bytes": 1, "n_sessions": 0, "seed": 0,
                  "amplitude": 0}
-    # Largest accepted samples_per_bit.  A card authentication holds every
-    # period's voltage and current, about 8 KB x samples_per_bit at the
-    # default payload, so 10 000 samples (100x the default) keeps it near
-    # 100 MB.
-    _MAX_SAMPLES_PER_BIT = 10_000
 
     def __post_init__(self):
         for key, low in self._MINIMUMS.items():
             if getattr(self, key) < low:
                 raise ConfigError(
                     f"{key} must be >= {low}, got {getattr(self, key)}")
-        if self.samples_per_bit > self._MAX_SAMPLES_PER_BIT:
-            raise ConfigError(
-                f"samples_per_bit must be <= {self._MAX_SAMPLES_PER_BIT}, "
-                f"got {self.samples_per_bit}")
         if self.n_d < 0 or self.n_d == 1:
             raise ConfigError(
                 f"n_d must be 0 (derived) or >= 2, got {self.n_d}")
-
-    def noise_config(self) -> NoiseConfig:
-        sample_rate = self.sample_rate or 2.0 * self.bandwidth
-        noise = NoiseConfig(
-            r_low=self.r_low, r_high=self.r_high, t_eff=self.t_eff,
-            bandwidth=self.bandwidth, sample_rate=sample_rate,
-            samples_per_bit=self.samples_per_bit,
-            classify_margin=self.classify_margin,
-        )
-        # Classification works in log space: a level that underflows to 0
-        # or is undefined (NaN) cannot be placed there.  (An infinite one
-        # can: it is simply never nearest.)
-        for cls, level in class_levels(noise).items():
-            if not (level.s_u > 0 and level.s_i > 0):
-                raise ConfigError(
-                    f"the {cls} noise level (s_u={level.s_u}, "
-                    f"s_i={level.s_i}) leaves float range; t_eff, r_low "
-                    f"and r_high are too extreme")
-        return noise
 
     @property
     def key_b_bits(self) -> int:
@@ -128,10 +95,40 @@ class RunConfig:
         if self.n_d:
             return self.n_d
         # voltage+current samples over the expected authentication exchange
-        return 2 * self.samples_per_bit * 2 * self.key_b_bits
+        return 2 * self.noise.samples_per_bit * 2 * self.key_b_bits
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+# Largest accepted samples_per_bit.  A card authentication holds every
+# period's voltage and current, about 8 KB x samples_per_bit at the default
+# payload, so 10 000 samples (100x the default) keeps it near 100 MB.
+_MAX_SAMPLES_PER_BIT = 10_000
+
+_FIELD_TYPES = {f.name: f.type for f in (*fields(NoiseConfig),
+                                         *fields(RunConfig))
+                if f.name != "noise"}
+
+
+def _noise_config(**physics) -> NoiseConfig:
+    """The run's NoiseConfig from the physics settings it was given.  An
+    absent or 0 sample_rate is 2 x bandwidth."""
+    if not physics.get("sample_rate"):
+        physics["sample_rate"] = 2.0 * physics.get("bandwidth",
+                                                   NoiseConfig.bandwidth)
+    samples = physics.get("samples_per_bit", NoiseConfig.samples_per_bit)
+    if samples > _MAX_SAMPLES_PER_BIT:
+        raise ConfigError(f"samples_per_bit must be <= "
+                          f"{_MAX_SAMPLES_PER_BIT}, got {samples}")
+    noise = NoiseConfig(**physics)
+    # Classification works in log space: a level that underflows to 0 or
+    # is undefined (NaN) cannot be placed there.  (An infinite one can: it
+    # is simply never nearest.)
+    for cls, level in class_levels(noise).items():
+        if not (level.s_u > 0 and level.s_i > 0):
+            raise ConfigError(
+                f"the {cls} noise level (s_u={level.s_u}, s_i={level.s_i}) "
+                f"leaves float range; t_eff, r_low and r_high are too "
+                f"extreme")
+    return noise
 
 
 def _coerce(key: str, value: str):
@@ -176,7 +173,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         cli_val = getattr(args, key, None)
         if cli_val is not None:
             merged[key] = _coerce(key, str(cli_val))
-    return RunConfig(**merged)
+    physics = {f.name: merged.pop(f.name) for f in fields(NoiseConfig)
+               if f.name in merged}
+    cfg = RunConfig(**merged)  # its own checks come before the physics'
+    cfg.noise = _noise_config(**physics)
+    return cfg
 
 
 class Emitter:
@@ -216,13 +217,12 @@ def _round(x: float, digits: int = 10) -> float:
 
 
 def cmd_exchange(cfg: RunConfig, emitter: Emitter) -> int:
-    noise = cfg.noise_config()
     total_periods = 0
     total_alarms = 0
     discards = []
     all_agree = True
     for trial in range(cfg.trials):
-        alice, bob, stats = exchange_key(cfg.target_bits, noise,
+        alice, bob, stats = exchange_key(cfg.target_bits, cfg.noise,
                                          cfg.seed + trial)
         agreement = np.array_equal(alice.bits, bob.bits)
         all_agree = all_agree and agreement
@@ -251,9 +251,9 @@ def cmd_exchange(cfg: RunConfig, emitter: Emitter) -> int:
 
 
 def cmd_attack(kind: str, cfg: RunConfig, emitter: Emitter) -> int:
-    noise = cfg.noise_config()
+    noise = cfg.noise
     if kind == "passive":
-        return _attack_passive(cfg, noise, emitter)
+        return _attack_passive(cfg, emitter)
     if kind == "mitm":
         return _attack_active(
             "mitm", lambda trial: mitm_attack(noise, (cfg.seed, trial)),
@@ -276,8 +276,8 @@ def cmd_attack(kind: str, cfg: RunConfig, emitter: Emitter) -> int:
         cfg, emitter)
 
 
-def _attack_passive(cfg: RunConfig, noise: NoiseConfig,
-                    emitter: Emitter) -> int:
+def _attack_passive(cfg: RunConfig, emitter: Emitter) -> int:
+    noise = cfg.noise
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xE5E)))
     correct = 0
     pair_su = []
@@ -375,7 +375,6 @@ def _parse_faults(script: str) -> dict[int, str]:
 
 
 def cmd_card_lifetime(cfg: RunConfig, emitter: Emitter) -> int:
-    noise = cfg.noise_config()
     faults = _parse_faults(cfg.faults)
     stray = sorted(i for i in faults if not 0 <= i < cfg.n_sessions)
     if stray:
@@ -414,7 +413,7 @@ def cmd_card_lifetime(cfg: RunConfig, emitter: Emitter) -> int:
         elif fault == "mitm_refresh":
             refresh_adv = MitmHook((cfg.seed, 0x4EF4, i))
         try:
-            ledger = run_session(acting_card, terminal, store, noise,
+            ledger = run_session(acting_card, terminal, store, cfg.noise,
                                  session_seeds[i], payload,
                                  auth_adversary=auth_adv,
                                  refresh_adversary=refresh_adv)
@@ -463,7 +462,7 @@ def cmd_card_lifetime(cfg: RunConfig, emitter: Emitter) -> int:
 
 
 def cmd_rate(cfg: RunConfig, emitter: Emitter) -> int:
-    noise = cfg.noise_config()
+    noise = cfg.noise
     _alice, _bob, stats = exchange_key(cfg.target_bits, noise, cfg.seed)
     sim_seconds = stats.periods_run * noise.samples_per_bit \
         / noise.sample_rate
@@ -528,7 +527,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = build_config(args)
-        cfg.noise_config()  # validate physics parameters early -> exit 2
     except (ConfigError, ValueError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG

@@ -78,7 +78,13 @@ _EXACT_SLACK = 1e-9
 
 
 class ChannelCompromisedError(RuntimeError):
-    """Alarm rate during an exchange exceeded the abort threshold."""
+    """Alarm rate during an exchange exceeded the abort threshold.
+    ``stats`` is the exchange's ExchangeStats at the abort."""
+
+    def __init__(self, stats: ExchangeStats):
+        super().__init__(
+            f"{stats.alarms} alarms in {stats.periods_run} periods")
+        self.stats = stats
 
 
 class ExchangeNotConvergedError(RuntimeError):
@@ -247,8 +253,8 @@ def _classify_block(spectra: np.ndarray,
     return out
 
 
-def monitor_compare(end_a_view: WireTrace, end_b_view: WireTrace,
-                    tolerance: float = MONITOR_TOLERANCE) -> MonitorReport:
+def monitor_compare(end_a_view: WireTrace,
+                    end_b_view: WireTrace) -> MonitorReport:
     """Compare the instantaneous values seen by the two ends.
 
     Alarm iff ``first_divergence_index`` finds a sample over tolerance.  A
@@ -257,20 +263,18 @@ def monitor_compare(end_a_view: WireTrace, end_b_view: WireTrace,
     same (finite) trace object, the shared silent report is returned
     without comparing the trace to itself.
     """
-    if end_a_view is end_b_view and tolerance >= 0:
+    if end_a_view is end_b_view:
         return _SILENT
-    return MonitorReport(first_divergence_index(end_a_view, end_b_view,
-                                                tolerance))
+    return MonitorReport(first_divergence_index(end_a_view, end_b_view))
 
 
-def first_divergence_index(end_a_view: WireTrace, end_b_view: WireTrace,
-                           tolerance: float = MONITOR_TOLERANCE,
-                           ) -> Optional[int]:
+def first_divergence_index(end_a_view: WireTrace,
+                           end_b_view: WireTrace) -> Optional[int]:
     """Index of the first sample whose two-end difference breaks tolerance.
 
     A sample breaks it when its absolute voltage or current difference
-    exceeds ``tolerance`` times the RMS of that signal pooled over both
-    views.  Returns None when no sample does (no alarm).
+    exceeds ``MONITOR_TOLERANCE`` times the RMS of that signal pooled over
+    both views.  Returns None when no sample does (no alarm).
 
     The check fails closed at the float edges: a non-finite sample in
     either view breaks tolerance by itself, and a signal so large that its
@@ -285,11 +289,12 @@ def first_divergence_index(end_a_view: WireTrace, end_b_view: WireTrace,
         mean_sq = 0.5 * (np.add.reduce(a * a, axis=None) / a.size
                          + np.add.reduce(b * b, axis=None) / b.size)
         if math.isfinite(mean_sq):
-            over |= np.abs(a - b) > tolerance * math.sqrt(mean_sq)
+            over |= np.abs(a - b) > MONITOR_TOLERANCE * math.sqrt(mean_sq)
         else:
             with np.errstate(all="ignore"):
                 over |= ~(np.isfinite(a) & np.isfinite(b))
-                over |= np.abs(a - b) > tolerance * _rescaled_rms(a, b)
+                over |= (np.abs(a - b)
+                         > MONITOR_TOLERANCE * _rescaled_rms(a, b))
     first = int(over.argmax())
     return first if over[first] else None
 
@@ -436,9 +441,7 @@ def exchange_key(target_len: int, cfg: NoiseConfig, seed,
             if rec.monitor.alarm:
                 stats.alarms += 1
                 if stats.alarms >= ALARM_ABORT_COUNT:
-                    raise ChannelCompromisedError(
-                        f"{stats.alarms} alarms in {stats.periods_run} "
-                        f"periods")
+                    raise ChannelCompromisedError(stats)
             elif rec.loop_class is None:
                 stats.anomalies += 1
             elif rec.retained:

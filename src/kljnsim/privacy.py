@@ -38,9 +38,6 @@ class BitString:
     def __len__(self) -> int:
         return self.bits.size
 
-    def to01(self) -> str:
-        return "".join("1" if b else "0" for b in self.bits)
-
     def to_hex(self) -> str:
         """Hex form, most-significant-bit first, zero-padded at the tail."""
         if self.bits.size == 0:
@@ -56,11 +53,6 @@ class BitString:
         if n_bits > raw.size:
             raise ValueError(f"hex string too short for {n_bits} bits")
         return cls(bits=raw[:n_bits].copy(), provenance=provenance)
-
-    @classmethod
-    def from01(cls, s: str, provenance: str = "raw_kljn") -> "BitString":
-        return cls(bits=np.frombuffer(s.encode("ascii"), np.uint8) - ord("0"),
-                   provenance=provenance)
 
 
 def xor_stage(bs: BitString) -> BitString:

@@ -281,8 +281,8 @@ def test_criterion_11_card_policy(tmp_path):
     res = authenticate_session(card_b, terminal, store_b, CFG, 1120)
     recovered_ok = res.ledger.phase == "authenticated"
     run_transaction(card_b, terminal, res.key_b_card, bytes(8), res.ledger)
-    refreshed_ok = refresh_key_c(card_b, store_b, CFG, 1121,
-                                 ledger=res.ledger)
+    refresh_key_c(card_b, store_b, CFG, 1121, ledger=res.ledger)
+    refreshed_ok = res.ledger.refreshed
     synced_ok = card_b.key_c.bits.to_hex() == server_b.key_c.bits.to_hex()
 
     # (c) 100-session lifetime: no segment reuse, no key-B reuse
@@ -303,8 +303,9 @@ def test_criterion_11_card_policy(tmp_path):
                              res.ledger)
         pad = bytes(a ^ b for a, b in zip(tr.ciphertext, payload))
         pads.append(pad)
-        assert refresh_key_c(card_c, store_c, CFG, (1131, session),
-                             ledger=res.ledger)
+        refresh_key_c(card_c, store_c, CFG, (1131, session),
+                      ledger=res.ledger)
+        assert res.ledger.refreshed
     audit_ok = (len(set(segments)) == 100 and len(set(pads)) == 100
                 and card_c.generation == 100)
 

@@ -97,11 +97,18 @@ class TestMitmAttack:
             hits += out.detected and out.detection_sample_index <= 10
         assert hits >= 299
 
-    def test_monitor_off_baseline(self):
-        for trial in range(50):
-            out = mitm_attack(CFG, (8, trial), monitor_enabled=False)
-            assert not out.detected
-            assert out.bits_learned == out.bits_retained_by_parties
+    def test_every_period_kept_on_classification_alarms(self):
+        # Without the two-end comparison the parties would keep every
+        # period both ends classify MID, and Eve would know each such bit.
+        kept = 0
+        for seed in range(50):
+            a_bit, b_bit = divmod(seed % 4, 2)
+            rec = run_bit_period(a_bit, b_bit, CFG, seed,
+                                 adversary=MitmHook((8, seed)))
+            if rec.loop_class is LoopClass.MID:
+                kept += 1
+                assert rec.monitor.alarm
+        assert kept > 0
 
     def test_outcome_invariant(self):
         out = mitm_attack(CFG, 9)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from kljnsim import cli
 from kljnsim.card import CardIdentity, Keystore, ServerRecord, \
     initialize_card
-from kljnsim.exchange import ChannelCompromisedError
+from kljnsim.exchange import ChannelCompromisedError, ExchangeStats
 from kljnsim.records import SchemaError, validate_record
 
 
@@ -91,7 +91,8 @@ class TestExchangeCommand:
 
     def test_security_abort_exits_4(self, capsys, monkeypatch):
         def boom(*a, **k):
-            raise ChannelCompromisedError("forced")
+            raise ChannelCompromisedError(
+                ExchangeStats(periods_run=3, alarms=3))
 
         monkeypatch.setattr(cli, "exchange_key", boom)
         assert cli.main(["exchange", *FAST]) == 4
@@ -351,6 +352,31 @@ class TestConfigHandling:
                                   "--trials", "1"], capsys)
         assert code == 0
         assert len(records) == 2  # CLI trials=1 beat the file's 2
+
+    def test_settings_surface(self):
+        # NoiseConfig's fields, then RunConfig's own: the keys, order and
+        # types of the flags, --help and the config file.
+        assert list(cli._FIELD_TYPES.items()) == [
+            ("r_low", "float"), ("r_high", "float"), ("t_eff", "float"),
+            ("bandwidth", "float"), ("sample_rate", "float"),
+            ("samples_per_bit", "int"), ("classify_margin", "float"),
+            ("m_max", "int"), ("n_d", "int"), ("trials", "int"),
+            ("seed", "int"), ("output_path", "str"), ("target_bits", "int"),
+            ("payload_bytes", "int"), ("amplitude", "float"),
+            ("n_sessions", "int"), ("faults", "str"), ("keystore", "str")]
+
+    @pytest.mark.parametrize("flags", [
+        ["--bandwidth", "1e6"], ["--bandwidth", "1e6", "--sample_rate", "0"],
+        ["--config", "{conf}"]], ids=["absent", "zero", "config_file"])
+    def test_sample_rate_defaults_to_twice_bandwidth(self, flags, tmp_path,
+                                                     capsys):
+        conf = tmp_path / "run.cfg"
+        conf.write_text("bandwidth = 1e6\n")
+        argv = ["rate", "--target_bits", "4",
+                *(arg.format(conf=conf) for arg in flags)]
+        code, records = run_main(argv, capsys)
+        assert code == 0
+        assert records[-1]["bit_period_seconds"] == 5e-05  # 100 / 2e6
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
