@@ -37,7 +37,6 @@ from .card import (
     Keystore,
     ServerRecord,
     SessionLedger,
-    Terminal,
     TransactionResult,
     authenticate_session,
     authenticate_tag,

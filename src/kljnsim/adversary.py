@@ -69,7 +69,7 @@ class AttackOutcome:
 
 
 def passive_eavesdrop(trace: WireTrace, cfg: NoiseConfig,
-                      rng=None) -> EveEstimate:
+                      rng) -> EveEstimate:
     """Everything Eve can get from listening to one period's wire trace.
 
     She reuses the public classification thresholds.  For LL/HH she knows

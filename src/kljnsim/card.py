@@ -373,21 +373,14 @@ def authenticate_tag(data: bytes, key_segment: BitString) -> int:
 
 
 @dataclass
-class Terminal:
-    """Terminal-side session context (transient; server link assumed secure)."""
-
-    key_b_bits: int = 256
-    key_b: Optional[KeyB] = None
-
-
-@dataclass
 class AuthResult:
     """How authentication ended: ``ledger.phase`` is ``authenticated``
-    (with the card's copy of key B) or ``broken`` (with the reason,
-    ``channel_alarm`` or ``tag_mismatch``)."""
+    (with the card's and the terminal's copies of key B) or ``broken``
+    (with the reason, ``channel_alarm`` or ``tag_mismatch``)."""
 
     ledger: SessionLedger
     key_b_card: Optional[KeyB] = None
+    key_b_terminal: Optional[KeyB] = None
     reason: str = ""
 
 
@@ -404,17 +397,18 @@ def _monitor_bytes(records: list[BitExchangeRecord], end: str) -> bytes:
     return b"".join(chunks)
 
 
-def authenticate_session(card: CardState, terminal: Terminal,
-                         server: Keystore, cfg: NoiseConfig, seed,
+def authenticate_session(card: CardState, server: Keystore,
+                         cfg: NoiseConfig, seed, key_b_bits: int,
                          adversary: Optional[AdversaryHook] = None,
                          ) -> AuthResult:
     """Steps (i)-(iv): lookup, key retrieval, KLJN exchange, tag verify.
 
     Success leaves the session authenticated with twin copies of a fresh
-    key B; a tag mismatch (wrong C, or monitor data tampered below the
-    alarm threshold) or an in-exchange channel alarm breaks the session
-    and counts toward cancellation.  The adopted C segment is burned on
-    both sides in every outcome that reaches the exchange.
+    key B of ``key_b_bits`` bits; a tag mismatch (wrong C, or monitor data
+    tampered below the alarm threshold) or an in-exchange channel alarm
+    breaks the session and counts toward cancellation.  The adopted C
+    segment is burned on both sides in every outcome that reaches the
+    exchange.
     """
     ledger = SessionLedger()
 
@@ -455,7 +449,7 @@ def authenticate_session(card: CardState, terminal: Terminal,
     exchange_records: list[BitExchangeRecord] = []
     try:
         card_key, term_key, _ = exchange_key(
-            terminal.key_b_bits, cfg, seed, adversary=adversary,
+            key_b_bits, cfg, seed, adversary=adversary,
             record_sink=exchange_records.append)
     except ChannelCompromisedError:
         return mark_broken("channel_alarm")
@@ -479,9 +473,10 @@ def authenticate_session(card: CardState, terminal: Terminal,
     burn_segment()
     ledger.advance("authenticated")
     server.journal(record)
-    terminal.key_b = KeyB(bits=BitString(term_key.bits, "key_b"))
-    return AuthResult(ledger=ledger,
-                      key_b_card=KeyB(bits=BitString(card_key.bits, "key_b")))
+    return AuthResult(
+        ledger=ledger,
+        key_b_card=KeyB(bits=BitString(card_key.bits, "key_b")),
+        key_b_terminal=KeyB(bits=BitString(term_key.bits, "key_b")))
 
 
 @dataclass
@@ -490,27 +485,25 @@ class TransactionResult:
     decrypted_matches: bool
 
 
-def run_transaction(card: CardState, terminal: Terminal, key_b: KeyB,
-                    payload: bytes, ledger: SessionLedger,
-                    ) -> TransactionResult:
+def run_transaction(card: CardState, auth: AuthResult,
+                    payload: bytes) -> TransactionResult:
     """OTP-encrypt the payload card->terminal and verify the round trip.
 
-    Consumes exactly len(payload)*8 bits from both key-B copies; both are
-    zeroized afterwards regardless of outcome.
+    Consumes exactly len(payload)*8 bits from both of ``auth``'s key-B
+    copies; both are zeroized afterwards regardless of outcome.  Raises
+    RuntimeError unless ``auth.ledger`` is authenticated.
     """
     if card.canceled:
         raise CardRefusedError("canceled card cannot transact")
-    if ledger.phase != "authenticated":
-        raise RuntimeError(
-            f"transaction requires authenticated phase, got {ledger.phase}")
+    ledger = auth.ledger
     ledger.advance("transacting")
     payload_bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
     n_bits = payload_bits.size
     try:
-        pad_card = key_b.take(n_bits)
+        pad_card = auth.key_b_card.take(n_bits)
         cipher_bits = payload_bits ^ pad_card
         ciphertext = np.packbits(cipher_bits).tobytes()
-        pad_term = terminal.key_b.take(n_bits)
+        pad_term = auth.key_b_terminal.take(n_bits)
         plain_bits = np.unpackbits(
             np.frombuffer(ciphertext, dtype=np.uint8))[:n_bits] ^ pad_term
         decrypted = np.packbits(plain_bits).tobytes()
@@ -523,9 +516,8 @@ def run_transaction(card: CardState, terminal: Terminal, key_b: KeyB,
         ledger.advance("closed")
         raise
     finally:
-        key_b.zeroize()
-        if terminal.key_b is not None:
-            terminal.key_b.zeroize()
+        auth.key_b_card.zeroize()
+        auth.key_b_terminal.zeroize()
 
 
 def refresh_key_c(card: CardState, server: Keystore, cfg: NoiseConfig, seed,
@@ -566,20 +558,20 @@ def refresh_key_c(card: CardState, server: Keystore, cfg: NoiseConfig, seed,
     ledger.advance("closed")
 
 
-def run_session(card: CardState, terminal: Terminal, server: Keystore,
-                cfg: NoiseConfig, seed, payload: bytes,
+def run_session(card: CardState, server: Keystore, cfg: NoiseConfig, seed,
+                payload: bytes, key_b_bits: int,
                 auth_adversary: Optional[AdversaryHook] = None,
                 refresh_adversary: Optional[AdversaryHook] = None,
                 ) -> SessionLedger:
     """One complete session: authenticate, transact, refresh."""
     auth_seed, refresh_seed = spawn_seeds(seed, 2)
-    result = authenticate_session(card, terminal, server, cfg, auth_seed,
+    result = authenticate_session(card, server, cfg, auth_seed, key_b_bits,
                                   adversary=auth_adversary)
     ledger = result.ledger
     if ledger.phase != "authenticated":
         return ledger
     try:
-        run_transaction(card, terminal, result.key_b_card, payload, ledger)
+        run_transaction(card, result, payload)
     except KeyExhaustedError:
         return ledger
     refresh_key_c(card, server, cfg, refresh_seed, ledger,

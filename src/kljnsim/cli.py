@@ -34,7 +34,6 @@ from .card import (
     CardState,
     DuplicateCardError,
     Keystore,
-    Terminal,
     initialize_card,
     run_session,
 )
@@ -400,7 +399,6 @@ def cmd_card_lifetime(cfg: RunConfig, emitter: Emitter) -> int:
     key_b_sessions = 0
     for i in range(cfg.n_sessions):
         fault = faults.get(i)
-        terminal = Terminal(key_b_bits=cfg.key_b_bits)
         acting_card = card
         auth_adv = refresh_adv = None
         if fault == "wrong_key":
@@ -413,8 +411,8 @@ def cmd_card_lifetime(cfg: RunConfig, emitter: Emitter) -> int:
         elif fault == "mitm_refresh":
             refresh_adv = MitmHook((cfg.seed, 0x4EF4, i))
         try:
-            ledger = run_session(acting_card, terminal, store, cfg.noise,
-                                 session_seeds[i], payload,
+            ledger = run_session(acting_card, store, cfg.noise,
+                                 session_seeds[i], payload, cfg.key_b_bits,
                                  auth_adversary=auth_adv,
                                  refresh_adversary=refresh_adv)
         except CardRefusedError as err:

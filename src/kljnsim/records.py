@@ -7,6 +7,8 @@ known schema and carries that schema's required fields.
 
 from __future__ import annotations
 
+from .card import ServerRecord
+
 SCHEMAS: dict[str, set[str]] = {
     "kljn.exchange_trial": {
         "trial", "periods", "retained", "discard_fraction", "agreement",
@@ -33,14 +35,8 @@ SCHEMAS: dict[str, set[str]] = {
         "secure_bit_rate", "reference_rate", "bit_period_seconds",
         "target_bits",
     },
-    "kljn.card_record": {
-        "card_number", "c_hex", "c_len", "segment_len", "cursor", "m_max",
-        "broken_count", "canceled", "generation",
-    },
-    "kljn.keystore_card": {
-        "card_number", "c_len", "segment_len", "cursor", "m_max",
-        "broken_count", "canceled", "generation",
-    },
+    "kljn.card_record": set(ServerRecord.FIELDS),
+    "kljn.keystore_card": set(ServerRecord.FIELDS) - {"c_hex"},
     "kljn.keystore_summary": {
         "cards",
     },

@@ -15,19 +15,18 @@ under a uniformly random key with probability at most d / p (about 2^-64
 scaled by the message length), and a forger holding no information about
 the key does no better than guessing it.
 
-Evaluation is blocked, and exact.  The full limbs are cut into blocks of
-B limbs (a shorter block first, so the rest align), and the polynomial is
-Horner's rule over blocks:  acc <- acc * x^B + sum_i limb_i x^(B-i).  A
-block's sum is a sum over its 7B bytes of byte * w, with the weight
-w = x^(B-i) * 256^(6-t) mod p for byte t of limb i.  Each weight is split
-into four 16-bit pieces, so one int64 matrix product gives four partial
-sums per block; every term is below 2^8 * 2^16 and a sum of 7B of them is
-below 2^35, far from int64 overflow.  The pieces are recombined and folded
-mod p in Python integers, with no rounding anywhere.  Blocks go through
-the product a fixed number at a time, so the int64 working copy stays a
-few hundred KB whatever the message length.  The weight table is built
-per call for at most B limbs: a message of fewer full limbs than that
-builds weights for its own limbs only.
+Evaluation is exact.  Whole blocks of B limbs, counted from the start,
+go through Horner's rule over blocks:  acc <- acc * x^B + sum_i limb_i
+x^(B-i+1).  A block's sum is a sum over its 7B bytes of byte * w, with
+w = x^(B-i+1) * 256^(6-t) mod p for byte t of limb i.  Each weight is
+split into two 32-bit pieces, so one int64 matrix product against a
+(7B, 2) table gives two partial sums per block; every term is below
+2^8 * 2^32 and a sum of 7B = 1792 of them is below 2^51, far from int64
+overflow.  The sums are recombined and reduced mod p in Python integers.
+Blocks go through the product a fixed number at a time, so the int64
+working copy stays a few hundred KB whatever the message length.  The
+rest, at most B - 1 limbs and the short final group, is Horner one limb
+at a time; a message with no whole block builds no weight table.
 
 The key is secret and single-use here (a fresh key-C segment per session),
 which is what makes the bound information-theoretic rather than
@@ -46,32 +45,23 @@ TAG_BITS = 64
 
 _BLOCK_LIMBS = 256    # B: limbs per block, one weight-table row each
 _CHUNK_BLOCKS = 16    # blocks per matrix product (~230 KB of int64)
-_PIECE_SHIFTS = np.array([0, 16, 32, 48], dtype=np.uint64)
+_PIECE_SHIFTS = np.array([0, 32], dtype=np.uint64)
 
 
-def _weight_table(x: int, limbs: int) -> tuple[np.ndarray, int]:
-    """The (7 limbs, 4) int64 table of 16-bit weight pieces for a block of
-    ``limbs`` limbs, and x^limbs mod p."""
-    powers = []  # x^limbs, ..., x^1: the weight of limb i is x^(limbs-i)
+def _weight_table(x: int) -> tuple[np.ndarray, int]:
+    """The (7B, 2) int64 table of 32-bit weight pieces for one block, and
+    x^B mod p."""
+    powers = []  # x^B, ..., x^1: limb i of a block gets x^(B-i+1)
     pw = 1
-    for _ in range(limbs):
+    for _ in range(_BLOCK_LIMBS):
         pw = pw * x % FIELD_PRIME
         powers.append(pw)
     powers.reverse()
     weights = np.array(
         [p * (1 << 8 * (LIMB_BYTES - 1 - t)) % FIELD_PRIME
          for p in powers for t in range(LIMB_BYTES)], dtype=np.uint64)
-    pieces = (weights[:, None] >> _PIECE_SHIFTS) & np.uint64(0xFFFF)
+    pieces = (weights[:, None] >> _PIECE_SHIFTS) & np.uint64(0xFFFFFFFF)
     return pieces.astype(np.int64), pw
-
-
-def _fold(acc: int, sums: np.ndarray, x_step: int) -> int:
-    """Horner over blocks: ``acc * x_step + block sum`` per row of
-    ``sums``, each row holding one block's four 16-bit piece sums."""
-    for c0, c1, c2, c3 in sums.tolist():
-        acc = (acc * x_step + c0 + (c1 << 16) + (c2 << 32)
-               + (c3 << 48)) % FIELD_PRIME
-    return acc
 
 
 def poly_tag(data: bytes, key: int) -> int:
@@ -79,24 +69,20 @@ def poly_tag(data: bytes, key: int) -> int:
     if not 0 <= key < (1 << 64):
         raise ValueError("key must be a 64-bit integer")
     x = key % FIELD_PRIME
-    n_full = len(data) // LIMB_BYTES
-    body = np.frombuffer(data, dtype=np.uint8, count=n_full * LIMB_BYTES)
-    table, x_block = _weight_table(x, min(n_full, _BLOCK_LIMBS))
     row = _BLOCK_LIMBS * LIMB_BYTES
-    head = (n_full % _BLOCK_LIMBS) * LIMB_BYTES  # bytes in the short block
+    n_blocks = len(data) // row
     acc = 0
-    if head:
-        # The short block takes the last rows of the table: its first limb
-        # gets x^head_limbs, as if led by zero limbs, which add nothing.
-        acc = _fold(0, body[None, :head].astype(np.int64)
-                    @ table[len(table) - head:], 0)
-    blocks = body[head:].reshape(-1, row)
-    for start in range(0, len(blocks), _CHUNK_BLOCKS):
-        chunk = blocks[start:start + _CHUNK_BLOCKS].astype(np.int64)
-        acc = _fold(acc, chunk @ table, x_block)
-    tail = data[n_full * LIMB_BYTES:]
-    if tail:
-        acc = (acc + int.from_bytes(tail, "big")) * x % FIELD_PRIME
+    if n_blocks:
+        table, x_block = _weight_table(x)
+        blocks = np.frombuffer(data, dtype=np.uint8,
+                               count=n_blocks * row).reshape(n_blocks, row)
+        for start in range(0, n_blocks, _CHUNK_BLOCKS):
+            sums = blocks[start:start + _CHUNK_BLOCKS].astype(np.int64) @ table
+            for low, high in sums.tolist():
+                acc = (acc * x_block + low + (high << 32)) % FIELD_PRIME
+    for off in range(n_blocks * row, len(data), LIMB_BYTES):
+        limb = int.from_bytes(data[off:off + LIMB_BYTES], "big")
+        acc = (acc + limb) * x % FIELD_PRIME
     return (acc + len(data) + 1) * x % FIELD_PRIME
 
 

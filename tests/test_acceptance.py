@@ -21,7 +21,6 @@ from kljnsim.card import (
     CardRefusedError,
     CardState,
     Keystore,
-    Terminal,
     authenticate_session,
     initialize_card,
     key_length_required,
@@ -250,8 +249,7 @@ def _fraud_attempt(identity, store, cfg, seed, m_max=3):
     fake, _ = initialize_card(CardIdentity("fk", "EVE", "01/01"), m_max,
                               102400, rng=seed)
     clone = CardState(identity=identity, key_c=fake.key_c)
-    return authenticate_session(clone, Terminal(key_b_bits=128), store,
-                                cfg, seed)
+    return authenticate_session(clone, store, cfg, seed, 128)
 
 
 def test_criterion_11_card_policy(tmp_path):
@@ -266,7 +264,7 @@ def test_criterion_11_card_policy(tmp_path):
     canceled_ok = server.canceled
     refused_ok = False
     try:
-        authenticate_session(card, Terminal(key_b_bits=128), store, CFG, 1)
+        authenticate_session(card, store, CFG, 1, 128)
     except CardRefusedError:
         refused_ok = True
 
@@ -277,10 +275,9 @@ def test_criterion_11_card_policy(tmp_path):
                                        keystore=store_b)
     for attempt in range(2):
         _fraud_attempt(identity_b, store_b, CFG, 1110 + attempt)
-    terminal = Terminal(key_b_bits=128)
-    res = authenticate_session(card_b, terminal, store_b, CFG, 1120)
+    res = authenticate_session(card_b, store_b, CFG, 1120, 128)
     recovered_ok = res.ledger.phase == "authenticated"
-    run_transaction(card_b, terminal, res.key_b_card, bytes(8), res.ledger)
+    run_transaction(card_b, res, bytes(8))
     refresh_key_c(card_b, store_b, CFG, 1121, ledger=res.ledger)
     refreshed_ok = res.ledger.refreshed
     synced_ok = card_b.key_c.bits.to_hex() == server_b.key_c.bits.to_hex()
@@ -294,13 +291,11 @@ def test_criterion_11_card_policy(tmp_path):
     segments = []
     pads = []
     for session in range(100):
-        term = Terminal(key_b_bits=128)
-        res = authenticate_session(card_c, term, store_c, CFG,
-                                   (1130, session))
+        res = authenticate_session(card_c, store_c, CFG, (1130, session),
+                                   128)
         assert res.ledger.phase == "authenticated"
         segments.append(res.ledger.consumed_segment)
-        tr = run_transaction(card_c, term, res.key_b_card, payload,
-                             res.ledger)
+        tr = run_transaction(card_c, res, payload)
         pad = bytes(a ^ b for a, b in zip(tr.ciphertext, payload))
         pads.append(pad)
         refresh_key_c(card_c, store_c, CFG, (1131, session),

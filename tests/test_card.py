@@ -1,13 +1,16 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kljnsim import tags
 from kljnsim.adversary import MitmHook
 from kljnsim.card import (
+    AuthResult,
     CardIdentity,
     CardRefusedError,
     CardState,
@@ -16,7 +19,6 @@ from kljnsim.card import (
     KeyExhaustedError,
     Keystore,
     SessionLedger,
-    Terminal,
     authenticate_session,
     authenticate_tag,
     initialize_card,
@@ -63,9 +65,7 @@ def provision(m_max=3, n_d=102400, rng=1, keystore=None):
     return initialize_card(IDENTITY, m_max, n_d, rng, keystore=keystore)
 
 
-def small_terminal():
-    return Terminal(key_b_bits=128)
-
+KEY_B_BITS = 128  # a small key B: a fast exchange
 
 CLEAN_PATH = ["identified", "key_located", "kljn_running", "authenticated",
               "transacting", "refreshing", "closed"]
@@ -210,6 +210,27 @@ class TestBlockedTag:
         for key in EDGE_KEYS + [0x0123456789ABCDEF]:
             assert poly_tag(data, key) == horner_tag(data, key)
 
+    @pytest.mark.parametrize("size,tables", [
+        (0, 0), (LIMB_BYTES, 0), (BLOCK_BYTES - 1, 0), (BLOCK_BYTES, 1),
+        (3 * BLOCK_BYTES + 6, 1)])
+    def test_weight_table_only_for_a_whole_block(self, size, tables):
+        with mock.patch("kljnsim.tags._weight_table",
+                        wraps=tags._weight_table) as table:
+            poly_tag(bytes(size), 0x0123456789ABCDEF)
+        assert table.call_count == tables
+
+    @pytest.mark.parametrize("blocks", [0, 1, 3])
+    @pytest.mark.parametrize("short", [0, 6])
+    @pytest.mark.parametrize("fill", ["random", "ones"])
+    def test_largest_remainder(self, blocks, short, fill):
+        # 255 full limbs and a short group after the whole blocks: the
+        # longest stretch the evaluation runs one limb at a time
+        size = blocks * BLOCK_BYTES + 255 * LIMB_BYTES + short
+        data = (np.random.default_rng(size).bytes(size) if fill == "random"
+                else b"\xff" * size)
+        for key in EDGE_KEYS:
+            assert poly_tag(data, key) == horner_tag(data, key)
+
     @pytest.mark.parametrize("size", [819200, 819203])
     def test_card_sized_message(self, size):
         # the size of one end's monitoring data in a default session
@@ -246,11 +267,10 @@ class TestAuthentication:
     def test_matching_keys_succeed(self):
         store = Keystore()
         card, server = provision(keystore=store)
-        terminal = small_terminal()
-        result = authenticate_session(card, terminal, store, CFG, 100)
+        result = authenticate_session(card, store, CFG, 100, KEY_B_BITS)
         assert result.ledger.phase == "authenticated"
         assert np.array_equal(result.key_b_card.bits.bits,
-                              terminal.key_b.bits.bits)
+                              result.key_b_terminal.bits.bits)
         assert card.key_c.cursor == server.key_c.cursor == 1
         assert result.ledger.phase == "authenticated"
 
@@ -260,8 +280,7 @@ class TestAuthentication:
         fake, _ = initialize_card(CardIdentity("f", "EVE", "01/01"), 3,
                                   102400, rng=99)
         clone = CardState(identity=IDENTITY, key_c=fake.key_c)
-        result = authenticate_session(clone, small_terminal(), store, CFG,
-                                      101)
+        result = authenticate_session(clone, store, CFG, 101, KEY_B_BITS)
         assert result.ledger.phase == "broken"
         assert result.reason == "tag_mismatch"
         assert server.broken_count_mirror == 1
@@ -278,13 +297,13 @@ class TestAuthentication:
             fake, _ = initialize_card(CardIdentity("f", "EVE", "01/01"), 3,
                                       102400, rng=50 + attempt)
             clone = CardState(identity=IDENTITY, key_c=fake.key_c)
-            result = authenticate_session(clone, small_terminal(), store,
-                                          CFG, 200 + attempt)
+            result = authenticate_session(clone, store, CFG,
+                                          200 + attempt, KEY_B_BITS)
             assert result.ledger.phase == "broken"
         assert server.canceled
         assert server.broken_count_mirror == 3
         with pytest.raises(CardRefusedError):
-            authenticate_session(card, small_terminal(), store, CFG, 300)
+            authenticate_session(card, store, CFG, 300, KEY_B_BITS)
 
     def test_fraud_then_legit_card_still_authenticates(self):
         # M-1 broken sessions burn server segments; the sync rule lets the
@@ -295,11 +314,9 @@ class TestAuthentication:
             fake, _ = initialize_card(CardIdentity("f", "EVE", "01/01"), 3,
                                       102400, rng=70 + attempt)
             clone = CardState(identity=IDENTITY, key_c=fake.key_c)
-            authenticate_session(clone, small_terminal(), store, CFG,
-                                 400 + attempt)
+            authenticate_session(clone, store, CFG, 400 + attempt, KEY_B_BITS)
         assert server.key_c.cursor == 2
-        result = authenticate_session(card, small_terminal(), store, CFG,
-                                      500)
+        result = authenticate_session(card, store, CFG, 500, KEY_B_BITS)
         assert result.ledger.phase == "authenticated"
         assert card.key_c.cursor == server.key_c.cursor == 3
 
@@ -309,14 +326,14 @@ class TestAuthentication:
         stranger, _ = initialize_card(
             CardIdentity("0000", "NOBODY", "01/01"), 3, 102400, rng=1)
         with pytest.raises(CardRefusedError):
-            authenticate_session(stranger, small_terminal(), store, CFG, 1)
+            authenticate_session(stranger, store, CFG, 1, KEY_B_BITS)
         assert server.key_c.cursor == 0
 
     def test_mitm_during_auth_breaks_and_counts(self):
         store = Keystore()
         card, server = provision(keystore=store)
-        result = authenticate_session(card, small_terminal(), store, CFG,
-                                      600, adversary=MitmHook(601))
+        result = authenticate_session(card, store, CFG, 600, KEY_B_BITS,
+                                      adversary=MitmHook(601))
         assert result.ledger.phase == "broken"
         assert result.reason == "channel_alarm"
         assert server.broken_count_mirror == 1
@@ -326,16 +343,14 @@ class TestTransaction:
     def _authenticated(self, seed=700):
         store = Keystore()
         card, _ = provision(keystore=store)
-        terminal = small_terminal()
-        result = authenticate_session(card, terminal, store, CFG, seed)
+        result = authenticate_session(card, store, CFG, seed, KEY_B_BITS)
         assert result.ledger.phase == "authenticated"
-        return card, terminal, result
+        return card, result
 
     def test_zero_payload_exposes_keystream(self):
-        card, terminal, result = self._authenticated()
+        card, result = self._authenticated()
         pad = result.key_b_card.bits.bits[:64].copy()
-        tr = run_transaction(card, terminal, result.key_b_card, bytes(8),
-                             result.ledger)
+        tr = run_transaction(card, result, bytes(8))
         cipher_bits = np.unpackbits(np.frombuffer(tr.ciphertext, np.uint8))
         assert np.array_equal(cipher_bits, pad)
 
@@ -345,38 +360,35 @@ class TestTransaction:
         payload = rng.bytes(1024)
         bits = rng.integers(0, 2, 2 * 8192, dtype=np.uint8)
         card, _ = provision()
-        terminal = Terminal(key_b_bits=2 * 8192)
-        key_card = KeyB(bits=BitString(bits.copy(), "key_b"))
-        terminal.key_b = KeyB(bits=BitString(bits.copy(), "key_b"))
         ledger = SessionLedger()
         for phase in ("identified", "key_located", "kljn_running",
                       "authenticated"):
             ledger.advance(phase)
-        tr = run_transaction(card, terminal, key_card, payload, ledger)
+        card_copy, term_copy = (KeyB(BitString(bits.copy(), "key_b"))
+                                for _ in range(2))
+        auth = AuthResult(ledger=ledger, key_b_card=card_copy,
+                          key_b_terminal=term_copy)
+        tr = run_transaction(card, auth, payload)
         assert tr.decrypted_matches
         assert tr.ciphertext != payload
 
     def test_key_b_zeroized_after_transaction(self):
-        card, terminal, result = self._authenticated(701)
-        run_transaction(card, terminal, result.key_b_card, bytes(8),
-                        result.ledger)
+        card, result = self._authenticated(701)
+        run_transaction(card, result, bytes(8))
         assert result.key_b_card.zeroized
-        assert terminal.key_b.zeroized
+        assert result.key_b_terminal.zeroized
         assert np.all(result.key_b_card.bits.bits == 0)
 
     def test_second_use_is_hard_error(self):
-        card, terminal, result = self._authenticated(702)
-        run_transaction(card, terminal, result.key_b_card, bytes(8),
-                        result.ledger)
+        card, result = self._authenticated(702)
+        run_transaction(card, result, bytes(8))
         with pytest.raises((KeyExhaustedError, RuntimeError)):
-            run_transaction(card, terminal, result.key_b_card, bytes(8),
-                            result.ledger)
+            run_transaction(card, result, bytes(8))
 
     def test_oversized_payload_aborts_but_deletes_key(self):
-        card, terminal, result = self._authenticated(703)
+        card, result = self._authenticated(703)
         with pytest.raises(KeyExhaustedError):
-            run_transaction(card, terminal, result.key_b_card,
-                            bytes(1024), result.ledger)
+            run_transaction(card, result, bytes(1024))
         assert result.key_b_card.zeroized
         assert result.ledger.phase == "closed"
 
@@ -385,10 +397,8 @@ class TestRefresh:
     def test_successful_refresh(self):
         store = Keystore()
         card, server = provision(m_max=2, keystore=store)
-        terminal = small_terminal()
-        result = authenticate_session(card, terminal, store, CFG, 800)
-        run_transaction(card, terminal, result.key_b_card, bytes(8),
-                        result.ledger)
+        result = authenticate_session(card, store, CFG, 800, KEY_B_BITS)
+        run_transaction(card, result, bytes(8))
         old_c = card.key_c
         old_hex = old_c.bits.to_hex()
         refresh_key_c(card, store, CFG, 801, ledger=result.ledger)
@@ -404,10 +414,8 @@ class TestRefresh:
     def test_mitm_during_refresh_aborts_without_counting(self):
         store = Keystore()
         card, server = provision(m_max=2, keystore=store)
-        terminal = small_terminal()
-        result = authenticate_session(card, terminal, store, CFG, 810)
-        run_transaction(card, terminal, result.key_b_card, bytes(8),
-                        result.ledger)
+        result = authenticate_session(card, store, CFG, 810, KEY_B_BITS)
+        run_transaction(card, result, bytes(8))
         old_hex = card.key_c.bits.to_hex()
         refresh_key_c(card, store, CFG, 811, adversary=MitmHook(812),
                       ledger=result.ledger)
@@ -422,8 +430,7 @@ class TestSessionOrchestration:
     def test_full_session_closes_and_refreshes(self):
         store = Keystore()
         card, server = provision(m_max=2, keystore=store)
-        ledger = run_session(card, small_terminal(), store, CFG, 900,
-                             b"payload!")
+        ledger = run_session(card, store, CFG, 900, b"payload!", KEY_B_BITS)
         assert ledger.phase == "closed"
         assert ledger.refreshed
         assert card.generation == 1
@@ -432,8 +439,7 @@ class TestSessionOrchestration:
     def test_phase_path_is_legal(self):
         store = Keystore()
         card, _ = provision(m_max=2, keystore=store)
-        ledger = run_session(card, small_terminal(), store, CFG, 901,
-                             b"payload!")
+        ledger = run_session(card, store, CFG, 901, b"payload!", KEY_B_BITS)
         assert ledger.phases == ["identified", "key_located",
                                  "kljn_running", "authenticated",
                                  "transacting", "refreshing", "closed"]
@@ -465,8 +471,8 @@ class TestSessionOrchestration:
                 server.key_c.consume_through(0)
         elif ending == "key_b_exhausted":
             payload = bytes(17)  # 136 bits against a 128-bit key B
-        ledger = run_session(card, small_terminal(), store, CFG, 930,
-                             payload, **hooks)
+        ledger = run_session(card, store, CFG, 930, payload, KEY_B_BITS,
+                             **hooks)
         assert ledger.phases == path
         assert ledger.refreshed == refreshed
         # only a broken session counts toward cancellation
@@ -483,8 +489,7 @@ class TestSessionOrchestration:
         fake, _ = initialize_card(CardIdentity("f", "E", "01/01"), 1,
                                   102400, rng=5)
         clone = CardState(identity=IDENTITY, key_c=fake.key_c)
-        result = authenticate_session(clone, small_terminal(), store, CFG,
-                                      910)
+        result = authenticate_session(clone, store, CFG, 910, KEY_B_BITS)
         assert server.canceled == \
             (server.broken_count_mirror >= server.key_c.m_max)
         assert server.canceled
@@ -502,8 +507,8 @@ class TestSessionOrchestration:
             else:  # legitimate session attempt
                 actor = card
             try:
-                authenticate_session(actor, small_terminal(), store, CFG,
-                                     920 + step)
+                authenticate_session(actor, store, CFG, 920 + step,
+                                     KEY_B_BITS)
             except CardRefusedError:
                 pass
             broken_history.append(server.broken_count_mirror)
@@ -536,7 +541,7 @@ class TestKeystoreJournal:
         path = tmp_path / "cards.jsonl"
         store = Keystore(path)
         card, server = provision(m_max=2, keystore=store)
-        run_session(card, small_terminal(), store, CFG, 950, b"pay")
+        run_session(card, store, CFG, 950, b"pay", KEY_B_BITS)
         # journal now holds provisioning + post-auth + post-refresh lines
         assert len(path.read_text().splitlines()) == 3
         loaded = Keystore.load(path)

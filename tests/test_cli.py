@@ -283,6 +283,17 @@ class TestKeystoreInspect:
     def test_missing_keystore_arg_exits_2(self, capsys):
         assert cli.main(["keystore-inspect", "--keystore", ""]) == 2
 
+    def test_card_schemas_are_the_journal_fields(self, tmp_path, capsys):
+        ks = self.provisioned(tmp_path)
+        journal = Keystore.load(ks).records["4000000000000000"].to_journal()
+        inspected = run_main(["keystore-inspect", "--keystore", str(ks)],
+                             capsys)[1][0]
+        for record in (journal, inspected):
+            validate_record(record)
+            del record["holder_name"]
+            with pytest.raises(SchemaError):
+                validate_record(record)
+
     @staticmethod
     def provisioned(tmp_path):
         ks = tmp_path / "ks.jsonl"

@@ -17,19 +17,29 @@ UNREFERENCED_ALLOWED = {
 
 def defined_names(path: Path) -> list[tuple[str, int]]:
     """(name, line) of every function, method and class ``path`` defines,
-    dunders left out."""
+    and of every name a module-level assignment binds, dunders left
+    out."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    return [(node.name, node.lineno) for node in ast.walk(tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))
-            and not (node.name.startswith("__")
-                     and node.name.endswith("__"))]
+    names = [(node.name, node.lineno) for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef))]
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        names += [(name.id, name.lineno) for target in targets
+                  for name in ast.walk(target) if isinstance(name, ast.Name)]
+    return [(name, line) for name, line in names
+            if not (name.startswith("__") and name.endswith("__"))]
 
 
 def test_every_defined_name_is_referenced():
-    """A function or class that nothing in the package or the benchmark
-    names is dead code.  The package's ``__init__.py`` re-exports every
-    public name, so it does not count as a reference."""
+    """A function, class or module constant that nothing in the package
+    or the benchmark names is dead code.  The package's ``__init__.py``
+    re-exports every public name, so it does not count as a reference."""
     modules = sorted(p for p in PACKAGE.glob("*.py")
                      if p.name != "__init__.py")
     sources = {p: p.read_text(encoding="utf-8").splitlines()
