@@ -133,12 +133,11 @@ class InjectionHook:
             raise ValueError(
                 f"injection length {self.injection.size} != "
                 f"samples_per_bit {u_a.size}")
-        base = compose_loop(u_a, u_b, r_a, r_b)
+        view_b = compose_loop(u_a, u_b, r_a, r_b)
+        view_a = WireTrace(view_b.samples.copy())
         half = 0.5 * self.injection
-        view_a = WireTrace(voltage=base.voltage,
-                           current=base.current + half)
-        view_b = WireTrace(voltage=base.voltage,
-                           current=base.current - half)
+        view_a.samples[1] += half  # the current row
+        view_b.samples[1] -= half
         return view_a, view_b
 
 

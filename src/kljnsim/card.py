@@ -278,13 +278,15 @@ class Keystore:
     latest line per card number wins.  ``path=None`` keeps the store
     memory-only.  ``torn_tail`` is set when load skipped a final line that
     an interrupted append left unterminated and unreadable; such a store
-    refuses to append.
+    refuses to append.  A final line that parses is a complete record even
+    without its newline, which the next append writes first.
     """
 
     def __init__(self, path: Optional[str | Path] = None):
         self.path = Path(path) if path is not None else None
         self.records: dict[str, ServerRecord] = {}
         self.torn_tail = False
+        self._unterminated = False  # the last record lacks its newline
 
     def lookup(self, card_number: str) -> Optional[ServerRecord]:
         return self.records.get(card_number)
@@ -303,8 +305,10 @@ class Keystore:
         if self.torn_tail:
             raise CorruptJournalError(
                 f"{self.path}: last line is torn; refusing to append")
+        line = json.dumps(record.to_journal()) + "\n"
         with open(self.path, "a", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(record.to_journal()) + "\n")
+            fh.write("\n" + line if self._unterminated else line)
+        self._unterminated = False
 
     @classmethod
     def load(cls, path: str | Path) -> "Keystore":
@@ -333,6 +337,7 @@ class Keystore:
                             f"{p}:{lineno}: not a card record ({err})"
                         ) from err
                     store.records[record.identity.card_number] = record
+                    store._unterminated = not line.endswith(b"\n")
         return store
 
 
@@ -385,16 +390,13 @@ class AuthResult:
 
 
 def _monitor_bytes(records: list[BitExchangeRecord], end: str) -> bytes:
-    """Serialize one end's per-period instantaneous data for tagging.
-
-    The join reads each contiguous row array's buffer directly, the same
-    bytes as its ``tobytes()`` without that copy."""
-    chunks = []
-    for rec in records:
-        view = rec.trace if end == "a" or rec.bob_trace is None \
-            else rec.bob_trace
-        chunks += (view.voltage, view.current)
-    return b"".join(chunks)
+    """Serialize one end's per-period instantaneous data for tagging: the
+    join reads each period's contiguous ``samples`` buffer directly, the
+    same bytes as its ``tobytes()`` (voltage row, then current row)."""
+    return b"".join([
+        (rec.trace if end == "a" or rec.bob_trace is None
+         else rec.bob_trace).samples
+        for rec in records])
 
 
 def authenticate_session(card: CardState, server: Keystore,

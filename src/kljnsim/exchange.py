@@ -272,19 +272,20 @@ def first_divergence_index(end_a_view: WireTrace,
                            end_b_view: WireTrace) -> Optional[int]:
     """Index of the first sample whose two-end difference breaks tolerance.
 
-    A sample breaks it when its absolute voltage or current difference
-    exceeds ``MONITOR_TOLERANCE`` times the RMS of that signal pooled over
-    both views.  Returns None when no sample does (no alarm).
+    Both views hold one period.  A sample breaks tolerance when its
+    absolute voltage or current difference exceeds ``MONITOR_TOLERANCE``
+    times the RMS of that signal pooled over both views.  Returns None
+    when no sample does (no alarm).
 
     The check fails closed at the float edges: a non-finite sample in
     either view breaks tolerance by itself, and a signal so large that its
     squares overflow has its RMS taken relative to its largest magnitude.
     """
-    if len(end_a_view) != len(end_b_view):
+    a_rows, b_rows = end_a_view.samples, end_b_view.samples
+    if a_rows.shape != b_rows.shape:
         raise ValueError("monitor views must have equal length")
     over = np.zeros(len(end_a_view), dtype=bool)
-    for a, b in ((end_a_view.voltage, end_b_view.voltage),
-                 (end_a_view.current, end_b_view.current)):
+    for a, b in zip(a_rows, b_rows):  # voltage, then current
         # np.mean(a ** 2) spelled out: the same sum and divide, bit for bit.
         mean_sq = 0.5 * (np.add.reduce(a * a, axis=None) / a.size
                          + np.add.reduce(b * b, axis=None) / b.size)

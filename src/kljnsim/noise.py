@@ -8,8 +8,8 @@ and the two inversions an observer can apply to recover resistances from
 measured spectra.
 
 Synthesis, the loop solution and spectrum estimation each take one bit
-period or a block of them (one period per row) in a single call, and a
-block's every row is bit for bit what the one-period call gives.
+period or a block of them in a single call, and a block's every period is
+bit for bit what the one-period call gives.
 
 Spectra are treated as band-averaged scalars: for band-limited white noise
 sampled critically (sample_rate = 2 x bandwidth) the samples are i.i.d. and
@@ -98,40 +98,42 @@ class NoiseConfig:
 
 @dataclass
 class WireTrace:
-    """Wire observables, voltage and loop current samples: one bit period
-    as a 1-D ``(n,)`` pair, or a block of periods as ``(P, n)``, one
-    period per row.  ``len()`` is the samples per period either way."""
+    """Wire observables in one float64 array, ``samples``: voltage in row
+    0 and loop current in row 1, shape ``(2, n)`` for one bit period or
+    ``(P, 2, n)`` for a block of P periods, each period's two rows
+    contiguous.  ``len()`` is the samples per period either way."""
 
-    voltage: np.ndarray
-    current: np.ndarray
+    samples: np.ndarray
 
     def __post_init__(self):
-        self.voltage = np.asarray(self.voltage, dtype=np.float64)
-        self.current = np.asarray(self.current, dtype=np.float64)
-        if self.voltage.shape != self.current.shape:
+        self.samples = np.asarray(self.samples, dtype=np.float64)
+        shape = self.samples.shape
+        if len(shape) not in (2, 3) or shape[-2] != 2 or 0 in shape:
             raise ValueError(
-                f"voltage/current length mismatch: {self.voltage.shape} vs "
-                f"{self.current.shape}")
-        if self.voltage.ndim not in (1, 2) or self.voltage.size == 0:
-            raise ValueError(
-                f"trace must be a non-empty 1-D period or 2-D block of "
-                f"periods, got shape {self.voltage.shape}")
+                f"trace must be a non-empty (2, n) period or (P, 2, n) "
+                f"block of periods, got shape {shape}")
+
+    @property
+    def voltage(self) -> np.ndarray:
+        return self.samples[..., 0, :]
+
+    @property
+    def current(self) -> np.ndarray:
+        return self.samples[..., 1, :]
 
     def __len__(self) -> int:
-        return self.voltage.shape[-1]
+        return self.samples.shape[-1]
 
     def rows(self) -> list[WireTrace]:
-        """A block's periods, each a 1-D trace viewing its row."""
-        return [_unchecked_trace(v, c)
-                for v, c in zip(self.voltage, self.current)]
+        """A block's periods, each a one-period trace viewing its rows."""
+        return [_unchecked_trace(period) for period in self.samples]
 
 
-def _unchecked_trace(voltage: np.ndarray, current: np.ndarray) -> WireTrace:
-    """A trace of two float64 arrays of one valid shape, built without
+def _unchecked_trace(samples: np.ndarray) -> WireTrace:
+    """A trace of a float64 array of a valid shape, built without
     ``WireTrace``'s checks, which would only re-confirm that."""
     trace = object.__new__(WireTrace)
-    trace.voltage = voltage
-    trace.current = current
+    trace.samples = samples
     return trace
 
 
@@ -205,9 +207,9 @@ def compose_loop(u_a: np.ndarray, u_b: np.ndarray, r_a: float | np.ndarray,
 
     Generator traces of one period, shape ``(n,)``, take number
     resistances.  A block of P periods, shape ``(P, n)``, takes one r_a
-    and one r_b per row (length-P arrays) and gives a block trace whose
-    every row is bit for bit the one-period solve of that row: the same
-    IEEE operations, only broadcast.
+    and one r_b per row (length-P arrays) and gives a ``(P, 2, n)`` block
+    trace whose period k is bit for bit the one-period solve of row k: the
+    same IEEE operations, only broadcast.
     """
     u_a = np.asarray(u_a, dtype=np.float64)
     u_b = np.asarray(u_b, dtype=np.float64)
@@ -226,18 +228,19 @@ def compose_loop(u_a: np.ndarray, u_b: np.ndarray, r_a: float | np.ndarray,
     else:
         r_a = np.asarray(r_a, dtype=np.float64)[:, None]  # one per row
         r_b = np.asarray(r_b, dtype=np.float64)[:, None]
-        r_sum = r_a + r_b
+        r_sum = (r_a + r_b)[:, None]  # one per period, over both its rows
         if (r_sum <= 0).any():
             raise ValueError(
                 f"r_a + r_b must be positive, got {r_sum.min()}")
-    # The same operations as the formulas above, done in place where a
-    # temporary would otherwise hold another copy of a block.
-    voltage = u_a * r_b
+    # The same operations as the formulas above, written into the trace's
+    # own rows in place where a temporary would hold another copy of them.
+    samples = np.empty(u_a.shape[:-1] + (2, u_a.shape[-1]))
+    voltage, current = samples[..., 0, :], samples[..., 1, :]
+    np.multiply(u_a, r_b, out=voltage)
     voltage += u_b * r_a
-    voltage /= r_sum
-    current = u_a - u_b
-    current /= r_sum
-    return _unchecked_trace(voltage, current)
+    np.subtract(u_a, u_b, out=current)
+    samples /= r_sum
+    return _unchecked_trace(samples)
 
 
 def measure_spectra(trace: WireTrace, cfg: NoiseConfig,
@@ -247,34 +250,22 @@ def measure_spectra(trace: WireTrace, cfg: NoiseConfig,
     Under the white-in-band assumption the PSD is sample-variance divided
     by bandwidth.  Uses the unbiased (ddof=1) sample variance, computed
     inline as ``np.var(x, ddof=1)``'s own steps (sum, divide, subtract,
-    square, sum, divide), so each is bit-identical to it without its
-    per-call dispatch overhead.
+    square, sum, divide) along the last axis of ``trace.samples``: each
+    contiguous row is summed pairwise as on its own, so each PSD is
+    bit-identical to ``np.var`` without its per-call dispatch overhead.
 
     A one-period trace gives one ``SpectraEstimate``.  A block trace of P
     periods gives one ``(2, P)`` float64 array, s_u in row 0 and s_i in
-    row 1, whose column k is bit for bit the one-period estimate of row k:
-    a sum along the last axis of a row-major block is the same pairwise
-    sum as over the row alone, and the divisions are the same IEEE
-    operations.
+    row 1, whose column k is bit for bit the estimate of period k alone.
     """
-    n = len(trace)
+    x = trace.samples
+    n = x.shape[-1]
     if n < 2:
         raise ValueError("need at least 2 samples to estimate spectra")
-    v, c = trace.voltage, trace.current
-    if v.ndim == 1:
-        # Reducing a 1-D trace along axis 0 is the same pairwise sum as
-        # over axis=None, with less argument handling.
-        dv = v - np.add.reduce(v, 0) / n
-        dc = c - np.add.reduce(c, 0) / n
-        return SpectraEstimate(
-            s_u=float(np.add.reduce(dv * dv, 0)) / (n - 1) / cfg.bandwidth,
-            s_i=float(np.add.reduce(dc * dc, 0)) / (n - 1) / cfg.bandwidth)
-    psds = np.empty((2, v.shape[0]))
-    for row, x in enumerate((v, c)):
-        dx = x - (np.add.reduce(x, 1) / n)[:, None]
-        dx *= dx  # squared in place: one working copy of the block at most
-        psds[row] = np.add.reduce(dx, 1) / (n - 1) / cfg.bandwidth
-    return psds
+    dx = x - (np.add.reduce(x, -1) / n)[..., None]
+    dx *= dx  # squared in place: one working copy of the trace at most
+    psds = (np.add.reduce(dx, -1) / (n - 1) / cfg.bandwidth).T
+    return SpectraEstimate(*psds.tolist()) if x.ndim == 2 else psds
 
 
 def infer_partner_resistance(s_i: float, r_a: float,

@@ -68,7 +68,7 @@ class TestPassiveEavesdrop:
         assert np.median(highs) == pytest.approx(CFG.r_high, rel=0.10)
 
     def test_zero_trace_gives_no_estimate(self):
-        tr = WireTrace(np.zeros(100), np.zeros(100))
+        tr = WireTrace(np.zeros((2, 100)))
         est = passive_eavesdrop(tr, CFG, rng=0)
         assert est == EveEstimate(SpectraEstimate(0.0, 0.0), None, None,
                                   None)
@@ -77,7 +77,7 @@ class TestPassiveEavesdrop:
     def test_spectra_are_the_measured_ones(self, bits):
         # Eve's spectra are the trace's own, also where she cannot classify
         trace = (run_bit_period(*bits, CFG, 15).trace if bits
-                 else WireTrace(np.zeros(100), np.zeros(100)))
+                 else WireTrace(np.zeros((2, 100))))
         est = passive_eavesdrop(trace, CFG, rng=0)
         assert (est.loop_class_guess is None) is (bits is None)
         assert est.spectra == measure_spectra(trace, CFG)

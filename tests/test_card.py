@@ -14,6 +14,7 @@ from kljnsim.card import (
     CardIdentity,
     CardRefusedError,
     CardState,
+    CorruptJournalError,
     DuplicateCardError,
     KeyB,
     KeyExhaustedError,
@@ -554,3 +555,47 @@ class TestKeystoreJournal:
     def test_missing_file_loads_empty(self, tmp_path):
         store = Keystore.load(tmp_path / "absent.jsonl")
         assert store.records == {}
+
+    @staticmethod
+    def journal_state(store):
+        return {num: rec.to_journal() for num, rec in store.records.items()}
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_append_cut_at_every_byte(self, tmp_path, k):
+        """A crash may stop an append after any of its bytes.  Each cut
+        loads as the state before or after that append, and the next
+        append then reloads cleanly or is refused."""
+        path = tmp_path / "cards.jsonl"
+        store = Keystore(path)
+        provision(m_max=2, n_d=2048, rng=0, keystore=store)
+        for j in range(1, k):
+            initialize_card(CardIdentity(str(j), "HOLDER", "12/30"), 2, 2048,
+                            j, keystore=store)
+        before = self.journal_state(store)
+        journal = path.read_bytes()
+        record = store.lookup(IDENTITY.card_number)
+        record.key_c.consume_through(0)  # the cursor a replay must not undo
+        record.generation += 1
+        store.journal(record)
+        after = self.journal_state(store)
+        append = path.read_bytes()[len(journal):]
+        _, extra = initialize_card(CardIdentity("999", "NEXT", "01/31"), 2,
+                                   2048, 99)
+        for cut in range(len(append) + 1):
+            path.write_bytes(journal + append[:cut])
+            loaded = Keystore.load(path)
+            torn = 0 < cut < len(append) - 1  # a record cut short
+            assert loaded.torn_tail is torn
+            state = self.journal_state(loaded)
+            assert state == (before if cut < len(append) - 1 else after)
+            if torn:
+                with pytest.raises(CorruptJournalError):
+                    loaded.journal(extra)
+                assert path.read_bytes() == journal + append[:cut]
+                continue
+            loaded.journal(extra)
+            reloaded = Keystore.load(path)
+            assert not reloaded.torn_tail
+            assert self.journal_state(reloaded) == {
+                **state, "999": extra.to_journal()}
+            assert path.read_bytes().endswith(b"\n")

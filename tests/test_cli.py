@@ -342,6 +342,57 @@ class TestKeystoreInspect:
         assert code == 0
         assert records == intact
 
+    def test_append_cut_at_every_byte(self, tmp_path, capsys):
+        """A crash may stop a journal append after any of its bytes.
+        ``keystore-inspect`` reads every cut as the card before or after
+        that append; ``card-lifetime`` then appends a card cleanly (exit
+        0) or, onto a record cut short, refuses (exit 3) and writes
+        nothing.  ``card-lifetime`` runs at the cuts at each edge of the
+        three cases: none of the append, a record cut short, and the
+        record without or with its newline."""
+        ks = tmp_path / "ks.jsonl"
+        store = Keystore(ks)
+        _, record = initialize_card(CardIdentity("999", "HOLDER", "12/30"),
+                                    2, 2048, 5, keystore=store)
+        journal = ks.read_bytes()
+        record.key_c.consume_through(0)
+        record.generation += 1
+        store.journal(record)
+        append = ks.read_bytes()[len(journal):]
+
+        def inspect():
+            code = cli.main(["keystore-inspect", "--keystore", str(ks)])
+            captured = capsys.readouterr()
+            assert code == 0
+            return ([json.loads(x) for x in captured.out.splitlines()],
+                    "torn" in captured.err)
+
+        after, _ = inspect()
+        ks.write_bytes(journal)
+        before, _ = inspect()
+        assert before != after
+        n = len(append)
+        for cut in range(n + 1):
+            ks.write_bytes(journal + append[:cut])
+            torn = 0 < cut < n - 1
+            assert inspect() == (before if cut < n - 1 else after, torn)
+            if cut not in (0, 1, n - 2, n - 1, n):
+                continue
+            code = cli.main(["card-lifetime", "--n_sessions", "1",
+                             "--m_max", "2", "--payload_bytes", "8",
+                             "--seed", "21", "--keystore", str(ks)])
+            capsys.readouterr()
+            if torn:
+                assert code == 3
+                assert ks.read_bytes() == journal + append[:cut]
+                continue
+            assert code == 0
+            cards, torn_after = inspect()
+            assert not torn_after
+            by_number = {c["card_number"]: c for c in cards[:-1]}
+            assert sorted(by_number) == ["4000000000000000", "999"]
+            assert by_number["999"] == (before if cut < n - 1 else after)[0]
+
     @pytest.mark.parametrize("command", [
         ["keystore-inspect"], ["card-lifetime", "--n_sessions", "1"]])
     def test_deeply_nested_line_exits_3(self, tmp_path, capsys, command):

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from kljnsim import exchange
 from kljnsim.adversary import InjectionHook, MitmHook
+from kljnsim.card import _monitor_bytes
 from kljnsim.exchange import (
     ALARM_ABORT_COUNT,
     MONITOR_TOLERANCE,
+    BitExchangeRecord,
     ChannelCompromisedError,
     ExchangeNotConvergedError,
     ExchangeStats,
@@ -302,7 +304,7 @@ class TestBlockClassify:
 
 class TestMonitorCompare:
     def test_identical_traces_silent(self):
-        tr = WireTrace(np.ones(100), np.ones(100))
+        tr = WireTrace(np.ones((2, 100)))
         rep = monitor_compare(tr, tr)
         assert not rep.alarm
         assert rep.first_divergence is None
@@ -311,10 +313,10 @@ class TestMonitorCompare:
         rng = np.random.default_rng(2)
         v = rng.normal(size=200)
         i = rng.normal(size=200)
-        a = WireTrace(v, i)
+        a = WireTrace(np.stack([v, i], -2))
         v2 = v.copy()
         v2[57] += 10 * np.sqrt(np.mean(v ** 2))
-        b = WireTrace(v2, i)
+        b = WireTrace(np.stack([v2, i], -2))
         rep = monitor_compare(a, b)
         assert rep.alarm
         assert first_divergence_index(a, b) == 57
@@ -322,7 +324,7 @@ class TestMonitorCompare:
     def test_same_object_equals_full_comparison(self):
         rec = run_bit_period(0, 1, CFG, 5)
         tr = rec.trace
-        twin = WireTrace(tr.voltage.copy(), tr.current.copy())
+        twin = WireTrace(np.stack([tr.voltage.copy(), tr.current.copy()], -2))
         assert monitor_compare(tr, tr) == monitor_compare(tr, twin)
         assert rec.monitor == monitor_compare(tr, twin)
 
@@ -330,7 +332,7 @@ class TestMonitorCompare:
         tr = run_bit_period(1, 0, CFG, 6).trace
         current = tr.current.copy()
         current[3] += 1e-3 * np.sqrt(np.mean(current ** 2))
-        spiked = WireTrace(tr.voltage.copy(), current)
+        spiked = WireTrace(np.stack([tr.voltage.copy(), current], -2))
         assert monitor_compare(tr, spiked).alarm
         assert first_divergence_index(tr, spiked) == 3
 
@@ -340,8 +342,10 @@ class TestMonitorCompare:
         rng = np.random.default_rng(3)
         early = 0
         for _ in range(1000):
-            a = WireTrace(rng.normal(size=100), rng.normal(size=100))
-            b = WireTrace(rng.normal(size=100), rng.normal(size=100))
+            a = WireTrace(np.stack([rng.normal(size=100),
+                                    rng.normal(size=100)], -2))
+            b = WireTrace(np.stack([rng.normal(size=100),
+                                    rng.normal(size=100)], -2))
             idx = first_divergence_index(a, b)
             early += idx is not None and idx < 100
         assert early >= 999
@@ -350,17 +354,19 @@ class TestMonitorCompare:
     def test_alarm_equals_max_based_reference(self, tolerance):
         rng = np.random.default_rng(41)
         v, i = rng.normal(size=(2, 200))
-        base = WireTrace(v, i)
-        others = [base, WireTrace(v.copy(), i.copy()),
-                  WireTrace(*rng.normal(size=(2, 200)))]
+        base = WireTrace(np.stack([v, i], -2))
+        others = [base, WireTrace(np.stack([v.copy(), i.copy()], -2)),
+                  WireTrace(rng.normal(size=(2, 200)))]
         for scale in (1e-9, 1e-7, 1e-6):  # straddles tolerance 1e-6
-            others.append(WireTrace(v + rng.normal(0, scale, 200),
-                                    i + rng.normal(0, scale, 200)))
+            others.append(WireTrace(np.stack([v + rng.normal(0, scale, 200),
+                                              i + rng.normal(0, scale, 200)],
+                                             -2)))
         for sample in (0, 199):
             for channel in ("voltage", "current"):
                 spiked = {"voltage": v.copy(), "current": i.copy()}
                 spiked[channel][sample] += 10.0
-                others.append(WireTrace(**spiked))
+                others.append(WireTrace(np.stack([spiked["voltage"],
+                                                  spiked["current"]], -2)))
         alarms = [max_based_alarm(base, other, tolerance)
                   for other in others]
         assert [monitor_compare(base, other).alarm
@@ -392,7 +398,8 @@ class TestMonitorCompare:
         v, i = rng.normal(size=(2, 100))
         spiked = {"voltage": v.copy(), "current": i.copy()}
         spiked[channel][31] = bad
-        a, b = WireTrace(v, i), WireTrace(**spiked)
+        a = WireTrace(np.stack([v, i], -2))
+        b = WireTrace(np.stack([spiked["voltage"], spiked["current"]], -2))
         assert first_divergence_index(a, b) == 31
         assert first_divergence_index(b, a) == 31
 
@@ -400,17 +407,18 @@ class TestMonitorCompare:
     def test_overflowing_signal_rescaled(self):
         rng = np.random.default_rng(48)
         v, i = 1e300 * rng.normal(size=(2, 100))
-        a = WireTrace(v, i)
-        assert first_divergence_index(a, WireTrace(v.copy(),
-                                                   i.copy())) is None
+        a = WireTrace(np.stack([v, i], -2))
+        assert first_divergence_index(
+            a, WireTrace(np.stack([v.copy(), i.copy()], -2))) is None
         nudged = i.copy()
         nudged[70] *= 1 + 1e-3
-        assert first_divergence_index(a, WireTrace(v.copy(), nudged)) == 70
+        assert first_divergence_index(
+            a, WireTrace(np.stack([v.copy(), nudged], -2))) == 70
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            monitor_compare(WireTrace(np.ones(3), np.ones(3)),
-                            WireTrace(np.ones(4), np.ones(4)))
+            monitor_compare(WireTrace(np.ones((2, 3))),
+                            WireTrace(np.ones((2, 4))))
 
 
 class TestRunBitPeriod:
@@ -691,3 +699,109 @@ class TestBlockSolve:
         else:
             assert derived.retained == 200
             assert derived.anomalies > 0
+
+
+def two_array_first_divergence(a_signals, b_signals):
+    """Reference monitor over two arrays per view, (voltage, current):
+    one signal at a time, ``np.mean`` for the pooled mean square, and the
+    rescaled RMS and the non-finite rule where that is not finite."""
+    over = np.zeros(a_signals[0].size, dtype=bool)
+    for a, b in zip(a_signals, b_signals):
+        with np.errstate(all="ignore"):
+            mean_sq = 0.5 * (np.mean(a ** 2) + np.mean(b ** 2))
+            if math.isfinite(mean_sq):
+                over |= np.abs(a - b) > MONITOR_TOLERANCE * math.sqrt(mean_sq)
+                continue
+            peak = max(np.abs(a).max(), np.abs(b).max())
+            rms = peak * math.sqrt(0.5 * (np.mean((a / peak) ** 2)
+                                          + np.mean((b / peak) ** 2)))
+            over |= ~(np.isfinite(a) & np.isfinite(b))
+            over |= np.abs(a - b) > MONITOR_TOLERANCE * rms
+    hits = np.flatnonzero(over)
+    return int(hits[0]) if hits.size else None
+
+
+def float_bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+class TestOneArrayTrace:
+    """A trace is one ``(2, n)`` or ``(P, 2, n)`` array; what the loop
+    solve, the spectra, the monitor and the tag bytes read from it is bit
+    for bit what they read from separate voltage and current arrays."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           n=st.sampled_from([2, 3, 100, 101, 257]),
+           periods=st.integers(1, 5),
+           scale=st.sampled_from([1e-8, 1e-3, 1.0, 1e3]))
+    def test_solve_and_spectra_equal_two_arrays(self, seed, n, periods,
+                                                 scale):
+        rng = np.random.default_rng(seed)
+        u_a = rng.normal(rng.normal() * scale, scale, (periods, n))
+        u_b = rng.normal(0.0, scale, (periods, n))
+        r_a, r_b = 10 ** rng.uniform(0, 6, (2, periods))
+        block = compose_loop(u_a, u_b, r_a, r_b)
+        assert block.samples.shape == (periods, 2, n)
+        spectra = measure_spectra(block, CFG)
+        for k in range(periods):
+            r_sum = r_a[k] + r_b[k]
+            voltage = (u_a[k] * r_b[k] + u_b[k] * r_a[k]) / r_sum
+            current = (u_a[k] - u_b[k]) / r_sum
+            one = compose_loop(u_a[k], u_b[k], r_a[k], r_b[k])
+            for trace in (block.rows()[k], one):
+                assert trace.samples.shape == (2, n)
+                assert np.array_equal(
+                    float_bits(trace.samples),
+                    float_bits(np.stack([voltage, current])))
+            want = [np.var(x, ddof=1) / CFG.bandwidth
+                    for x in (voltage, current)]
+            got = measure_spectra(one, CFG)
+            assert np.array_equal(float_bits([got.s_u, got.s_i]),
+                                  float_bits(want))
+            assert np.array_equal(float_bits(spectra[:, k]),
+                                  float_bits(want))
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           n=st.sampled_from([2, 7, 100]),
+           scale=st.sampled_from([1e-300, 1e-6, 1.0, 1e300]),
+           noise=st.sampled_from([0.0, 1e-9, 1e-6, 1.0]),
+           specials=st.lists(st.tuples(
+               st.integers(0, 1), st.integers(0, 1), st.integers(0, 99),
+               st.sampled_from([np.inf, -np.inf, np.nan, 0.0])),
+               max_size=3))
+    def test_monitor_equals_per_signal_loop(self, seed, n, scale, noise,
+                                            specials):
+        rng = np.random.default_rng(seed)
+        a = [scale * rng.normal(size=n) for _ in range(2)]
+        b = [x + noise * scale * rng.normal(size=n) for x in a]
+        for view, row, index, value in specials:
+            (a, b)[view][row][index % n] = value
+        want = two_array_first_divergence(a, b)
+        view_a, view_b = (WireTrace(np.stack(x, -2)) for x in (a, b))
+        with np.errstate(all="ignore"):
+            assert first_divergence_index(view_a, view_b) == want
+            assert monitor_compare(view_a, view_b).first_divergence == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           n=st.sampled_from([2, 100]),
+           periods=st.integers(1, 5),
+           hostile=st.lists(st.booleans(), min_size=5, max_size=5))
+    def test_tag_bytes_equal_two_arrays(self, seed, n, periods, hostile):
+        rng = np.random.default_rng(seed)
+        voltage, current = rng.normal(size=(2, periods, n))
+        bob = rng.normal(size=(periods, 2, n))
+        block = WireTrace(np.stack([voltage, current], -2))
+        records = [BitExchangeRecord(
+            row, None, exchange.MonitorReport(None),
+            WireTrace(bob[k]) if hostile[k] else None)
+            for k, row in enumerate(block.rows())]
+        assert _monitor_bytes(records, "a") == b"".join(
+            voltage[k].tobytes() + current[k].tobytes()
+            for k in range(periods))
+        assert _monitor_bytes(records, "b") == b"".join(
+            bob[k].tobytes() if hostile[k]
+            else voltage[k].tobytes() + current[k].tobytes()
+            for k in range(periods))

@@ -134,15 +134,21 @@ class TestComposeLoop:
     def test_empty_or_not_1d_traces_rejected(self, shape):
         with pytest.raises(ValueError):
             compose_loop(np.zeros(shape), np.zeros(shape), 1e3, 1e3)
+        with pytest.raises(ValueError):  # the trace with its 2 rows
+            WireTrace(np.zeros(shape[:-1] + (2,) + shape[-1:]))
+
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 4), (5, 3, 4)])
+    def test_trace_without_two_signal_rows_rejected(self, shape):
         with pytest.raises(ValueError):
-            WireTrace(np.zeros(shape), np.zeros(shape))
+            WireTrace(np.zeros(shape))
 
     def test_result_equals_a_checked_trace(self):
         # integer input is taken as float64, as WireTrace itself would
         tr = compose_loop(np.arange(5), np.ones(5, dtype=np.int32), 1e3, 2e3)
-        checked = WireTrace(tr.voltage, tr.current)
-        assert tr == checked
-        assert tr.voltage.dtype == tr.current.dtype == np.float64
+        checked = WireTrace(np.stack([tr.voltage, tr.current], -2))
+        assert np.array_equal(tr.samples, checked.samples)
+        assert tr.samples.dtype == np.float64
+        assert tr.samples.shape == (2, 5)
         assert len(tr) == 5
 
 
@@ -153,16 +159,17 @@ class TestMeasureSpectra:
         for scale in (1e-8, 1e-3, 1.0, 1e3):
             v = rng.normal(rng.normal() * scale, scale, n)
             i = rng.normal(0.0, scale * 1e-4, n)
-            s = measure_spectra(WireTrace(v, i), CFG)
+            s = measure_spectra(WireTrace(np.stack([v, i], -2)), CFG)
             assert s.s_u == float(np.var(v, ddof=1)) / CFG.bandwidth
             assert s.s_i == float(np.var(i, ddof=1)) / CFG.bandwidth
 
     def test_single_sample_rejected(self):
         with pytest.raises(ValueError):
-            measure_spectra(WireTrace(np.ones(1), np.ones(1)), CFG)
+            measure_spectra(
+                WireTrace(np.stack([np.ones(1), np.ones(1)], -2)), CFG)
 
     def test_all_zero_trace(self):
-        tr = WireTrace(np.zeros(100), np.zeros(100))
+        tr = WireTrace(np.zeros((2, 100)))
         s = measure_spectra(tr, CFG)
         assert s.s_u == 0.0 and s.s_i == 0.0
 
@@ -211,7 +218,7 @@ class TestBlockSolve:
                 np.array([want.s_u, want.s_i]).view(np.uint64))
 
     def test_block_trace_accepted(self):
-        tr = WireTrace(np.zeros((3, 5)), np.ones((3, 5)))
+        tr = WireTrace(np.stack([np.zeros((3, 5)), np.ones((3, 5))], -2))
         assert len(tr) == 5
         assert [len(row) for row in tr.rows()] == [5, 5, 5]
 

@@ -1,8 +1,14 @@
-"""Repository hygiene checks that read the source rather than run it."""
+"""Repository hygiene checks: the source is read for dead names, and the
+benchmark's span list is checked against an in-process traced run."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
+
+import pytest
+
+from kljnsim import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kljnsim"
@@ -54,3 +60,49 @@ def test_every_defined_name_is_referenced():
                        if (path, number) != (module, line)):
                 unreferenced.add(name)
     assert unreferenced == UNREFERENCED_ALLOWED
+
+
+# Cut trial counts for the traced run: enough trials that every layer runs.
+CUT_TRIALS = "2"
+
+
+def cut_counts(argv: list[str]) -> list[str]:
+    """A benchmark command with fewer trials: ``--trials`` cut to
+    CUT_TRIALS, and ``--n_sessions`` to the last session with a fault."""
+    argv = list(argv)
+    if "--trials" in argv:
+        argv[argv.index("--trials") + 1] = CUT_TRIALS
+    if "--n_sessions" in argv:
+        faults = argv[argv.index("--faults") + 1].split(",")
+        argv[argv.index("--n_sessions") + 1] = str(
+            1 + max(int(f.split(":")[0]) for f in faults))
+    return argv
+
+
+@pytest.fixture
+def bench_modules(monkeypatch):
+    """``bench/run.py`` and ``bench/tracer.py``, imported as the benchmark
+    imports them, with ``bench/`` on the path."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    return importlib.import_module("run"), importlib.import_module("tracer")
+
+
+@pytest.mark.parametrize("workload", ["exchange-campaign", "card-lifetime",
+                                      "attack-suite"])
+def test_every_expected_span_is_called(workload, bench_modules, tmp_path,
+                                       capsys):
+    """A traced benchmark run fails on an expected span with no calls, and
+    only the traced runs check it; this runs each workload's commands once
+    in process, with fewer trials, under the benchmark's tracer."""
+    bench_run, bench_tracer = bench_modules
+    wl = bench_run.WORKLOADS[workload]
+    tracer = bench_tracer.Tracer()
+    tracer.install()
+    try:
+        for argv in wl.commands(23, str(tmp_path / "cards.jsonl")):
+            assert cli.main(cut_counts(argv)) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    spans = tracer.report()["spans"]
+    assert [name for name in wl.expected_spans if spans[name][0] == 0] == []
