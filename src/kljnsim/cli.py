@@ -56,10 +56,10 @@ class ConfigError(ValueError):
 class RunConfig:
     """Everything a command run needs: ``noise``, the run's NoiseConfig,
     and the rest, flat so that with NoiseConfig's own fields it maps 1:1
-    onto the key=value config file and the --key flags."""
+    onto the key=value config file and the --key flags.  Key C's sample
+    count N_d is not a setting: ``derived_n_d`` gives it."""
 
     m_max: int = 5
-    n_d: int = 0                   # 0 -> derived from session geometry
     trials: int = 10
     seed: int = 12345
     output_path: str = ""          # "" -> stdout
@@ -71,52 +71,38 @@ class RunConfig:
     keystore: str = "keystore.jsonl"
     noise: NoiseConfig = field(default_factory=NoiseConfig)
 
-    # Smallest accepted value; NoiseConfig checks the physics parameters.
-    _MINIMUMS = {"trials": 1, "target_bits": 1, "m_max": 1,
-                 "payload_bytes": 1, "n_sessions": 0, "seed": 0,
-                 "amplitude": 0}
-
-    def __post_init__(self):
-        for key, low in self._MINIMUMS.items():
-            if getattr(self, key) < low:
-                raise ConfigError(
-                    f"{key} must be >= {low}, got {getattr(self, key)}")
-        if self.n_d < 0 or self.n_d == 1:
-            raise ConfigError(
-                f"n_d must be 0 (derived) or >= 2, got {self.n_d}")
-
     @property
     def key_b_bits(self) -> int:
         """Key B size: twice the payload's bits."""
         return 2 * 8 * self.payload_bytes
 
     def derived_n_d(self) -> int:
-        if self.n_d:
-            return self.n_d
         # voltage+current samples over the expected authentication exchange
         return 2 * self.noise.samples_per_bit * 2 * self.key_b_bits
 
-
-# Largest accepted samples_per_bit.  A card authentication holds every
-# period's voltage and current, about 8 KB x samples_per_bit at the default
-# payload, so 10 000 samples (100x the default) keeps it near 100 MB.
-_MAX_SAMPLES_PER_BIT = 10_000
 
 _FIELD_TYPES = {f.name: f.type for f in (*fields(NoiseConfig),
                                          *fields(RunConfig))
                 if f.name != "noise"}
 
+# (least, greatest) accepted value of each numeric setting; NoiseConfig
+# checks the physics.  The sizes that allocate are capped:
+# - m_max: key C is 64 one-byte bits per segment, and a refresh exchanges
+#   512 secure bits per segment, so 10 000 keeps its key lists near 80 MB;
+# - n_sessions: each session's seed (about 400 bytes) is drawn up front;
+# - payload_bytes x samples_per_bit: an authentication holds about 512 x
+#   their product bytes of trace, so 16 x 10 000 keeps it near 82 MB.
+_BOUNDS = {"trials": (1, math.inf), "target_bits": (1, math.inf),
+           "seed": (0, math.inf), "amplitude": (0, math.inf),
+           "m_max": (1, 10_000), "n_sessions": (0, 100_000),
+           "payload_bytes": (1, math.inf),
+           "samples_per_bit": (100, 10_000),
+           "payload_bytes x samples_per_bit": (100, 16 * 10_000)}
+
 
 def _noise_config(**physics) -> NoiseConfig:
-    """The run's NoiseConfig from the physics settings it was given.  An
-    absent or 0 sample_rate is 2 x bandwidth."""
-    if not physics.get("sample_rate"):
-        physics["sample_rate"] = 2.0 * physics.get("bandwidth",
-                                                   NoiseConfig.bandwidth)
-    samples = physics.get("samples_per_bit", NoiseConfig.samples_per_bit)
-    if samples > _MAX_SAMPLES_PER_BIT:
-        raise ConfigError(f"samples_per_bit must be <= "
-                          f"{_MAX_SAMPLES_PER_BIT}, got {samples}")
+    """The run's NoiseConfig, refused when a class level leaves float
+    range."""
     noise = NoiseConfig(**physics)
     # Classification works in log space: a level that underflows to 0 or
     # is undefined (NaN) cannot be placed there.  (An infinite one can: it
@@ -162,7 +148,9 @@ def load_config_file(path: str) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    merged: dict = {}
+    merged = {f.name: f.default for f in (*fields(NoiseConfig),
+                                          *fields(RunConfig))
+              if f.name in _FIELD_TYPES}
     if args.config:
         merged.update(load_config_file(args.config))
     env_seed = os.environ.get("KLJN_SEED")
@@ -172,11 +160,16 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         cli_val = getattr(args, key, None)
         if cli_val is not None:
             merged[key] = _coerce(key, str(cli_val))
-    physics = {f.name: merged.pop(f.name) for f in fields(NoiseConfig)
-               if f.name in merged}
-    cfg = RunConfig(**merged)  # its own checks come before the physics'
-    cfg.noise = _noise_config(**physics)
-    return cfg
+    # Checked before anything is built, so a size above its cap never
+    # reaches an allocation.
+    values = {**merged, "payload_bytes x samples_per_bit":
+              merged["payload_bytes"] * merged["samples_per_bit"]}
+    for key, (least, greatest) in _BOUNDS.items():
+        if not least <= values[key] <= greatest:
+            bound = f">= {least}" if values[key] < least else f"<= {greatest}"
+            raise ConfigError(f"{key} must be {bound}, got {values[key]}")
+    physics = {f.name: merged.pop(f.name) for f in fields(NoiseConfig)}
+    return RunConfig(**merged, noise=_noise_config(**physics))
 
 
 class Emitter:
@@ -521,9 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
     try:
+        if unknown:  # a removed setting among them, such as --n_d
+            raise ConfigError(f"unrecognized arguments: {' '.join(unknown)}")
         cfg = build_config(args)
     except (ConfigError, ValueError, OSError) as err:
         print(f"config error: {err}", file=sys.stderr)

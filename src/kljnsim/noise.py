@@ -43,10 +43,9 @@ class NoiseConfig:
         Publicly agreed effective noise temperature (K).  Chosen far above
         any physical temperature so the wire's own noise is negligible.
     bandwidth : float
-        Noise bandwidth (Hz) of the generators.
-    sample_rate : float
-        Samples per second.  Critical sampling (2 x bandwidth) keeps the
-        synthesized samples independent; must satisfy Nyquist.
+        Noise bandwidth (Hz) of the generators.  The channel is sampled
+        critically, at ``sample_rate`` = 2 x bandwidth, the one rate at
+        which the i.i.d. synthesized samples are exact.
     samples_per_bit : int
         Samples recorded per bit period.
     classify_margin : float
@@ -58,7 +57,6 @@ class NoiseConfig:
     r_high: float = 1e4
     t_eff: float = 1e12
     bandwidth: float = 1e5
-    sample_rate: float = 2e5
     samples_per_bit: int = 100
     classify_margin: float = 0.5
 
@@ -73,10 +71,6 @@ class NoiseConfig:
         if self.bandwidth <= 0:
             raise ValueError(
                 f"bandwidth must be positive, got {self.bandwidth}")
-        if self.sample_rate < 2 * self.bandwidth:
-            raise ValueError(
-                f"sample_rate ({self.sample_rate}) must be >= 2 x bandwidth "
-                f"({2 * self.bandwidth})")
         if self.samples_per_bit < 100:
             raise ValueError(
                 f"samples_per_bit must be >= 100, got {self.samples_per_bit}")
@@ -84,6 +78,11 @@ class NoiseConfig:
             raise ValueError(
                 f"classify_margin must lie in (0, 1), got "
                 f"{self.classify_margin}")
+
+    @property
+    def sample_rate(self) -> float:
+        """Samples per second: 2 x bandwidth."""
+        return 2.0 * self.bandwidth
 
     @property
     def bit_period_seconds(self) -> float:

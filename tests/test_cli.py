@@ -420,16 +420,15 @@ class TestConfigHandling:
         # types of the flags, --help and the config file.
         assert list(cli._FIELD_TYPES.items()) == [
             ("r_low", "float"), ("r_high", "float"), ("t_eff", "float"),
-            ("bandwidth", "float"), ("sample_rate", "float"),
-            ("samples_per_bit", "int"), ("classify_margin", "float"),
-            ("m_max", "int"), ("n_d", "int"), ("trials", "int"),
+            ("bandwidth", "float"), ("samples_per_bit", "int"),
+            ("classify_margin", "float"), ("m_max", "int"), ("trials", "int"),
             ("seed", "int"), ("output_path", "str"), ("target_bits", "int"),
             ("payload_bytes", "int"), ("amplitude", "float"),
             ("n_sessions", "int"), ("faults", "str"), ("keystore", "str")]
 
     @pytest.mark.parametrize("flags", [
-        ["--bandwidth", "1e6"], ["--bandwidth", "1e6", "--sample_rate", "0"],
-        ["--config", "{conf}"]], ids=["absent", "zero", "config_file"])
+        ["--bandwidth", "1e6"], ["--config", "{conf}"]],
+        ids=["absent", "config_file"])
     def test_sample_rate_defaults_to_twice_bandwidth(self, flags, tmp_path,
                                                      capsys):
         conf = tmp_path / "run.cfg"
@@ -439,6 +438,26 @@ class TestConfigHandling:
         code, records = run_main(argv, capsys)
         assert code == 0
         assert records[-1]["bit_period_seconds"] == 5e-05  # 100 / 2e6
+
+    @pytest.mark.parametrize("setting,value", [
+        ("sample_rate", "4e5"), ("n_d", "2")])
+    @pytest.mark.parametrize("source", ["flag", "config_key"])
+    def test_derived_setting_exits_2(self, setting, value, source, tmp_path,
+                                     capsys):
+        # the sample rate is 2 x bandwidth and N_d the authentication's
+        # sample count: neither is a setting
+        conf = tmp_path / "run.cfg"
+        conf.write_text(f"{setting} = {value}\n")
+        given = [f"--{setting}", value] if source == "flag" \
+            else ["--config", str(conf)]
+        ks = tmp_path / "ks.jsonl"
+        assert cli.main(["card-lifetime", "--n_sessions", "1", *given,
+                         "--keystore", str(ks)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert setting in captured.err
+        assert not ks.exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -606,7 +625,7 @@ class TestOutOfRangeNumbers:
 
     def test_non_finite_config_file_value_exits_2(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
-        conf.write_text("sample_rate = inf\n")
+        conf.write_text("bandwidth = inf\n")
         assert cli.main(["rate", "--config", str(conf)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -620,6 +639,42 @@ class TestOutOfRangeNumbers:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "samples_per_bit must be <= 10000" in captured.err
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--m_max", "10001"], "m_max must be <= 10000"),
+        (["--m_max", "1000000000"], "m_max must be <= 10000"),
+        (["--payload_bytes", "1601"],
+         "payload_bytes x samples_per_bit must be <= 160000"),
+        (["--payload_bytes", "17", "--samples_per_bit", "10000"],
+         "payload_bytes x samples_per_bit must be <= 160000"),
+        (["--payload_bytes", "1000000000"],
+         "payload_bytes x samples_per_bit must be <= 160000"),
+        (["--n_sessions", "100001"], "n_sessions must be <= 100000"),
+    ], ids=["m_max_one_over", "m_max_1e9", "payload_one_over",
+            "payload_at_max_samples", "payload_1e9",
+            "n_sessions_one_over"])
+    def test_size_above_bound_exits_2(self, flags, message, tmp_path,
+                                      capsys):
+        # rejected while the config is built: no card is provisioned and
+        # no key C or trace is allocated
+        ks = tmp_path / "ks.jsonl"
+        assert cli.main(["card-lifetime", *flags, "--keystore",
+                         str(ks)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert message in captured.err
+        assert not ks.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--m_max", "10000"], ["--n_sessions", "100000"],
+        ["--payload_bytes", "1600"],
+        ["--payload_bytes", "16", "--samples_per_bit", "10000"]],
+        ids=["m_max", "n_sessions", "payload", "payload_at_max_samples"])
+    def test_size_at_bound_is_accepted(self, flags):
+        # built only: running at these sizes would take minutes
+        cli.build_config(cli.build_parser().parse_args(["card-lifetime",
+                                                         *flags]))
 
     def test_non_finite_record_is_not_written(self, capsys):
         with pytest.raises(cli.ConfigError, match="non-finite"):
@@ -677,10 +732,10 @@ EXTREME_VALUES = {
     "r_high": ["1e-299", "1100", "1e150", "1e300", "1.7e308"],
     "t_eff": ["1e-300", "1", "1e300"],
     "bandwidth": ["1e-300", "1e-5", "1e300"],
-    "sample_rate": ["0", "1e306"],
     "classify_margin": ["0.001", "0.01", "0.99"],
     "amplitude": ["0", "1e-300", "1e200", "1e308"],
-    "n_d": ["2", "1000000000000"],
+    "m_max": ["10001", "1000000000"],
+    "payload_bytes": ["1601", "1000000000"],
 }
 SMALL_COMMANDS = [
     ["exchange", "--trials", "1", "--target_bits", "4"],

@@ -367,7 +367,6 @@ class TestNoiseConfigValidation:
         {"r_low": 2e4},                   # r_high <= r_low
         {"t_eff": 0.0},
         {"bandwidth": 0.0},
-        {"sample_rate": 1e5},             # < 2 x bandwidth
         {"samples_per_bit": 50},
         {"classify_margin": 0.0},
         {"classify_margin": 1.0},
@@ -375,6 +374,12 @@ class TestNoiseConfigValidation:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             NoiseConfig(**kwargs)
+
+    def test_sample_rate_is_twice_bandwidth(self):
+        # critical sampling: the one rate at which i.i.d. samples are exact
+        assert NoiseConfig(bandwidth=3e5).sample_rate == 6e5
+        with pytest.raises(TypeError):
+            NoiseConfig(sample_rate=4e5)
 
     def test_boltzmann_constant_pinned(self):
         assert BOLTZMANN_K == 1.380649e-23

@@ -1,9 +1,11 @@
-"""Repository hygiene checks: the source is read for dead names, and the
-benchmark's span list is checked against an in-process traced run."""
+"""Repository hygiene checks: the source is read for dead names, every
+numeric setting has a bound, and the benchmark's span list is checked
+against an in-process traced run."""
 
 import ast
 import importlib
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -60,6 +62,14 @@ def test_every_defined_name_is_referenced():
                        if (path, number) != (module, line)):
                 unreferenced.add(name)
     assert unreferenced == UNREFERENCED_ALLOWED
+
+
+def test_every_numeric_setting_is_bounded():
+    """A numeric setting with no row in the CLI's bounds table would
+    accept any size, however much it allocates."""
+    numeric = {f.name for f in fields(cli.RunConfig)
+               if f.type in ("int", "float")}
+    assert (numeric | {"samples_per_bit"}) - set(cli._BOUNDS) == set()
 
 
 # Cut trial counts for the traced run: enough trials that every layer runs.
