@@ -368,8 +368,9 @@ def initialize_card(identity: CardIdentity, m_max: int, n_d: int, rng,
     return card, server
 
 
-def authenticate_tag(data: bytes, key_segment: BitString) -> int:
-    """64-bit keyed tag of the monitoring data.
+def authenticate_tag(data: bytes | bytearray, key_segment: BitString) -> int:
+    """64-bit keyed tag of the monitoring data, any bytes-like object
+    (read in place, not copied).
 
     The segment keys a polynomial universal hash (see ``tags``);
     identical (data, segment) always give identical tags.
@@ -387,16 +388,6 @@ class AuthResult:
     key_b_card: Optional[KeyB] = None
     key_b_terminal: Optional[KeyB] = None
     reason: str = ""
-
-
-def _monitor_bytes(records: list[BitExchangeRecord], end: str) -> bytes:
-    """Serialize one end's per-period instantaneous data for tagging: the
-    join reads each period's contiguous ``samples`` buffer directly, the
-    same bytes as its ``tobytes()`` (voltage row, then current row)."""
-    return b"".join([
-        (rec.trace if end == "a" or rec.bob_trace is None
-         else rec.bob_trace).samples
-        for rec in records])
 
 
 def authenticate_session(card: CardState, server: Keystore,
@@ -446,29 +437,39 @@ def authenticate_session(card: CardState, server: Keystore,
         server.journal(record)
         return AuthResult(ledger=ledger, reason=reason)
 
-    # (iii) KLJN exchange for key B
+    # (iii) KLJN exchange for key B.  No record outlives its period: its
+    # views are appended to the ends' monitor data as it is counted.  At
+    # the first period whose views differ, end B's data is split off as a
+    # copy of end A's bytes so far.
     ledger.advance("kljn_running")
-    exchange_records: list[BitExchangeRecord] = []
+    card_data = term_data = bytearray()
+
+    def collect(rec: BitExchangeRecord) -> None:
+        nonlocal term_data
+        if rec.bob_trace is not None and term_data is card_data:
+            term_data = bytearray(card_data)
+        card_data.extend(rec.trace.samples)
+        if term_data is not card_data:
+            term_data.extend((rec.trace if rec.bob_trace is None
+                              else rec.bob_trace).samples)
+
     try:
         card_key, term_key, _ = exchange_key(
-            key_b_bits, cfg, seed, adversary=adversary,
-            record_sink=exchange_records.append)
+            key_b_bits, cfg, seed, adversary=adversary, record_sink=collect)
     except ChannelCompromisedError:
         return mark_broken("channel_alarm")
 
-    # (iv) both ends tag their own view of the instantaneous data with
-    # their own copy of the segment, then cross-verify.  A card that cannot
-    # produce a segment for the adopted index (e.g. a clone with a smaller
-    # key) simply fails to authenticate.
+    # (iv) both ends tag their own monitor data, in place, with their own
+    # copy of the segment, then cross-verify.  A card that cannot produce a
+    # segment for the adopted index (e.g. a clone with a smaller key)
+    # simply fails to authenticate.
     try:
         card_segment = card.key_c.segment(segment_index)
     except KeyExhaustedError:
         return mark_broken("tag_mismatch")
     server_segment = record.key_c.segment(segment_index)
-    card_tag = authenticate_tag(_monitor_bytes(exchange_records, "a"),
-                                card_segment)
-    term_tag = authenticate_tag(_monitor_bytes(exchange_records, "b"),
-                                server_segment)
+    card_tag = authenticate_tag(card_data, card_segment)
+    term_tag = authenticate_tag(term_data, server_segment)
     if card_tag != term_tag:
         return mark_broken("tag_mismatch")
 

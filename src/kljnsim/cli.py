@@ -90,8 +90,9 @@ _FIELD_TYPES = {f.name: f.type for f in (*fields(NoiseConfig),
 # - m_max: key C is 64 one-byte bits per segment, and a refresh exchanges
 #   512 secure bits per segment, so 10 000 keeps its key lists near 80 MB;
 # - n_sessions: each session's seed (about 400 bytes) is drawn up front;
-# - payload_bytes x samples_per_bit: an authentication holds about 512 x
-#   their product bytes of trace, so 16 x 10 000 keeps it near 82 MB.
+# - payload_bytes x samples_per_bit: each end's monitor data is about 512 x
+#   their product bytes, held once (honest ends share it), so at
+#   16 x 10 000 a card-lifetime run peaks near 115 MiB.
 _BOUNDS = {"trials": (1, math.inf), "target_bits": (1, math.inf),
            "seed": (0, math.inf), "amplitude": (0, math.inf),
            "m_max": (1, 10_000), "n_sessions": (0, 100_000),

@@ -64,8 +64,10 @@ def _weight_table(x: int) -> tuple[np.ndarray, int]:
     return pieces.astype(np.int64), pw
 
 
-def poly_tag(data: bytes, key: int) -> int:
-    """Evaluate the keyed polynomial over ``data``; returns a 64-bit tag."""
+def poly_tag(data: bytes | bytearray, key: int) -> int:
+    """Evaluate the keyed polynomial over ``data``, any bytes-like object
+    whose ``len()`` is its byte count, read in place; returns a 64-bit
+    tag."""
     if not 0 <= key < (1 << 64):
         raise ValueError("key must be a 64-bit integer")
     x = key % FIELD_PRIME

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kljnsim import tags
-from kljnsim.adversary import MitmHook
+from kljnsim.adversary import InjectionHook, MitmHook
 from kljnsim.card import (
     AuthResult,
     CardIdentity,
@@ -29,7 +29,8 @@ from kljnsim.card import (
     run_transaction,
     segment_length,
 )
-from kljnsim.noise import NoiseConfig
+from kljnsim.exchange import exchange_key
+from kljnsim.noise import NoiseConfig, analytic_spectra, compose_loop
 from kljnsim.privacy import BitString
 from kljnsim.tags import FIELD_PRIME, LIMB_BYTES, poly_tag, segment_to_key
 
@@ -71,6 +72,56 @@ KEY_B_BITS = 128  # a small key B: a fast exchange
 CLEAN_PATH = ["identified", "key_located", "kljn_running", "authenticated",
               "transacting", "refreshing", "closed"]
 BROKEN_PATH = ["identified", "key_located", "kljn_running", "broken"]
+
+
+class PeriodHook:
+    """An adversary that hands the periods in ``hostile``, counted from 0,
+    to a current injection at 1e-9 x the loop current's RMS, far below the
+    monitor tolerance, and leaves the rest on the shared wire."""
+
+    def __init__(self, hostile, seed=0):
+        mid = analytic_spectra(CFG.r_low, CFG.r_high, CFG)
+        self.inject = InjectionHook(np.random.default_rng(seed).normal(
+            0, 1e-9 * math.sqrt(mid.s_i * CFG.bandwidth),
+            CFG.samples_per_bit))
+        self.hostile = hostile
+        self.period = 0
+
+    def __call__(self, u_a, u_b, r_a, r_b, cfg):
+        k, self.period = self.period, self.period + 1
+        if k in self.hostile:
+            return self.inject(u_a, u_b, r_a, r_b, cfg)
+        view = compose_loop(u_a, u_b, r_a, r_b)
+        return view, view
+
+
+def spy_authentication(card, store, seed, key_bits, adversary):
+    """``authenticate_session``'s result, with every period's record as
+    the exchange gave it and the data each tag read, card's first."""
+    records, tagged = [], []
+
+    def spy_exchange(*args, record_sink, **kwargs):
+        def both(rec):
+            records.append(rec)
+            record_sink(rec)
+        return exchange_key(*args, record_sink=both, **kwargs)
+
+    def spy_tag(data, segment):
+        tagged.append(data)
+        return authenticate_tag(data, segment)
+
+    with mock.patch("kljnsim.card.exchange_key", spy_exchange), \
+            mock.patch("kljnsim.card.authenticate_tag", spy_tag):
+        result = authenticate_session(card, store, CFG, seed, key_bits,
+                                      adversary=adversary)
+    return result, records, tagged
+
+
+def joined_rows(traces):
+    """Two-array reference of monitor data: each period's voltage bytes,
+    then its current bytes."""
+    return b"".join(t.voltage.tobytes() + t.current.tobytes()
+                    for t in traces)
 
 
 class TestKeyLengthRequired:
@@ -338,6 +389,74 @@ class TestAuthentication:
         assert result.ledger.phase == "broken"
         assert result.reason == "channel_alarm"
         assert server.broken_count_mirror == 1
+
+    @pytest.mark.parametrize("at", ["first", "middle", "last"])
+    def test_tamper_below_alarm_threshold_breaks_on_tags(self, at):
+        # Shared wire up to period k, a sub-tolerance injection from then
+        # on: the monitor stays silent and only the tags catch it.
+        seed = 610
+        periods = exchange_key(KEY_B_BITS, CFG, seed)[2].periods_run
+        k = {"first": 0, "middle": periods // 2, "last": periods - 1}[at]
+        store = Keystore()
+        card, server = provision(keystore=store)
+        result, records, _ = spy_authentication(
+            card, store, seed, KEY_B_BITS, PeriodHook(range(k, periods)))
+        assert len(records) == periods
+        assert not any(rec.monitor.alarm for rec in records)
+        assert records[k].bob_trace is not None
+        assert result.ledger.phases == BROKEN_PATH
+        assert result.reason == "tag_mismatch"
+        assert result.key_b_card is None and result.key_b_terminal is None
+        assert card.key_c.cursor == server.key_c.cursor == 1
+        assert result.ledger.consumed_segment == (0, 0)
+        assert server.broken_count_mirror == 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           key_bits=st.integers(1, 8),
+           hostile=st.sampled_from(["none", "first", "middle", "last"]),
+           onward=st.booleans())
+    def test_monitor_data_equals_two_arrays(self, seed, key_bits, hostile,
+                                            onward):
+        # One hostile period, or every period from it on; end B's data is
+        # split off at the first and takes its own view from then on.
+        periods = exchange_key(key_bits, CFG, seed)[2].periods_run
+        first = {"none": periods, "first": 0, "middle": periods // 2,
+                 "last": periods - 1}[hostile]
+        hostile_periods = range(first, periods if onward
+                                else min(first + 1, periods))
+        store = Keystore()
+        card, _ = provision(rng=seed, keystore=store)
+        result, records, (card_data, term_data) = spy_authentication(
+            card, store, seed, key_bits, PeriodHook(hostile_periods, seed))
+        assert [k for k, rec in enumerate(records)
+                if rec.bob_trace is not None] == list(hostile_periods)
+        assert card_data == joined_rows(rec.trace for rec in records)
+        assert term_data == joined_rows(
+            rec.trace if rec.bob_trace is None else rec.bob_trace
+            for rec in records)
+        # Honest ends share one buffer.
+        assert (card_data is term_data) == (hostile == "none")
+        assert result.reason == ("" if hostile == "none"
+                                 else "tag_mismatch")
+
+    def test_peak_memory_is_one_copy_of_the_monitor_data(self):
+        cfg = NoiseConfig(samples_per_bit=1000)
+        store = Keystore()
+        card, _ = provision(keystore=store)
+        # Warm-up: first-call caches and imports are not the session's.
+        authenticate_session(card, store, cfg, 620, KEY_B_BITS)
+        periods = exchange_key(KEY_B_BITS, cfg, 621)[2].periods_run
+        one_end = periods * 2 * cfg.samples_per_bit * 8  # float64 samples
+        tracemalloc.start()
+        try:
+            result = authenticate_session(card, store, cfg, 621, KEY_B_BITS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.ledger.phase == "authenticated"
+        # Keeping every record and joining a copy per end reads 2.1x.
+        assert peak <= 1.4 * one_end
 
 
 class TestTransaction:

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 
 from kljnsim import exchange
 from kljnsim.adversary import InjectionHook, MitmHook
-from kljnsim.card import _monitor_bytes
 from kljnsim.exchange import (
     ALARM_ABORT_COUNT,
     MONITOR_TOLERANCE,
-    BitExchangeRecord,
     ChannelCompromisedError,
     ExchangeNotConvergedError,
     ExchangeStats,
@@ -783,25 +781,3 @@ class TestOneArrayTrace:
         with np.errstate(all="ignore"):
             assert first_divergence_index(view_a, view_b) == want
             assert monitor_compare(view_a, view_b).first_divergence == want
-
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1),
-           n=st.sampled_from([2, 100]),
-           periods=st.integers(1, 5),
-           hostile=st.lists(st.booleans(), min_size=5, max_size=5))
-    def test_tag_bytes_equal_two_arrays(self, seed, n, periods, hostile):
-        rng = np.random.default_rng(seed)
-        voltage, current = rng.normal(size=(2, periods, n))
-        bob = rng.normal(size=(periods, 2, n))
-        block = WireTrace(np.stack([voltage, current], -2))
-        records = [BitExchangeRecord(
-            row, None, exchange.MonitorReport(None),
-            WireTrace(bob[k]) if hostile[k] else None)
-            for k, row in enumerate(block.rows())]
-        assert _monitor_bytes(records, "a") == b"".join(
-            voltage[k].tobytes() + current[k].tobytes()
-            for k in range(periods))
-        assert _monitor_bytes(records, "b") == b"".join(
-            bob[k].tobytes() if hostile[k]
-            else voltage[k].tobytes() + current[k].tobytes()
-            for k in range(periods))

@@ -4,6 +4,7 @@ against an in-process traced run."""
 
 import ast
 import importlib
+import json
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -97,6 +98,21 @@ def bench_modules(monkeypatch):
     return importlib.import_module("run"), importlib.import_module("tracer")
 
 
+def traced_run(bench_modules, workload: str, tmp_path) -> dict:
+    """Run a workload's commands once in process, with fewer trials, under
+    the benchmark's tracer; returns the tracer's report."""
+    bench_run, bench_tracer = bench_modules
+    tracer = bench_tracer.Tracer()
+    tracer.install()
+    try:
+        for argv in bench_run.WORKLOADS[workload].commands(
+                23, str(tmp_path / "cards.jsonl")):
+            assert cli.main(cut_counts(argv)) == 0
+    finally:
+        tracer.uninstall()
+    return tracer.report()
+
+
 @pytest.mark.parametrize("workload", ["exchange-campaign", "card-lifetime",
                                       "attack-suite"])
 def test_every_expected_span_is_called(workload, bench_modules, tmp_path,
@@ -104,15 +120,21 @@ def test_every_expected_span_is_called(workload, bench_modules, tmp_path,
     """A traced benchmark run fails on an expected span with no calls, and
     only the traced runs check it; this runs each workload's commands once
     in process, with fewer trials, under the benchmark's tracer."""
-    bench_run, bench_tracer = bench_modules
-    wl = bench_run.WORKLOADS[workload]
-    tracer = bench_tracer.Tracer()
-    tracer.install()
-    try:
-        for argv in wl.commands(23, str(tmp_path / "cards.jsonl")):
-            assert cli.main(cut_counts(argv)) == 0
-    finally:
-        tracer.uninstall()
+    spans = traced_run(bench_modules, workload, tmp_path)["spans"]
     capsys.readouterr()
-    spans = tracer.report()["spans"]
-    assert [name for name in wl.expected_spans if spans[name][0] == 0] == []
+    expected = bench_modules[0].WORKLOADS[workload].expected_spans
+    assert [name for name in expected if spans[name][0] == 0] == []
+
+
+def test_traced_periods_equal_the_stream(bench_modules, tmp_path, capsys):
+    """The tracer counts periods and retained bits at ``run_bit_period``,
+    which ``exchange_key`` calls once per counted period; the counts must
+    be the ones the exchanges themselves report."""
+    counts = traced_run(bench_modules, "exchange-campaign",
+                        tmp_path)["counts"]
+    records = [json.loads(line)
+               for line in capsys.readouterr().out.splitlines()]
+    trials = [r for r in records if r["schema"] == "kljn.exchange_trial"]
+    assert len(trials) == int(CUT_TRIALS)
+    assert counts["exchange.periods"] == sum(r["periods"] for r in trials)
+    assert counts["exchange.retained"] == sum(r["retained"] for r in trials)
