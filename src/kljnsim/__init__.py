@@ -66,7 +66,6 @@ from .noise import (
     InconsistentSpectraError,
     NoiseConfig,
     SpectraEstimate,
-    WireTrace,
     analytic_spectra,
     compose_loop,
     generate_noise,

@@ -37,7 +37,6 @@ from .noise import (
     InconsistentSpectraError,
     NoiseConfig,
     SpectraEstimate,
-    WireTrace,
     compose_loop,
     generate_noise,
     infer_resistor_pair,
@@ -68,7 +67,7 @@ class AttackOutcome:
         return self.detection_sample_index is not None
 
 
-def passive_eavesdrop(trace: WireTrace, cfg: NoiseConfig,
+def passive_eavesdrop(trace: np.ndarray, cfg: NoiseConfig,
                       rng) -> EveEstimate:
     """Everything Eve can get from listening to one period's wire trace.
 
@@ -134,10 +133,10 @@ class InjectionHook:
                 f"injection length {self.injection.size} != "
                 f"samples_per_bit {u_a.size}")
         view_b = compose_loop(u_a, u_b, r_a, r_b)
-        view_a = WireTrace(view_b.samples.copy())
+        view_a = view_b.copy()
         half = 0.5 * self.injection
-        view_a.samples[1] += half  # the current row
-        view_b.samples[1] -= half
+        view_a[1] += half  # the current row
+        view_b[1] -= half
         return view_a, view_b
 
 

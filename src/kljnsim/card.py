@@ -448,10 +448,10 @@ def authenticate_session(card: CardState, server: Keystore,
         nonlocal term_data
         if rec.bob_trace is not None and term_data is card_data:
             term_data = bytearray(card_data)
-        card_data.extend(rec.trace.samples)
+        card_data.extend(rec.trace)
         if term_data is not card_data:
-            term_data.extend((rec.trace if rec.bob_trace is None
-                              else rec.bob_trace).samples)
+            term_data.extend(rec.trace if rec.bob_trace is None
+                             else rec.bob_trace)
 
     try:
         card_key, term_key, _ = exchange_key(

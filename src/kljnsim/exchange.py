@@ -18,14 +18,17 @@ per-sample difference beyond a tolerance raises an alarm and the bit is
 discarded.  The comparison is one pass per bit period: it finds the first
 sample over tolerance, and the alarm is whether there is one.
 
-A bit period has one result, its ``BitExchangeRecord``; a period that
-cannot be classified has ``loop_class`` None, as ``classify_level`` gives
-None for spectra it cannot place.  ``exchange_key`` draws a block of
-periods at once.  On an honest wire it also solves, measures, classifies
-and monitors the block at once; under an adversary it solves one period
-after another.  Either way one loop counts each record and cuts at the
-period that completes the key or at the last tolerated alarm.  Every
-result is bit for bit that of one period at a time.
+A bit period has one result, its ``BitExchangeRecord``, which holds each
+end's view as a ``(2, n)`` wire trace (``noise`` gives the layout); a
+period that cannot be classified has ``loop_class`` None, as
+``classify_level`` gives None for spectra it cannot place.
+``exchange_key`` draws a block of periods at once.  On an honest wire it
+also solves, measures, classifies and monitors the block at once, and
+each record views its period of the one ``(P, 2, n)`` block trace; under
+an adversary it solves one period after another.  Either way one loop
+counts each record and cuts at the period that completes the key or at
+the last tolerated alarm.  Every result is bit for bit that of one period
+at a time.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ import numpy as np
 from .noise import (
     NoiseConfig,
     SpectraEstimate,
-    WireTrace,
     analytic_spectra,
     compose_loop,
     generate_noise,
@@ -51,11 +53,12 @@ from .noise import (
 )
 from .privacy import BitString
 
-# Adversary hook: given the two generator traces and resistances, return the
-# wire views seen by end A and end B.  ``None`` means an ideal shared wire.
+# Adversary hook: given one period's two generator traces and resistances,
+# return the wire traces seen by end A and end B, each a (2, n) array.
+# ``None`` means an ideal shared wire.
 AdversaryHook = Callable[
     [np.ndarray, np.ndarray, float, float, NoiseConfig],
-    tuple[WireTrace, WireTrace],
+    tuple[np.ndarray, np.ndarray],
 ]
 
 # Alarmed periods tolerated before an exchange is declared hostile.
@@ -121,16 +124,16 @@ _SILENT = MonitorReport(None)  # frozen, so every silent period shares it
 
 @dataclass
 class BitExchangeRecord:
-    """What one bit period produced: the ends' views, the class they agree
-    on and the monitor report.  The spectra each end measured are only
-    classified, not kept."""
+    """What one bit period produced: the ends' views, each a ``(2, n)``
+    wire trace, the class they agree on and the monitor report.  The
+    spectra each end measured are only classified, not kept."""
 
-    trace: WireTrace                      # end A's view
+    trace: np.ndarray                       # end A's view
     # The class both ends agree on; None when either end cannot classify
     # its view, or the two disagree.
     loop_class: Optional[LoopClass]
     monitor: MonitorReport
-    bob_trace: Optional[WireTrace] = None  # set only when views differ
+    bob_trace: Optional[np.ndarray] = None  # set only when views differ
 
     @property
     def retained(self) -> bool:
@@ -253,8 +256,8 @@ def _classify_block(spectra: np.ndarray,
     return out
 
 
-def monitor_compare(end_a_view: WireTrace,
-                    end_b_view: WireTrace) -> MonitorReport:
+def monitor_compare(end_a_view: np.ndarray,
+                    end_b_view: np.ndarray) -> MonitorReport:
     """Compare the instantaneous values seen by the two ends.
 
     Alarm iff ``first_divergence_index`` finds a sample over tolerance.  A
@@ -268,24 +271,28 @@ def monitor_compare(end_a_view: WireTrace,
     return MonitorReport(first_divergence_index(end_a_view, end_b_view))
 
 
-def first_divergence_index(end_a_view: WireTrace,
-                           end_b_view: WireTrace) -> Optional[int]:
+def first_divergence_index(end_a_view: np.ndarray,
+                           end_b_view: np.ndarray) -> Optional[int]:
     """Index of the first sample whose two-end difference breaks tolerance.
 
-    Both views hold one period.  A sample breaks tolerance when its
-    absolute voltage or current difference exceeds ``MONITOR_TOLERANCE``
-    times the RMS of that signal pooled over both views.  Returns None
-    when no sample does (no alarm).
+    Both views hold one period: two ``(2, n)`` traces of equal shape with
+    n >= 1 (any other shapes raise ValueError).  A sample breaks tolerance
+    when its absolute voltage or current difference exceeds
+    ``MONITOR_TOLERANCE`` times the RMS of that signal pooled over both
+    views.  Returns None when no sample does (no alarm).
 
     The check fails closed at the float edges: a non-finite sample in
     either view breaks tolerance by itself, and a signal so large that its
     squares overflow has its RMS taken relative to its largest magnitude.
     """
-    a_rows, b_rows = end_a_view.samples, end_b_view.samples
-    if a_rows.shape != b_rows.shape:
-        raise ValueError("monitor views must have equal length")
-    over = np.zeros(len(end_a_view), dtype=bool)
-    for a, b in zip(a_rows, b_rows):  # voltage, then current
+    shape = end_a_view.shape
+    if (shape != end_b_view.shape or len(shape) != 2 or shape[0] != 2
+            or shape[1] == 0):
+        raise ValueError(
+            f"monitor views must be two (2, n) periods of equal shape, got "
+            f"{shape} and {end_b_view.shape}")
+    over = np.zeros(shape[1], dtype=bool)
+    for a, b in zip(end_a_view, end_b_view):  # voltage, then current
         # np.mean(a ** 2) spelled out: the same sum and divide, bit for bit.
         mean_sq = 0.5 * (np.add.reduce(a * a, axis=None) / a.size
                          + np.add.reduce(b * b, axis=None) / b.size)
@@ -426,7 +433,7 @@ def exchange_key(target_len: int, cfg: NoiseConfig, seed,
         if adversary is None:
             trace = compose_loop(noise[:, 0], noise[:, 1], r[:, 0], r[:, 1])
             # Both ends hold the one shared trace: silent for every period.
-            records = map(BitExchangeRecord, trace.rows(),
+            records = map(BitExchangeRecord, trace,
                           classify_level(measure_spectra(trace, cfg), cfg),
                           repeat(monitor_compare(trace, trace)))
         else:

@@ -7,9 +7,13 @@ noise synthesis, the per-sample loop solution, scalar spectrum estimation,
 and the two inversions an observer can apply to recover resistances from
 measured spectra.
 
-Synthesis, the loop solution and spectrum estimation each take one bit
-period or a block of them in a single call, and a block's every period is
-bit for bit what the one-period call gives.
+A wire trace, what either end of the wire observes, is one float64
+array: voltage in row 0 and loop current in row 1, shape ``(2, n)`` for
+one bit period of n samples or ``(P, 2, n)`` for a block of P periods,
+each period's two rows contiguous.  Synthesis, the loop solution and
+spectrum estimation each take one bit period or a block of them in a
+single call, and a block's every period is bit for bit what the
+one-period call gives.
 
 Spectra are treated as band-averaged scalars: for band-limited white noise
 sampled critically (sample_rate = 2 x bandwidth) the samples are i.i.d. and
@@ -95,47 +99,6 @@ class NoiseConfig:
         return 4.0 * BOLTZMANN_K * self.t_eff
 
 
-@dataclass
-class WireTrace:
-    """Wire observables in one float64 array, ``samples``: voltage in row
-    0 and loop current in row 1, shape ``(2, n)`` for one bit period or
-    ``(P, 2, n)`` for a block of P periods, each period's two rows
-    contiguous.  ``len()`` is the samples per period either way."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        shape = self.samples.shape
-        if len(shape) not in (2, 3) or shape[-2] != 2 or 0 in shape:
-            raise ValueError(
-                f"trace must be a non-empty (2, n) period or (P, 2, n) "
-                f"block of periods, got shape {shape}")
-
-    @property
-    def voltage(self) -> np.ndarray:
-        return self.samples[..., 0, :]
-
-    @property
-    def current(self) -> np.ndarray:
-        return self.samples[..., 1, :]
-
-    def __len__(self) -> int:
-        return self.samples.shape[-1]
-
-    def rows(self) -> list[WireTrace]:
-        """A block's periods, each a one-period trace viewing its rows."""
-        return [_unchecked_trace(period) for period in self.samples]
-
-
-def _unchecked_trace(samples: np.ndarray) -> WireTrace:
-    """A trace of a float64 array of a valid shape, built without
-    ``WireTrace``'s checks, which would only re-confirm that."""
-    trace = object.__new__(WireTrace)
-    trace.samples = samples
-    return trace
-
-
 @dataclass(frozen=True)
 class SpectraEstimate:
     """Band-averaged PSD estimates for one trace."""
@@ -193,7 +156,7 @@ def generate_noise(psd, cfg: NoiseConfig, seed) -> np.ndarray:
 
 
 def compose_loop(u_a: np.ndarray, u_b: np.ndarray, r_a: float | np.ndarray,
-                 r_b: float | np.ndarray) -> WireTrace:
+                 r_b: float | np.ndarray) -> np.ndarray:
     """Solve the series loop for each sample.
 
     With generator voltages u_a, u_b behind resistances r_a, r_b joined by
@@ -205,10 +168,10 @@ def compose_loop(u_a: np.ndarray, u_b: np.ndarray, r_a: float | np.ndarray,
     Current is signed positive flowing from end A toward end B.
 
     Generator traces of one period, shape ``(n,)``, take number
-    resistances.  A block of P periods, shape ``(P, n)``, takes one r_a
-    and one r_b per row (length-P arrays) and gives a ``(P, 2, n)`` block
-    trace whose period k is bit for bit the one-period solve of row k: the
-    same IEEE operations, only broadcast.
+    resistances and give a ``(2, n)`` trace.  A block of P periods, shape
+    ``(P, n)``, takes one r_a and one r_b per row (length-P arrays) and
+    gives a ``(P, 2, n)`` block trace whose period k is bit for bit the
+    one-period solve of row k: the same IEEE operations, only broadcast.
     """
     u_a = np.asarray(u_a, dtype=np.float64)
     u_b = np.asarray(u_b, dtype=np.float64)
@@ -239,32 +202,35 @@ def compose_loop(u_a: np.ndarray, u_b: np.ndarray, r_a: float | np.ndarray,
     voltage += u_b * r_a
     np.subtract(u_a, u_b, out=current)
     samples /= r_sum
-    return _unchecked_trace(samples)
+    return samples
 
 
-def measure_spectra(trace: WireTrace, cfg: NoiseConfig,
+def measure_spectra(trace: np.ndarray, cfg: NoiseConfig,
                     ) -> SpectraEstimate | np.ndarray:
     """Estimate the band-averaged voltage and current PSDs of a trace.
 
     Under the white-in-band assumption the PSD is sample-variance divided
     by bandwidth.  Uses the unbiased (ddof=1) sample variance, computed
     inline as ``np.var(x, ddof=1)``'s own steps (sum, divide, subtract,
-    square, sum, divide) along the last axis of ``trace.samples``: each
-    contiguous row is summed pairwise as on its own, so each PSD is
-    bit-identical to ``np.var`` without its per-call dispatch overhead.
+    square, sum, divide) along the trace's last axis: each contiguous
+    row is summed pairwise as on its own, so each PSD is bit-identical to
+    ``np.var`` without its per-call dispatch overhead.
 
     A one-period trace gives one ``SpectraEstimate``.  A block trace of P
     periods gives one ``(2, P)`` float64 array, s_u in row 0 and s_i in
     row 1, whose column k is bit for bit the estimate of period k alone.
+    Any other shape, or fewer than 2 samples a period, raises ValueError.
     """
-    x = trace.samples
-    n = x.shape[-1]
-    if n < 2:
-        raise ValueError("need at least 2 samples to estimate spectra")
-    dx = x - (np.add.reduce(x, -1) / n)[..., None]
+    shape = trace.shape
+    if len(shape) not in (2, 3) or shape[-2] != 2 or shape[-1] < 2:
+        raise ValueError(
+            f"trace must be a (2, n) period or (P, 2, n) block of periods "
+            f"with n >= 2 samples, got shape {shape}")
+    n = shape[-1]
+    dx = trace - (np.add.reduce(trace, -1) / n)[..., None]
     dx *= dx  # squared in place: one working copy of the trace at most
     psds = (np.add.reduce(dx, -1) / (n - 1) / cfg.bandwidth).T
-    return SpectraEstimate(*psds.tolist()) if x.ndim == 2 else psds
+    return SpectraEstimate(*psds.tolist()) if len(shape) == 2 else psds
 
 
 def infer_partner_resistance(s_i: float, r_a: float,

@@ -15,7 +15,6 @@ from kljnsim.exchange import LoopClass, run_bit_period
 from kljnsim.noise import (
     NoiseConfig,
     SpectraEstimate,
-    WireTrace,
     analytic_spectra,
     compose_loop,
     generate_noise,
@@ -68,7 +67,7 @@ class TestPassiveEavesdrop:
         assert np.median(highs) == pytest.approx(CFG.r_high, rel=0.10)
 
     def test_zero_trace_gives_no_estimate(self):
-        tr = WireTrace(np.zeros((2, 100)))
+        tr = np.zeros((2, 100))
         est = passive_eavesdrop(tr, CFG, rng=0)
         assert est == EveEstimate(SpectraEstimate(0.0, 0.0), None, None,
                                   None)
@@ -77,10 +76,16 @@ class TestPassiveEavesdrop:
     def test_spectra_are_the_measured_ones(self, bits):
         # Eve's spectra are the trace's own, also where she cannot classify
         trace = (run_bit_period(*bits, CFG, 15).trace if bits
-                 else WireTrace(np.zeros((2, 100))))
+                 else np.zeros((2, 100)))
         est = passive_eavesdrop(trace, CFG, rng=0)
         assert (est.loop_class_guess is None) is (bits is None)
         assert est.spectra == measure_spectra(trace, CFG)
+
+    @pytest.mark.parametrize("shape", [(100,), (3, 100), (5, 3, 100),
+                                       (2, 0), (2, 1)])
+    def test_malformed_trace_rejected(self, shape):
+        with pytest.raises(ValueError):
+            passive_eavesdrop(np.ones(shape), CFG, rng=0)
 
 
 class TestMitmAttack:
@@ -124,8 +129,8 @@ class TestInjectCurrent:
     def test_zero_injection_views_identical(self):
         hook = InjectionHook(np.zeros(CFG.samples_per_bit))
         rec = run_bit_period(0, 1, CFG, 6, adversary=hook)
-        assert np.array_equal(rec.trace.current, rec.bob_trace.current)
-        assert np.array_equal(rec.trace.voltage, rec.bob_trace.voltage)
+        assert np.array_equal(rec.trace[1], rec.bob_trace[1])
+        assert np.array_equal(rec.trace[0], rec.bob_trace[0])
 
     def test_strong_injection_caught_fast(self):
         rms = mid_current_rms(CFG)
@@ -230,8 +235,8 @@ class TestZeroInformation:
             for ratio in temperature_ratios:
                 trace = compose_loop(math.sqrt(ratio) * u[:, 0], u[:, 1],
                                      r[a], r[1 - a])
-                variances[ratio].append((trace.voltage.var(1, ddof=1),
-                                         trace.current.var(1, ddof=1)))
+                variances[ratio].append((trace[:, 0].var(1, ddof=1),
+                                         trace[:, 1].var(1, ddof=1)))
         a = np.concatenate(a_bits)
         out = {}
         for ratio, blocks in variances.items():

@@ -120,7 +120,7 @@ def spy_authentication(card, store, seed, key_bits, adversary):
 def joined_rows(traces):
     """Two-array reference of monitor data: each period's voltage bytes,
     then its current bytes."""
-    return b"".join(t.voltage.tobytes() + t.current.tobytes()
+    return b"".join(t[0].tobytes() + t[1].tobytes()
                     for t in traces)
 
 

@@ -28,7 +28,6 @@ from kljnsim.exchange import (
 from kljnsim.noise import (
     NoiseConfig,
     SpectraEstimate,
-    WireTrace,
     analytic_spectra,
     compose_loop,
     generate_noise,
@@ -78,9 +77,10 @@ def scalar_exchange_key(target_len, cfg, seed, adversary=None,
 
 def record_bytes(rec) -> bytes:
     """Everything a period record holds, as bytes."""
-    views = [rec.trace] + ([rec.bob_trace] if rec.bob_trace else [])
+    views = [rec.trace] + ([rec.bob_trace] if rec.bob_trace is not None
+                           else [])
     return b"".join(
-        [v.voltage.tobytes() + v.current.tobytes() for v in views]
+        [v[0].tobytes() + v[1].tobytes() for v in views]
         + [repr((rec.loop_class, rec.retained,
                  rec.monitor.first_divergence)).encode()])
 
@@ -119,11 +119,11 @@ def run_both(target_len, cfg, seed, hook=None, hook_seed=None):
     return results
 
 
-def max_based_alarm(a: WireTrace, b: WireTrace, tolerance: float) -> bool:
+def max_based_alarm(a: np.ndarray, b: np.ndarray, tolerance: float) -> bool:
     """Reference monitor: the largest per-sample |difference| of each
     channel against ``tolerance`` times that channel's pooled RMS."""
     alarm = False
-    for x, y in ((a.voltage, b.voltage), (a.current, b.current)):
+    for x, y in ((a[0], b[0]), (a[1], b[1])):
         rms = np.sqrt(0.5 * (np.mean(x ** 2) + np.mean(y ** 2)))
         alarm = alarm or bool(np.abs(x - y).max() > tolerance * rms)
     return alarm
@@ -302,7 +302,7 @@ class TestBlockClassify:
 
 class TestMonitorCompare:
     def test_identical_traces_silent(self):
-        tr = WireTrace(np.ones((2, 100)))
+        tr = np.ones((2, 100))
         rep = monitor_compare(tr, tr)
         assert not rep.alarm
         assert rep.first_divergence is None
@@ -311,10 +311,10 @@ class TestMonitorCompare:
         rng = np.random.default_rng(2)
         v = rng.normal(size=200)
         i = rng.normal(size=200)
-        a = WireTrace(np.stack([v, i], -2))
+        a = np.stack([v, i], -2)
         v2 = v.copy()
         v2[57] += 10 * np.sqrt(np.mean(v ** 2))
-        b = WireTrace(np.stack([v2, i], -2))
+        b = np.stack([v2, i], -2)
         rep = monitor_compare(a, b)
         assert rep.alarm
         assert first_divergence_index(a, b) == 57
@@ -322,15 +322,15 @@ class TestMonitorCompare:
     def test_same_object_equals_full_comparison(self):
         rec = run_bit_period(0, 1, CFG, 5)
         tr = rec.trace
-        twin = WireTrace(np.stack([tr.voltage.copy(), tr.current.copy()], -2))
+        twin = np.stack([tr[0].copy(), tr[1].copy()], -2)
         assert monitor_compare(tr, tr) == monitor_compare(tr, twin)
         assert rec.monitor == monitor_compare(tr, twin)
 
     def test_spike_in_a_copy_still_alarms(self):
         tr = run_bit_period(1, 0, CFG, 6).trace
-        current = tr.current.copy()
+        current = tr[1].copy()
         current[3] += 1e-3 * np.sqrt(np.mean(current ** 2))
-        spiked = WireTrace(np.stack([tr.voltage.copy(), current], -2))
+        spiked = np.stack([tr[0].copy(), current], -2)
         assert monitor_compare(tr, spiked).alarm
         assert first_divergence_index(tr, spiked) == 3
 
@@ -340,10 +340,8 @@ class TestMonitorCompare:
         rng = np.random.default_rng(3)
         early = 0
         for _ in range(1000):
-            a = WireTrace(np.stack([rng.normal(size=100),
-                                    rng.normal(size=100)], -2))
-            b = WireTrace(np.stack([rng.normal(size=100),
-                                    rng.normal(size=100)], -2))
+            a = np.stack([rng.normal(size=100), rng.normal(size=100)], -2)
+            b = np.stack([rng.normal(size=100), rng.normal(size=100)], -2)
             idx = first_divergence_index(a, b)
             early += idx is not None and idx < 100
         assert early >= 999
@@ -352,19 +350,18 @@ class TestMonitorCompare:
     def test_alarm_equals_max_based_reference(self, tolerance):
         rng = np.random.default_rng(41)
         v, i = rng.normal(size=(2, 200))
-        base = WireTrace(np.stack([v, i], -2))
-        others = [base, WireTrace(np.stack([v.copy(), i.copy()], -2)),
-                  WireTrace(rng.normal(size=(2, 200)))]
+        base = np.stack([v, i], -2)
+        others = [base, np.stack([v.copy(), i.copy()], -2),
+                  rng.normal(size=(2, 200))]
         for scale in (1e-9, 1e-7, 1e-6):  # straddles tolerance 1e-6
-            others.append(WireTrace(np.stack([v + rng.normal(0, scale, 200),
-                                              i + rng.normal(0, scale, 200)],
-                                             -2)))
+            others.append(np.stack([v + rng.normal(0, scale, 200),
+                                    i + rng.normal(0, scale, 200)], -2))
         for sample in (0, 199):
             for channel in ("voltage", "current"):
                 spiked = {"voltage": v.copy(), "current": i.copy()}
                 spiked[channel][sample] += 10.0
-                others.append(WireTrace(np.stack([spiked["voltage"],
-                                                  spiked["current"]], -2)))
+                others.append(np.stack([spiked["voltage"],
+                                        spiked["current"]], -2))
         alarms = [max_based_alarm(base, other, tolerance)
                   for other in others]
         assert [monitor_compare(base, other).alarm
@@ -396,8 +393,8 @@ class TestMonitorCompare:
         v, i = rng.normal(size=(2, 100))
         spiked = {"voltage": v.copy(), "current": i.copy()}
         spiked[channel][31] = bad
-        a = WireTrace(np.stack([v, i], -2))
-        b = WireTrace(np.stack([spiked["voltage"], spiked["current"]], -2))
+        a = np.stack([v, i], -2)
+        b = np.stack([spiked["voltage"], spiked["current"]], -2)
         assert first_divergence_index(a, b) == 31
         assert first_divergence_index(b, a) == 31
 
@@ -405,18 +402,29 @@ class TestMonitorCompare:
     def test_overflowing_signal_rescaled(self):
         rng = np.random.default_rng(48)
         v, i = 1e300 * rng.normal(size=(2, 100))
-        a = WireTrace(np.stack([v, i], -2))
+        a = np.stack([v, i], -2)
         assert first_divergence_index(
-            a, WireTrace(np.stack([v.copy(), i.copy()], -2))) is None
+            a, np.stack([v.copy(), i.copy()], -2)) is None
         nudged = i.copy()
         nudged[70] *= 1 + 1e-3
         assert first_divergence_index(
-            a, WireTrace(np.stack([v.copy(), nudged], -2))) == 70
+            a, np.stack([v.copy(), nudged], -2)) == 70
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            monitor_compare(WireTrace(np.ones((2, 3))),
-                            WireTrace(np.ones((2, 4))))
+            monitor_compare(np.ones((2, 3)), np.ones((2, 4)))
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 4), (1, 4), (2, 0),
+                                       (5, 2, 4), (5, 3, 4)])
+    def test_views_not_two_periods_rejected(self, shape):
+        for check in (first_divergence_index, monitor_compare):
+            with pytest.raises(ValueError):
+                check(np.ones(shape), np.ones(shape))
+
+    def test_shared_view_skips_the_shape_check(self):
+        # The honest exchange hands its one block trace to both ends.
+        block = np.ones((5, 2, 4))
+        assert monitor_compare(block, block).first_divergence is None
 
 
 class TestRunBitPeriod:
@@ -445,8 +453,8 @@ class TestRunBitPeriod:
     def test_determinism(self):
         a = run_bit_period(0, 1, CFG, 99)
         b = run_bit_period(0, 1, CFG, 99)
-        assert np.array_equal(a.trace.voltage, b.trace.voltage)
-        assert np.array_equal(a.trace.current, b.trace.current)
+        assert np.array_equal(a.trace[0], b.trace[0])
+        assert np.array_equal(a.trace[1], b.trace[1])
 
     def test_bad_bit_rejected(self):
         with pytest.raises(ValueError):
@@ -740,17 +748,17 @@ class TestOneArrayTrace:
         u_b = rng.normal(0.0, scale, (periods, n))
         r_a, r_b = 10 ** rng.uniform(0, 6, (2, periods))
         block = compose_loop(u_a, u_b, r_a, r_b)
-        assert block.samples.shape == (periods, 2, n)
+        assert block.shape == (periods, 2, n)
         spectra = measure_spectra(block, CFG)
         for k in range(periods):
             r_sum = r_a[k] + r_b[k]
             voltage = (u_a[k] * r_b[k] + u_b[k] * r_a[k]) / r_sum
             current = (u_a[k] - u_b[k]) / r_sum
             one = compose_loop(u_a[k], u_b[k], r_a[k], r_b[k])
-            for trace in (block.rows()[k], one):
-                assert trace.samples.shape == (2, n)
+            for trace in (block[k], one):
+                assert trace.shape == (2, n)
                 assert np.array_equal(
-                    float_bits(trace.samples),
+                    float_bits(trace),
                     float_bits(np.stack([voltage, current])))
             want = [np.var(x, ddof=1) / CFG.bandwidth
                     for x in (voltage, current)]
@@ -777,7 +785,7 @@ class TestOneArrayTrace:
         for view, row, index, value in specials:
             (a, b)[view][row][index % n] = value
         want = two_array_first_divergence(a, b)
-        view_a, view_b = (WireTrace(np.stack(x, -2)) for x in (a, b))
+        view_a, view_b = (np.stack(x, -2) for x in (a, b))
         with np.errstate(all="ignore"):
             assert first_divergence_index(view_a, view_b) == want
             assert monitor_compare(view_a, view_b).first_divergence == want

@@ -45,17 +45,45 @@ def defined_names(path: Path) -> list[tuple[str, int]]:
             if not (name.startswith("__") and name.endswith("__"))]
 
 
+def member_names(path: Path) -> set[tuple[str, int]]:
+    """(name, line) of every method and property a class in ``path``
+    defines."""
+    return {(node.name, node.lineno)
+            for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+
+def attribute_reads(paths: list[Path]) -> set[str]:
+    """Every name that code in ``paths`` reads as an attribute,
+    ``obj.name``."""
+    return {node.attr for path in paths
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_defined_name_is_referenced():
     """A function, class or module constant that nothing in the package
-    or the benchmark names is dead code.  The package's ``__init__.py``
-    re-exports every public name, so it does not count as a reference."""
+    or the benchmark names is dead code, and so is a method or property
+    that no code there reads as an attribute: a local variable or a word
+    in prose of the same name does not use it.  The package's
+    ``__init__.py`` re-exports every public name, so it does not count as
+    a reference."""
     modules = sorted(p for p in PACKAGE.glob("*.py")
                      if p.name != "__init__.py")
     sources = {p: p.read_text(encoding="utf-8").splitlines()
                for p in [*modules, *sorted((ROOT / "bench").glob("*.py"))]}
+    read = attribute_reads(list(sources))
     unreferenced = set()
     for module in modules:
+        members = member_names(module)
         for name, line in defined_names(module):
+            if (name, line) in members:
+                if name not in read:
+                    unreferenced.add(name)
+                continue
             word = re.compile(rf"\b{re.escape(name)}\b")
             if not any(word.search(text)
                        for path, lines in sources.items()
