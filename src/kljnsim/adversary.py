@@ -76,8 +76,11 @@ def passive_eavesdrop(trace: np.ndarray, cfg: NoiseConfig,
     coin flip (``rng`` seeds that flip).  A period she cannot classify
     gives her only its spectra: every guess is None, and ``rng`` is not
     drawn from.  Pair inference may fail on a noisy period whose spectra
-    have no real solution; she records None.
+    have no real solution; she records None.  A trace that is not one
+    ``(2, n)`` period raises ValueError.
     """
+    if np.ndim(trace) != 2:  # measure_spectra also takes (P, 2, n) blocks
+        raise ValueError(f"not one (2, n) period: shape {np.shape(trace)}")
     spectra = measure_spectra(trace, cfg)
     loop_class = classify_level(spectra, cfg)
     if loop_class is None:

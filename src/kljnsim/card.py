@@ -48,6 +48,7 @@ from .exchange import (
 )
 from .noise import NoiseConfig
 from .privacy import BitString, amplify
+from .records import RECORDS, validate_record
 from .tags import poly_tag, segment_to_key
 
 MIN_SEGMENT_BITS = 64  # tag key size; floor for the per-session segment
@@ -219,44 +220,25 @@ class ServerRecord:
     canceled: bool = False
     generation: int = 0
 
-    # Journal record layout, in its fixed field order, with each field's
-    # type; a count maps to its least value instead, and is a plain int,
-    # never a bool.
-    FIELDS = {"card_number": str, "holder_name": str, "expiry": str,
-              "c_hex": str, "c_len": 0, "segment_len": 1, "cursor": 0,
-              "m_max": 1, "broken_count": 0, "canceled": bool,
-              "generation": 0}
-
     def to_journal(self) -> dict:
         """The record as one ``kljn.card_record`` journal object."""
-        values = (self.identity.card_number, self.identity.holder_name,
-                  self.identity.expiry, self.key_c.bits.to_hex(),
-                  len(self.key_c.bits), self.key_c.segment_len,
-                  self.key_c.cursor, self.key_c.m_max,
-                  self.broken_count_mirror, self.canceled, self.generation)
-        return {"schema": "kljn.card_record", "version": 1,
-                **dict(zip(self.FIELDS, values))}
+        return RECORDS["card_record"].record((
+            self.identity.card_number, self.identity.holder_name,
+            self.identity.expiry, self.key_c.bits.to_hex(),
+            len(self.key_c.bits), self.key_c.segment_len, self.key_c.cursor,
+            self.key_c.m_max, self.broken_count_mirror, self.canceled,
+            self.generation))
 
     @classmethod
-    def from_journal(cls, obj: dict) -> "ServerRecord":
-        """Inverse of ``to_journal``; raises TypeError or ValueError for
-        a record of another schema or version, a field of the wrong type
-        or below its least value, or a ``c_hex`` other than the one
-        ``to_journal`` writes for ``c_len`` bits."""
-        header = (obj["schema"], obj["version"])
-        if header != ("kljn.card_record", 1) or type(header[1]) is not int:
-            raise ValueError(f"not a kljn.card_record version 1: {header!r}")
-        values = [obj[k] for k in cls.FIELDS]
-        for (key, kind), value in zip(cls.FIELDS.items(), values):
-            if isinstance(kind, int):  # a count
-                if type(value) is not int or value < kind:
-                    raise ValueError(
-                        f"{key} must be an int >= {kind}, got {value!r}")
-            elif type(value) is not kind:
-                raise TypeError(
-                    f"{key} must be a {kind.__name__}, got {value!r}")
+    def from_journal(cls, obj) -> "ServerRecord":
+        """Inverse of ``to_journal``; raises ValueError: a SchemaError for
+        anything but an exact ``card_record`` (see ``records``), else for
+        a ``c_hex`` other than the one ``to_journal`` writes for ``c_len``
+        bits, or for key C counts out of range."""
+        validate_record(obj, ("card_record",))
         (number, holder, expiry, c_hex, c_len, segment_len, cursor, m_max,
-         broken_count, canceled, generation) = values
+         broken_count, canceled, generation) = \
+            RECORDS["card_record"].values(obj)
         bits = BitString.from_hex(c_hex, c_len, "key_c")
         if bits.to_hex() != c_hex:  # extra digits, or padding bits set
             raise ValueError(
@@ -326,10 +308,9 @@ class Keystore:
                 for lineno, line in enumerate(fh, 1):
                     if not line.strip():
                         continue
-                    try:
+                    try:  # a line nested too deep to parse: RecursionError
                         record = ServerRecord.from_journal(json.loads(line))
-                    except (ValueError, KeyError, TypeError,
-                            RecursionError) as err:  # too deep to parse
+                    except (ValueError, RecursionError) as err:
                         if not line.endswith(b"\n"):
                             store.torn_tail = True
                             continue

@@ -41,6 +41,7 @@ from .exchange import ChannelCompromisedError, ExchangeNotConvergedError, \
     class_levels, exchange_key, run_bit_period, spawn_seeds
 from .noise import NoiseConfig, SpectraEstimate, analytic_spectra, \
     infer_resistor_pair
+from .records import RECORDS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -174,7 +175,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
 
 
 class Emitter:
-    """Writes one JSON object per line, to stdout or a file."""
+    """Writes one JSON record per line, to stdout or a file."""
+
+    # one encoder for all records: json.dumps with options builds one a call
+    _encoder = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
 
     def __init__(self, output_path: str):
         self.output_path = output_path
@@ -190,18 +194,17 @@ class Emitter:
         if self._fh is not None:
             self._fh.close()
 
-    def emit(self, obj: dict) -> None:
+    def emit(self, name: str, *values) -> None:
+        """Write one record of table entry ``name`` (``records.RECORDS``),
+        its field values given in table order."""
+        obj = RECORDS[name].record(values)
         try:
-            line = json.dumps(obj, separators=(",", ":"), allow_nan=False)
+            line = self._encoder.encode(obj)
         except ValueError as err:
             raise ConfigError(
-                f"a {obj.get('schema')} record holds a non-finite number "
-                f"({err}); the settings leave the simulated float range"
-            ) from err
-        if self._fh is not None:
-            self._fh.write(line + "\n")
-        else:
-            sys.stdout.write(line + "\n")
+                f"a {name} record holds a non-finite number ({err}); the "
+                f"settings leave the simulated float range") from err
+        (self._fh or sys.stdout).write(line + "\n")
 
 
 def _round(x: float, digits: int = 10) -> float:
@@ -222,24 +225,12 @@ def cmd_exchange(cfg: RunConfig, emitter: Emitter) -> int:
         total_periods += stats.periods_run
         total_alarms += stats.alarms
         discards.append(stats.discard_fraction)
-        emitter.emit({
-            "schema": "kljn.exchange_trial", "version": 1,
-            "trial": trial,
-            "periods": stats.periods_run,
-            "retained": stats.retained,
-            "discard_fraction": _round(stats.discard_fraction),
-            "agreement": agreement,
-            "alarms": stats.alarms,
-            "anomalies": stats.anomalies,
-        })
-    emitter.emit({
-        "schema": "kljn.exchange_summary", "version": 1,
-        "trials": cfg.trials,
-        "mean_discard_fraction": _round(float(np.mean(discards))),
-        "all_agree": all_agree,
-        "total_alarms": total_alarms,
-        "total_periods": total_periods,
-    })
+        emitter.emit("exchange_trial", trial, stats.periods_run,
+                     stats.retained, _round(stats.discard_fraction),
+                     agreement, stats.alarms, stats.anomalies)
+    emitter.emit("exchange_summary", cfg.trials,
+                 _round(float(np.mean(discards))), all_agree, total_alarms,
+                 total_periods)
     return EXIT_OK
 
 
@@ -250,8 +241,7 @@ def cmd_attack(kind: str, cfg: RunConfig, emitter: Emitter) -> int:
     if kind == "mitm":
         return _attack_active(
             "mitm", lambda trial: mitm_attack(noise, (cfg.seed, trial)),
-            lambda indices: {"median_detection_index":
-                             int(np.median(indices)) if indices else None},
+            lambda indices: (int(np.median(indices)) if indices else None,),
             cfg, emitter)
     mid = analytic_spectra(noise.r_low, noise.r_high, noise)
     loop_rms = float(np.sqrt(mid.s_i * noise.bandwidth))
@@ -264,8 +254,7 @@ def cmd_attack(kind: str, cfg: RunConfig, emitter: Emitter) -> int:
         return inject_current(noise, injection, (cfg.seed, trial))
 
     return _attack_active(
-        "injection", injection_trial,
-        lambda indices: {"amplitude_rms_ratio": _round(cfg.amplitude)},
+        "injection", injection_trial, lambda indices: (_round(cfg.amplitude),),
         cfg, emitter)
 
 
@@ -287,15 +276,10 @@ def _attack_passive(cfg: RunConfig, emitter: Emitter) -> int:
         pair_su.append(est.spectra.s_u)
         pair_si.append(est.spectra.s_i)
         pair = est.pair_guess
-        emitter.emit({
-            "schema": "kljn.attack_trial", "version": 1,
-            "kind": "passive", "trial": trial,
-            "detected": False,
-            "loop_class": est.loop_class_guess and str(est.loop_class_guess),
-            "assignment_correct": bool(ok),
-            "pair_low": _round(pair[0], 3) if pair else None,
-            "pair_high": _round(pair[1], 3) if pair else None,
-        })
+        emitter.emit("passive_trial", "passive", trial, False,
+                     est.loop_class_guess and str(est.loop_class_guess),
+                     bool(ok), _round(pair[0], 3) if pair else None,
+                     _round(pair[1], 3) if pair else None)
     pooled = SpectraEstimate(s_u=float(np.mean(pair_su)),
                              s_i=float(np.mean(pair_si)))
     try:
@@ -303,22 +287,16 @@ def _attack_passive(cfg: RunConfig, emitter: Emitter) -> int:
                        infer_resistor_pair(pooled, noise)]
     except ValueError:  # the pooled spectra admit no real pair
         pooled_pair = [None, None]
-    emitter.emit({
-        "schema": "kljn.attack_summary", "version": 1,
-        "kind": "passive", "trials": cfg.trials,
-        "detection_rate": 0.0,
-        "assignment_accuracy": _round(correct / cfg.trials),
-        "pooled_pair_low": pooled_pair[0],
-        "pooled_pair_high": pooled_pair[1],
-    })
+    emitter.emit("passive_summary", "passive", cfg.trials, 0.0,
+                 _round(correct / cfg.trials), *pooled_pair)
     return EXIT_OK
 
 
-def _attack_active(kind: str, run_trial, summary_fields, cfg: RunConfig,
+def _attack_active(kind: str, run_trial, summary_tail, cfg: RunConfig,
                    emitter: Emitter) -> int:
     """Trial loop shared by the active attacks: ``run_trial(trial)`` gives
-    an AttackOutcome, ``summary_fields(detection indices)`` the summary
-    record's kind-specific tail."""
+    an AttackOutcome, ``summary_tail(detection indices)`` the values of
+    the ``{kind}_summary`` record's kind-specific fields."""
     detected = 0
     indices = []
     for trial in range(cfg.trials):
@@ -326,20 +304,11 @@ def _attack_active(kind: str, run_trial, summary_fields, cfg: RunConfig,
         detected += out.detected
         if out.detection_sample_index is not None:
             indices.append(out.detection_sample_index)
-        emitter.emit({
-            "schema": "kljn.attack_trial", "version": 1,
-            "kind": kind, "trial": trial,
-            "detected": out.detected,
-            "detection_sample_index": out.detection_sample_index,
-            "bits_learned": out.bits_learned,
-            "bits_retained_by_parties": out.bits_retained_by_parties,
-        })
-    emitter.emit({
-        "schema": "kljn.attack_summary", "version": 1,
-        "kind": kind, "trials": cfg.trials,
-        "detection_rate": _round(detected / cfg.trials),
-        **summary_fields(indices),
-    })
+        emitter.emit("active_trial", kind, trial, out.detected,
+                     out.detection_sample_index, out.bits_learned,
+                     out.bits_retained_by_parties)
+    emitter.emit(f"{kind}_summary", kind, cfg.trials,
+                 _round(detected / cfg.trials), *summary_tail(indices))
     return EXIT_OK
 
 
@@ -389,7 +358,7 @@ def cmd_card_lifetime(cfg: RunConfig, emitter: Emitter) -> int:
     clone_rng = np.random.default_rng(clone_seed)
 
     consumed_segments: list[tuple[int, int]] = []
-    counts = {"closed": 0, "broken": 0, "refused": 0}
+    statuses = []
     key_b_sessions = 0
     for i in range(cfg.n_sessions):
         fault = faults.get(i)
@@ -410,46 +379,28 @@ def cmd_card_lifetime(cfg: RunConfig, emitter: Emitter) -> int:
                                  auth_adversary=auth_adv,
                                  refresh_adversary=refresh_adv)
         except CardRefusedError as err:
-            counts["refused"] += 1
-            emitter.emit({
-                "schema": "kljn.session", "version": 1,
-                "session": i, "status": "refused", "fault": fault,
-                "reason": str(err),
-                "broken_count": record.broken_count_mirror,
-                "canceled": record.canceled,
-                "generation": card.generation,
-            })
+            statuses.append("refused")
+            emitter.emit("refused_session", i, "refused", fault, str(err),
+                         record.broken_count_mirror, record.canceled,
+                         card.generation)
             continue
         status = ledger.phase
-        counts["closed" if status == "closed" else "broken"] += 1
+        statuses.append(status)
         if ledger.consumed_segment is not None:
             consumed_segments.append(ledger.consumed_segment)
         if ledger.key_b_bits_used:
             key_b_sessions += 1
-        emitter.emit({
-            "schema": "kljn.session", "version": 1,
-            "session": i, "status": status, "fault": fault,
-            "broken_count": record.broken_count_mirror,
-            "canceled": record.canceled,
-            "generation": card.generation,
-            "segment": list(ledger.consumed_segment)
-            if ledger.consumed_segment else None,
-            "refreshed": ledger.refreshed,
-            "key_b_bits_used": ledger.key_b_bits_used,
-        })
+        emitter.emit("session", i, status, fault,
+                     record.broken_count_mirror, record.canceled,
+                     card.generation, list(ledger.consumed_segment)
+                     if ledger.consumed_segment else None,
+                     ledger.refreshed, ledger.key_b_bits_used)
     segment_reuse = len(consumed_segments) != len(set(consumed_segments))
-    emitter.emit({
-        "schema": "kljn.lifetime_summary", "version": 1,
-        "sessions": cfg.n_sessions,
-        "closed": counts["closed"],
-        "broken": counts["broken"],
-        "refused": counts["refused"],
-        "canceled": record.canceled,
-        "generations": card.generation,
-        "segment_reuse": segment_reuse,
-        "key_b_reuse": False,  # structurally impossible: fresh B, zeroized
-        "key_b_sessions": key_b_sessions,
-    })
+    closed, refused = statuses.count("closed"), statuses.count("refused")
+    # key_b_reuse is structurally impossible: a fresh B, zeroized after use
+    emitter.emit("lifetime_summary", cfg.n_sessions, closed,
+                 len(statuses) - closed - refused, refused, record.canceled,
+                 card.generation, segment_reuse, False, key_b_sessions)
     return EXIT_OK
 
 
@@ -459,17 +410,10 @@ def cmd_rate(cfg: RunConfig, emitter: Emitter) -> int:
     sim_seconds = stats.periods_run * noise.samples_per_bit \
         / noise.sample_rate
     rate = stats.retained / sim_seconds
-    emitter.emit({
-        "schema": "kljn.rate_report", "version": 1,
-        "secure_bit_rate": _round(rate, 4),
-        "reference_rate": 1000.0,
-        "bit_period_seconds": _round(noise.bit_period_seconds, 12),
-        "target_bits": cfg.target_bits,
-        "periods": stats.periods_run,
-        "simulated_seconds": _round(sim_seconds, 8),
-        "seconds_for_1024_secure_bits": _round(1024.0 / rate, 6),
-        "amplified_bit_rate": _round(rate / 8.0, 4),
-    })
+    emitter.emit("rate_report", _round(rate, 4), 1000.0,
+                 _round(noise.bit_period_seconds, 12), cfg.target_bits,
+                 stats.periods_run, _round(sim_seconds, 8),
+                 _round(1024.0 / rate, 6), _round(rate / 8.0, 4))
     return EXIT_OK
 
 
@@ -480,12 +424,10 @@ def cmd_keystore_inspect(cfg: RunConfig, emitter: Emitter) -> int:
     if store.torn_tail:
         print(f"notice: {cfg.keystore}: skipped a torn last line",
               file=sys.stderr)
-    for number in sorted(store.records):
-        card = store.records[number].to_journal()
-        del card["c_hex"]  # inspection does not dump key material
-        emitter.emit({**card, "schema": "kljn.keystore_card"})
-    emitter.emit({"schema": "kljn.keystore_summary", "version": 1,
-                  "cards": len(store.records)})
+    for number in sorted(store.records):  # each card without its key C
+        emitter.emit("keystore_card", *RECORDS["keystore_card"].values(
+            store.records[number].to_journal()))
+    emitter.emit("keystore_summary", len(store.records))
     return EXIT_OK
 
 

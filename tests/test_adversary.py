@@ -82,7 +82,7 @@ class TestPassiveEavesdrop:
         assert est.spectra == measure_spectra(trace, CFG)
 
     @pytest.mark.parametrize("shape", [(100,), (3, 100), (5, 3, 100),
-                                       (2, 0), (2, 1)])
+                                       (2, 0), (2, 1), (3, 2, 100)])
     def test_malformed_trace_rejected(self, shape):
         with pytest.raises(ValueError):
             passive_eavesdrop(np.ones(shape), CFG, rng=0)

@@ -13,10 +13,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kljnsim import cli
-from kljnsim.card import CardIdentity, Keystore, ServerRecord, \
-    initialize_card
+from kljnsim.card import CardIdentity, Keystore, initialize_card
 from kljnsim.exchange import ChannelCompromisedError, ExchangeStats
-from kljnsim.records import SchemaError, validate_record
+from kljnsim.records import RECORDS, SchemaError, validate_record
 
 
 def run_main(argv, capsys):
@@ -242,9 +241,9 @@ def card_line_with(fields: dict) -> bytes:
 
 
 # Journal field values of the wrong type or below their least value, a
-# foreign schema or version, and a c_hex that is not what ``to_journal``
-# writes for c_len bits, each in an otherwise valid card record, and
-# their test ids.
+# foreign schema or version, a c_hex that is not what ``to_journal``
+# writes for c_len bits, and a field the card record does not have, each
+# in an otherwise valid card record, and their test ids.
 WRONGLY_TYPED = [
     {"card_number": [1]}, {"card_number": {"n": 4}}, {"holder_name": [1]},
     {"expiry": {"a": 1}}, {"generation": "x"}, {"generation": -5},
@@ -254,13 +253,14 @@ WRONGLY_TYPED = [
     {"version": True}, {"c_hex": CARD_RECORD["c_hex"] + "0000"},
     # 127 of 128 bits, the unused last one set; 2 segments of 63 bits fit
     {"c_hex": CARD_RECORD["c_hex"][:-1] + "1", "c_len": 127,
-     "segment_len": 63}]
+     "segment_len": 63},
+    {"extra": 1}]
 WRONGLY_TYPED_IDS = [
     "list_number", "object_number", "list_holder", "object_expiry",
     "text_generation", "negative_generation", "text_canceled",
     "zero_segment_len", "bool_cursor", "negative_broken_count",
     "float_c_len", "bool_m_max", "bogus_schema", "unknown_version",
-    "bool_version", "long_c_hex", "padding_bit_set"]
+    "bool_version", "long_c_hex", "padding_bit_set", "extra_field"]
 
 
 class TestKeystoreInspect:
@@ -678,8 +678,8 @@ class TestOutOfRangeNumbers:
 
     def test_non_finite_record_is_not_written(self, capsys):
         with pytest.raises(cli.ConfigError, match="non-finite"):
-            cli.Emitter("").emit({"schema": "kljn.rate_report",
-                                  "secure_bit_rate": float("inf")})
+            cli.Emitter("").emit("rate_report", float("inf"), 1000.0, 5e-4,
+                                 256, 550, 0.0275, 0.1, 1.0)
         assert capsys.readouterr().out == ""
 
     def test_non_finite_record_exits_2(self, monkeypatch, capsys):
@@ -761,7 +761,8 @@ JOURNAL_LINES = st.one_of(
     st.tuples(st.integers(0, len(CARD_LINE) - 1),
               st.binary(min_size=1, max_size=1)).map(
         lambda kb: CARD_LINE[:kb[0]] + kb[1] + CARD_LINE[kb[0] + 1:]),
-    st.tuples(st.sampled_from(list(ServerRecord.FIELDS)), ANY_JSON).map(
+    st.tuples(st.sampled_from(list(RECORDS["card_record"].fields)),
+              ANY_JSON).map(
         lambda fv: card_line_with({fv[0]: fv[1]})),
     st.binary(max_size=40),  # mostly not UTF-8
 )
@@ -842,6 +843,45 @@ class TestNoInputEndsInATraceback:
             validate_record(strict_json(line))
 
 
+def valid_value(kind):
+    """A value of ``kind``, in the notation of ``records.RECORDS``."""
+    if isinstance(kind, tuple):  # one kind or null
+        return valid_value(kind[0])
+    if isinstance(kind, int):  # a count's least value
+        return kind
+    return {str: "x", bool: False, float: 0.5, list: [0, 1]}[kind]
+
+
+def wrong_values(kind) -> list:
+    """Values of another type than ``kind``, or below its least count."""
+    if isinstance(kind, tuple):
+        return [v for v in wrong_values(kind[0]) if v is not None]
+    if isinstance(kind, int):
+        return [kind - 1, True, float(kind), str(kind), None]
+    return {str: [1, None, ["x"]], bool: [1, 0, None, "true"],
+            float: [1, None, "0.5"], list: [{}, "x", None]}[kind]
+
+
+# One valid record per table entry, built from its field kinds.
+VALID_RECORDS = {name: layout.record(tuple(map(valid_value,
+                                               layout.fields.values())))
+                 for name, layout in RECORDS.items()}
+VALID_BODIES = st.sampled_from(list(VALID_RECORDS.values()))
+# Arbitrary JSON as whole records, as the schema and version, and as one
+# field of an otherwise valid record.
+RECORD_LIKE = st.one_of(
+    ANY_JSON,
+    st.builds(lambda schema, version: {"schema": schema,
+                                       "version": version},
+              ANY_JSON, ANY_JSON),
+    st.builds(lambda body, schema, version: {**body, "schema": schema,
+                                             "version": version},
+              VALID_BODIES, ANY_JSON, ANY_JSON),
+    VALID_BODIES.flatmap(lambda body: st.builds(
+        lambda key, value: {**body, key: value},
+        st.sampled_from(list(body)) | st.text(max_size=4), ANY_JSON)))
+
+
 class TestRecordSchemas:
     def test_unknown_schema_rejected(self):
         with pytest.raises(SchemaError):
@@ -854,3 +894,65 @@ class TestRecordSchemas:
     def test_missing_version_rejected(self):
         with pytest.raises(SchemaError):
             validate_record({"schema": "kljn.keystore_summary", "cards": 0})
+
+    @pytest.mark.parametrize("record", [
+        {"schema": [1], "version": 1},
+        {"schema": {"kljn": 1}, "version": 1},
+        {"schema": "kljn.keystore_summary", "version": True, "cards": 0},
+        {"schema": "kljn.keystore_summary", "version": 1.0, "cards": 0},
+        {"schema": "kljn.keystore_summary", "version": 2, "cards": 0}],
+        ids=["list_schema", "object_schema", "bool_version",
+             "float_version", "unknown_version"])
+    def test_bad_header_rejected(self, record):
+        with pytest.raises(SchemaError):
+            validate_record(record)
+
+    @given(record=RECORD_LIKE)
+    @settings(max_examples=300, deadline=None)
+    def test_any_json_is_a_record_or_a_schema_error(self, record):
+        try:
+            name = validate_record(record)
+        except SchemaError:
+            return
+        assert name in RECORDS
+
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_record_built_from_its_entry_is_valid(self, name):
+        assert validate_record(VALID_RECORDS[name]) == name
+        assert validate_record(VALID_RECORDS[name], [name]) == name
+
+    @pytest.mark.parametrize("change", ["added", "removed", "mistyped"])
+    @pytest.mark.parametrize("name", sorted(RECORDS))
+    def test_one_field_changed_is_rejected(self, name, change):
+        record, fields = VALID_RECORDS[name], RECORDS[name].fields
+        if change == "added":
+            changed = [{**record, "extra": 1}]
+        elif change == "removed":
+            changed = [{k: v for k, v in record.items() if k != key}
+                       for key in fields]
+        else:
+            changed = [{**record, key: wrong}
+                       for key, kind in fields.items()
+                       for wrong in wrong_values(kind)]
+        for bad in changed:
+            with pytest.raises(SchemaError):
+                validate_record(bad)
+
+    def test_every_entry_is_written(self, tmp_path, capsys):
+        """An entry that no command writes is dead.  The streams of
+        SMALL_COMMANDS, of a card lifetime whose card is cancelled and then
+        refused, of keystore-inspect on its keystore, and that keystore's
+        journal lines, together use every entry."""
+        ks = str(tmp_path / "ks.jsonl")
+        names = set()
+        for argv in [*SMALL_COMMANDS,
+                     ["card-lifetime", "--n_sessions", "2", "--m_max", "1",
+                      "--payload_bytes", "1", "--faults", "0:wrong_key",
+                      "--keystore", ks],
+                     ["keystore-inspect", "--keystore", ks]]:
+            code, records = run_main(argv, capsys)
+            assert code == 0
+            names.update(map(validate_record, records))
+        with open(ks, encoding="utf-8") as fh:
+            names.update(validate_record(json.loads(line)) for line in fh)
+        assert names == set(RECORDS)

@@ -166,3 +166,19 @@ def test_traced_periods_equal_the_stream(bench_modules, tmp_path, capsys):
     assert len(trials) == int(CUT_TRIALS)
     assert counts["exchange.periods"] == sum(r["periods"] for r in trials)
     assert counts["exchange.retained"] == sum(r["retained"] for r in trials)
+
+
+def test_record_headers_only_in_records():
+    """A dict display with a ``"schema"`` or ``"version"`` key outside
+    ``records.py`` writes a record layout out again: every record is built
+    from its ``records.RECORDS`` entry, so each field list stays in one
+    place."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "records.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Dict)
+             and any(isinstance(key, ast.Constant)
+                     and key.value in ("schema", "version")
+                     for key in node.keys)]
+    assert found == []
