@@ -8,7 +8,7 @@ Layers, bottom up:
   the two-end monitor defense, and whole-key exchanges.
 * ``adversary``: passive Eve plus man-in-the-middle and current-injection
   attacks with detection bookkeeping.
-* ``privacy``: bit-string key material and XOR privacy amplification.
+* ``privacy``: bit-array key material and XOR privacy amplification.
 * ``tags``/``card``: the keyed universal hash and the card/terminal/server
   session protocol (provisioning, authentication, OTP transaction, key
   refresh, keystore journal).
@@ -75,6 +75,6 @@ from .noise import (
     measure_spectra,
     parallel_resistance,
 )
-from .privacy import BitString, amplify, xor_stage
+from .privacy import amplify, xor_stage
 
 __version__ = "0.1.0"

@@ -47,7 +47,7 @@ from .exchange import (
     spawn_seeds,
 )
 from .noise import NoiseConfig
-from .privacy import BitString, amplify
+from .privacy import amplify
 from .records import RECORDS, validate_record
 from .tags import poly_tag, segment_to_key
 
@@ -116,7 +116,7 @@ def segment_length(n_d: int) -> int:
 class KeyC:
     """Segmented authentication key; one segment consumed per session."""
 
-    bits: BitString
+    bits: np.ndarray  # key material, see ``privacy``
     segment_len: int
     cursor: int
     m_max: int
@@ -129,13 +129,12 @@ class KeyC:
         if not 0 <= self.cursor <= self.m_max:
             raise ValueError(f"cursor {self.cursor} out of range")
 
-    def segment(self, index: int) -> BitString:
+    def segment(self, index: int) -> np.ndarray:
         if not 0 <= index < self.m_max:
             raise KeyExhaustedError(
                 f"segment index {index} outside 0..{self.m_max - 1}")
-        s = self.bits.bits[index * self.segment_len:
-                           (index + 1) * self.segment_len]
-        return BitString(bits=s.copy(), provenance="key_c")
+        return self.bits[index * self.segment_len:
+                         (index + 1) * self.segment_len].copy()
 
     def consume_through(self, index: int) -> None:
         """Advance the cursor past ``index``; never moves backward."""
@@ -145,20 +144,19 @@ class KeyC:
         self.cursor = index + 1
 
     def zeroize(self) -> None:
-        self.bits.bits[:] = 0
+        self.bits[:] = 0
         self.cursor = self.m_max
 
     def copy(self) -> "KeyC":
-        return KeyC(bits=BitString(self.bits.bits.copy(), "key_c"),
-                    segment_len=self.segment_len, cursor=self.cursor,
-                    m_max=self.m_max)
+        return KeyC(bits=self.bits.copy(), segment_len=self.segment_len,
+                    cursor=self.cursor, m_max=self.m_max)
 
 
 @dataclass
 class KeyB:
     """One-session OTP key.  Every bit is emitted at most once."""
 
-    bits: BitString
+    bits: np.ndarray  # key material, see ``privacy``
     consumed_offset: int = 0
     zeroized: bool = False
 
@@ -169,13 +167,13 @@ class KeyB:
             raise KeyExhaustedError(
                 f"key B exhausted: need {n_bits} bits at offset "
                 f"{self.consumed_offset}, have {len(self.bits)}")
-        out = self.bits.bits[self.consumed_offset:
-                             self.consumed_offset + n_bits].copy()
+        out = self.bits[self.consumed_offset:
+                        self.consumed_offset + n_bits].copy()
         self.consumed_offset += n_bits
         return out
 
     def zeroize(self) -> None:
-        self.bits.bits[:] = 0
+        self.bits[:] = 0
         self.zeroized = True
 
 
@@ -224,7 +222,8 @@ class ServerRecord:
         """The record as one ``kljn.card_record`` journal object."""
         return RECORDS["card_record"].record((
             self.identity.card_number, self.identity.holder_name,
-            self.identity.expiry, self.key_c.bits.to_hex(),
+            self.identity.expiry,
+            np.packbits(self.key_c.bits).tobytes().hex(),
             len(self.key_c.bits), self.key_c.segment_len, self.key_c.cursor,
             self.key_c.m_max, self.broken_count_mirror, self.canceled,
             self.generation))
@@ -239,8 +238,11 @@ class ServerRecord:
         (number, holder, expiry, c_hex, c_len, segment_len, cursor, m_max,
          broken_count, canceled, generation) = \
             RECORDS["card_record"].values(obj)
-        bits = BitString.from_hex(c_hex, c_len, "key_c")
-        if bits.to_hex() != c_hex:  # extra digits, or padding bits set
+        if len(c_hex) != 2 * ((c_len + 7) // 8):  # before c_len sizes an array
+            raise ValueError(f"c_hex is not {c_len} bits long")
+        bits = np.unpackbits(np.frombuffer(bytes.fromhex(c_hex), np.uint8),
+                             count=c_len)
+        if np.packbits(bits).tobytes().hex() != c_hex:  # e.g. padding set
             raise ValueError(
                 f"c_hex is not {c_len} bits as to_journal writes them")
         return cls(
@@ -340,8 +342,7 @@ def initialize_card(identity: CardIdentity, m_max: int, n_d: int, rng,
     raw = rng.integers(0, 2, n_c, dtype=np.uint8)
     card = CardState(
         identity=identity,
-        key_c=KeyC(bits=BitString(raw, "key_c"), segment_len=seg,
-                   cursor=0, m_max=m_max),
+        key_c=KeyC(bits=raw, segment_len=seg, cursor=0, m_max=m_max),
     )
     server = ServerRecord(identity=identity, key_c=card.key_c.copy())
     if keystore is not None:
@@ -349,7 +350,7 @@ def initialize_card(identity: CardIdentity, m_max: int, n_d: int, rng,
     return card, server
 
 
-def authenticate_tag(data: bytes | bytearray, key_segment: BitString) -> int:
+def authenticate_tag(data: bytes | bytearray, key_segment: np.ndarray) -> int:
     """64-bit keyed tag of the monitoring data, any bytes-like object
     (read in place, not copied).
 
@@ -459,8 +460,7 @@ def authenticate_session(card: CardState, server: Keystore,
     server.journal(record)
     return AuthResult(
         ledger=ledger,
-        key_b_card=KeyB(bits=BitString(card_key.bits, "key_b")),
-        key_b_terminal=KeyB(bits=BitString(term_key.bits, "key_b")))
+        key_b_card=KeyB(bits=card_key), key_b_terminal=KeyB(bits=term_key))
 
 
 @dataclass
@@ -533,8 +533,7 @@ def refresh_key_c(card: CardState, server: Keystore, cfg: NoiseConfig, seed,
     for holder, new in ((card, card_new), (record, term_new)):
         old = holder.key_c
         old.zeroize()
-        holder.key_c = KeyC(bits=BitString(new.bits, "key_c"),
-                            segment_len=old.segment_len, cursor=0,
+        holder.key_c = KeyC(bits=new, segment_len=old.segment_len, cursor=0,
                             m_max=old.m_max)
         holder.generation += 1
     server.journal(record)

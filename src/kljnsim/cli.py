@@ -220,7 +220,7 @@ def cmd_exchange(cfg: RunConfig, emitter: Emitter) -> int:
     for trial in range(cfg.trials):
         alice, bob, stats = exchange_key(cfg.target_bits, cfg.noise,
                                          cfg.seed + trial)
-        agreement = np.array_equal(alice.bits, bob.bits)
+        agreement = np.array_equal(alice, bob)
         all_agree = all_agree and agreement
         total_periods += stats.periods_run
         total_alarms += stats.alarms

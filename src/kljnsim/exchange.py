@@ -51,7 +51,6 @@ from .noise import (
     johnson_psd,
     measure_spectra,
 )
-from .privacy import BitString
 
 # Adversary hook: given one period's two generator traces and resistances,
 # return the wire traces seen by end A and end B, each a (2, n) array.
@@ -370,14 +369,14 @@ def exchange_key(target_len: int, cfg: NoiseConfig, seed,
                  adversary: Optional[AdversaryHook] = None,
                  record_sink: Optional[
                      Callable[[BitExchangeRecord], None]] = None,
-                 ) -> tuple[BitString, BitString, ExchangeStats]:
+                 ) -> tuple[np.ndarray, np.ndarray, ExchangeStats]:
     """Run bit periods until ``target_len`` secure bits are retained.
 
     Both ends draw independent uniform bits each period.  End A inverts
-    her retained bits (the pre-agreed side), so both returned keys are
-    identical.  ``record_sink`` receives every period's record, in order
-    (the card protocol collects the monitor data to authenticate this
-    way).
+    her retained bits (the pre-agreed side), so both returned keys, bit
+    arrays (see ``privacy``), are identical.  ``record_sink`` receives
+    every period's record, in order (the card protocol collects the
+    monitor data to authenticate this way).
 
     Bits and generator voltages come from two generators private to the
     exchange, drawn a block of periods at a time: about twice the bits
@@ -459,6 +458,5 @@ def exchange_key(target_len: int, cfg: NoiseConfig, seed,
                 if stats.retained == target_len:
                     break
 
-    alice_key = BitString(np.array(alice_bits, dtype=np.uint8), "raw_kljn")
-    bob_key = BitString(np.array(bob_bits, dtype=np.uint8), "raw_kljn")
-    return alice_key, bob_key, stats
+    return (np.array(alice_bits, dtype=np.uint8),
+            np.array(bob_bits, dtype=np.uint8), stats)

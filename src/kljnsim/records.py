@@ -5,13 +5,17 @@ that starts with ``schema`` and ``version``.  ``RECORDS`` is the one place
 a record's fields are declared: one entry per layout, which
 ``cli.Emitter.emit`` and the journal write by name, giving its schema,
 version and every field in emit order with its type.  A type is ``str``,
-``bool``, ``float`` or ``list``; a count is given as its least value and
-is a plain int, never a bool; a tuple lists alternatives, None for null.
-Layouts of one schema differ in their field names.  ``validate_record``
-checks a record exactly and raises nothing but ``SchemaError``.
+``bool``, ``float`` (finite) or ``list``; a count is given as its least
+value and is a plain int, never a bool; a string is that one value; a
+tuple lists alternatives, None for null.  Layouts of one schema differ in
+their field names, and a ``kind`` or ``status`` field pins each to its
+values.  ``validate_record`` checks a record exactly and raises nothing
+but ``SchemaError``.
 """
 
 from __future__ import annotations
+
+import math
 
 
 class Layout:
@@ -33,8 +37,8 @@ class Layout:
 _CARD = {"card_number": str, "holder_name": str, "expiry": str,
          "c_hex": str, "c_len": 0, "segment_len": 1, "cursor": 0,
          "m_max": 1, "broken_count": 0, "canceled": bool, "generation": 0}
-_ATTACK_TRIAL = {"kind": str, "trial": 0, "detected": bool}
-_ATTACK_SUMMARY = {"kind": str, "trials": 1, "detection_rate": float}
+_ATTACK_TRIAL = {"trial": 0, "detected": bool}
+_ATTACK_SUMMARY = {"trials": 1, "detection_rate": float}
 
 RECORDS = {
     "exchange_trial": Layout("kljn.exchange_trial", 1, {
@@ -44,23 +48,28 @@ RECORDS = {
         "trials": 1, "mean_discard_fraction": float, "all_agree": bool,
         "total_alarms": 0, "total_periods": 0}),
     "passive_trial": Layout("kljn.attack_trial", 1, {
-        **_ATTACK_TRIAL, "loop_class": (str, None), "assignment_correct": bool,
-        "pair_low": (float, None), "pair_high": (float, None)}),
+        "kind": "passive", **_ATTACK_TRIAL, "loop_class": (str, None),
+        "assignment_correct": bool, "pair_low": (float, None),
+        "pair_high": (float, None)}),
     "active_trial": Layout("kljn.attack_trial", 1, {
-        **_ATTACK_TRIAL, "detection_sample_index": (0, None),
-        "bits_learned": 0, "bits_retained_by_parties": 0}),
+        "kind": ("mitm", "injection"), **_ATTACK_TRIAL,
+        "detection_sample_index": (0, None), "bits_learned": 0,
+        "bits_retained_by_parties": 0}),
     "passive_summary": Layout("kljn.attack_summary", 1, {
-        **_ATTACK_SUMMARY, "assignment_accuracy": float,
+        "kind": "passive", **_ATTACK_SUMMARY, "assignment_accuracy": float,
         "pooled_pair_low": (float, None), "pooled_pair_high": (float, None)}),
     "mitm_summary": Layout("kljn.attack_summary", 1, {
-        **_ATTACK_SUMMARY, "median_detection_index": (0, None)}),
+        "kind": "mitm", **_ATTACK_SUMMARY,
+        "median_detection_index": (0, None)}),
     "injection_summary": Layout("kljn.attack_summary", 1, {
-        **_ATTACK_SUMMARY, "amplitude_rms_ratio": float}),
+        "kind": "injection", **_ATTACK_SUMMARY,
+        "amplitude_rms_ratio": float}),
     "refused_session": Layout("kljn.session", 1, {
-        "session": 0, "status": str, "fault": (str, None), "reason": str,
-        "broken_count": 0, "canceled": bool, "generation": 0}),
+        "session": 0, "status": "refused", "fault": (str, None),
+        "reason": str, "broken_count": 0, "canceled": bool,
+        "generation": 0}),
     "session": Layout("kljn.session", 1, {
-        "session": 0, "status": str, "fault": (str, None),
+        "session": 0, "status": ("closed", "broken"), "fault": (str, None),
         "broken_count": 0, "canceled": bool, "generation": 0,
         "segment": (list, None), "refreshed": bool, "key_b_bits_used": 0}),
     "lifetime_summary": Layout("kljn.lifetime_summary", 1, {
@@ -89,9 +98,12 @@ def _fits(kind, value) -> bool:
         return any(_fits(alternative, value) for alternative in kind)
     if kind is None:
         return value is None
+    if isinstance(kind, str):  # the one value
+        return value == kind
     if isinstance(kind, int):  # a count, kind its least value
         return type(value) is int and value >= kind
-    return type(value) is kind
+    # lax json.loads reads NaN and Infinity as floats
+    return type(value) is kind and (kind is not float or math.isfinite(value))
 
 
 def _describe(kind) -> str:
@@ -99,6 +111,10 @@ def _describe(kind) -> str:
         return " or ".join(map(_describe, kind))
     if kind is None:
         return "null"
+    if isinstance(kind, str):
+        return repr(kind)
+    if kind is float:
+        return "a finite float"
     return f"an int >= {kind}" if isinstance(kind, int) else kind.__name__
 
 

@@ -37,8 +37,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .privacy import BitString
-
 FIELD_PRIME = (1 << 64) - 59  # largest prime below 2^64
 LIMB_BYTES = 7
 TAG_BITS = 64
@@ -88,14 +86,13 @@ def poly_tag(data: bytes | bytearray, key: int) -> int:
     return (acc + len(data) + 1) * x % FIELD_PRIME
 
 
-def segment_to_key(segment: BitString) -> int:
-    """Fold a key segment into the 64-bit evaluation key.
+def segment_to_key(segment: np.ndarray) -> int:
+    """Fold a key segment (a bit array) into the 64-bit evaluation key.
 
     Segments of exactly 64 bits map directly; longer ones are XOR-folded
     in 64-bit blocks, shorter ones zero-padded at the tail.
     """
-    bits = segment.bits
-    padded = np.zeros(-(-bits.size // TAG_BITS) * TAG_BITS, dtype=np.uint8)
-    padded[:bits.size] = bits
+    padded = np.zeros(-(-segment.size // TAG_BITS) * TAG_BITS, np.uint8)
+    padded[:segment.size] = segment
     words = np.packbits(padded).view(">u8")
     return int(np.bitwise_xor.reduce(words))

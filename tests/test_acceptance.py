@@ -40,7 +40,7 @@ from kljnsim.noise import (
     measure_spectra,
 )
 from kljnsim.noise import InconsistentSpectraError, SpectraEstimate
-from kljnsim.privacy import BitString, amplify, xor_stage
+from kljnsim.privacy import amplify, xor_stage
 
 CFG = NoiseConfig()
 
@@ -87,7 +87,7 @@ def test_criterion_02_key_agreement():
     alarms = 0
     for trial in range(100):
         alice, bob, stats = exchange_key(256, CFG, (202, trial))
-        disagreements += int(np.sum(alice.bits != bob.bits))
+        disagreements += int(np.sum(alice != bob))
         alarms += stats.alarms
     elapsed = time.perf_counter() - t0
     report(2, disagreements == 0 and alarms == 0 and elapsed < 60.0,
@@ -216,16 +216,16 @@ def test_criterion_08_current_injection():
 
 def test_criterion_09_privacy_amplification():
     lengths_ok = all(
-        len(amplify(BitString(np.zeros(n, dtype=np.uint8)))) == n // 8
+        len(amplify(np.zeros(n, dtype=np.uint8))) == n // 8
         for n in (8, 16, 64, 800, 1024, 99_992))
     eps = 0.1
     n = 1_000_000
     rng = np.random.default_rng(909)
     bits = (rng.random(n) < 0.5 + eps).astype(np.uint8)
-    out = xor_stage(BitString(bits))
+    out = xor_stage(bits)
     predicted = 0.5 - 2 * eps ** 2
     sigma = math.sqrt(0.25 / len(out))
-    deviation = abs(float(out.bits.mean()) - predicted)
+    deviation = abs(float(out.mean()) - predicted)
     report(9, lengths_ok and deviation < 3 * sigma,
            f"eightfold length contract exact; stage-1 bias off the "
            f"2*eps^2 prediction by {deviation / sigma:.2f} sigma (< 3)")
@@ -280,7 +280,7 @@ def test_criterion_11_card_policy(tmp_path):
     run_transaction(card_b, res, bytes(8))
     refresh_key_c(card_b, store_b, CFG, 1121, ledger=res.ledger)
     refreshed_ok = res.ledger.refreshed
-    synced_ok = card_b.key_c.bits.to_hex() == server_b.key_c.bits.to_hex()
+    synced_ok = np.array_equal(card_b.key_c.bits, server_b.key_c.bits)
 
     # (c) 100-session lifetime: no segment reuse, no key-B reuse
     identity_c = CardIdentity("4000-acc-11c", "HOLDER", "12/31")

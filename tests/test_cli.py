@@ -242,8 +242,9 @@ def card_line_with(fields: dict) -> bytes:
 
 # Journal field values of the wrong type or below their least value, a
 # foreign schema or version, a c_hex that is not what ``to_journal``
-# writes for c_len bits, and a field the card record does not have, each
-# in an otherwise valid card record, and their test ids.
+# writes for c_len bits (among them a c_len far too large to allocate),
+# and a field the card record does not have, each in an otherwise valid
+# card record, and their test ids.
 WRONGLY_TYPED = [
     {"card_number": [1]}, {"card_number": {"n": 4}}, {"holder_name": [1]},
     {"expiry": {"a": 1}}, {"generation": "x"}, {"generation": -5},
@@ -254,13 +255,15 @@ WRONGLY_TYPED = [
     # 127 of 128 bits, the unused last one set; 2 segments of 63 bits fit
     {"c_hex": CARD_RECORD["c_hex"][:-1] + "1", "c_len": 127,
      "segment_len": 63},
-    {"extra": 1}]
+    {"extra": 1}, {"c_len": 10 ** 15}, {"c_hex": CARD_RECORD["c_hex"][:-2]},
+    {"c_hex": "zz" + CARD_RECORD["c_hex"][2:]}]
 WRONGLY_TYPED_IDS = [
     "list_number", "object_number", "list_holder", "object_expiry",
     "text_generation", "negative_generation", "text_canceled",
     "zero_segment_len", "bool_cursor", "negative_broken_count",
     "float_c_len", "bool_m_max", "bogus_schema", "unknown_version",
-    "bool_version", "long_c_hex", "padding_bit_set", "extra_field"]
+    "bool_version", "long_c_hex", "padding_bit_set", "extra_field",
+    "huge_c_len", "short_c_hex", "non_hex_c_hex"]
 
 
 class TestKeystoreInspect:
@@ -845,17 +848,20 @@ class TestNoInputEndsInATraceback:
 
 def valid_value(kind):
     """A value of ``kind``, in the notation of ``records.RECORDS``."""
-    if isinstance(kind, tuple):  # one kind or null
+    if isinstance(kind, tuple):  # alternatives
         return valid_value(kind[0])
-    if isinstance(kind, int):  # a count's least value
+    if isinstance(kind, (int, str)):  # a count's least value, or the value
         return kind
     return {str: "x", bool: False, float: 0.5, list: [0, 1]}[kind]
 
 
 def wrong_values(kind) -> list:
-    """Values of another type than ``kind``, or below its least count."""
+    """Values of another type than ``kind``, below its least count, or
+    other than its one value."""
     if isinstance(kind, tuple):
         return [v for v in wrong_values(kind[0]) if v is not None]
+    if isinstance(kind, str):
+        return [kind + "x", "", 1, None]
     if isinstance(kind, int):
         return [kind - 1, True, float(kind), str(kind), None]
     return {str: [1, None, ["x"]], bool: [1, 0, None, "true"],
@@ -921,7 +927,8 @@ class TestRecordSchemas:
         assert validate_record(VALID_RECORDS[name]) == name
         assert validate_record(VALID_RECORDS[name], [name]) == name
 
-    @pytest.mark.parametrize("change", ["added", "removed", "mistyped"])
+    @pytest.mark.parametrize("change", ["added", "removed", "mistyped",
+                                        "non_finite"])
     @pytest.mark.parametrize("name", sorted(RECORDS))
     def test_one_field_changed_is_rejected(self, name, change):
         record, fields = VALID_RECORDS[name], RECORDS[name].fields
@@ -930,6 +937,11 @@ class TestRecordSchemas:
         elif change == "removed":
             changed = [{k: v for k, v in record.items() if k != key}
                        for key in fields]
+        elif change == "non_finite":  # what lax json.loads makes of NaN
+            changed = [{**record, key: bad}
+                       for key, kind in fields.items()
+                       if kind in (float, (float, None))
+                       for bad in (math.nan, math.inf, -math.inf)]
         else:
             changed = [{**record, key: wrong}
                        for key, kind in fields.items()
@@ -937,6 +949,20 @@ class TestRecordSchemas:
         for bad in changed:
             with pytest.raises(SchemaError):
                 validate_record(bad)
+
+    @pytest.mark.parametrize("name,field,value", [
+        ("passive_trial", "kind", "injection"),
+        ("active_trial", "kind", "passive"),
+        ("mitm_summary", "kind", "injection"),
+        ("injection_summary", "kind", "mitm"),
+        ("passive_summary", "kind", "mitm"),
+        ("session", "status", "refused"),
+        ("refused_session", "status", "closed")])
+    def test_value_of_another_layout_is_rejected(self, name, field, value):
+        """Layouts of one schema are told apart by their fields' names and
+        by the values of ``kind`` or ``status``."""
+        with pytest.raises(SchemaError):
+            validate_record({**VALID_RECORDS[name], field: value})
 
     def test_every_entry_is_written(self, tmp_path, capsys):
         """An entry that no command writes is dead.  The streams of

@@ -33,7 +33,6 @@ from kljnsim.noise import (
     generate_noise,
     measure_spectra,
 )
-from kljnsim.privacy import BitString
 
 CFG = NoiseConfig()
 
@@ -71,8 +70,8 @@ def scalar_exchange_key(target_len, cfg, seed, adversary=None,
             stats.retained += 1
             alice_bits.append(1 - a_bit)
             bob_bits.append(b_bit)
-    return (BitString(np.array(alice_bits, dtype=np.uint8), "raw_kljn"),
-            BitString(np.array(bob_bits, dtype=np.uint8), "raw_kljn"), stats)
+    return (np.array(alice_bits, dtype=np.uint8),
+            np.array(bob_bits, dtype=np.uint8), stats)
 
 
 def record_bytes(rec) -> bytes:
@@ -112,7 +111,7 @@ def run_both(target_len, cfg, seed, hook=None, hook_seed=None):
             alice, bob, stats = run(target_len, cfg, seed,
                                     adversary=make_hook(hook, cfg, hook_seed),
                                     record_sink=seen.append)
-            outcome = (alice.bits.tolist(), bob.bits.tolist(), stats)
+            outcome = (alice.tolist(), bob.tolist(), stats)
         except (ChannelCompromisedError, ExchangeNotConvergedError) as err:
             outcome = (type(err), str(err))
         results.append((outcome, [record_bytes(r) for r in seen]))
@@ -464,7 +463,7 @@ class TestRunBitPeriod:
 class TestExchangeKey:
     def test_keys_agree_and_discard_near_half(self):
         alice, bob, stats = exchange_key(256, CFG, 1234)
-        assert np.array_equal(alice.bits, bob.bits)
+        assert np.array_equal(alice, bob)
         assert len(alice) == 256
         assert abs(stats.discard_fraction - 0.5) < 0.05
         assert stats.alarms == 0
@@ -476,8 +475,8 @@ class TestExchangeKey:
     def test_determinism(self):
         a1, b1, s1 = exchange_key(64, CFG, 77)
         a2, b2, s2 = exchange_key(64, CFG, 77)
-        assert np.array_equal(a1.bits, a2.bits)
-        assert np.array_equal(b1.bits, b2.bits)
+        assert np.array_equal(a1, a2)
+        assert np.array_equal(b1, b2)
         assert s1.periods_run == s2.periods_run
 
     def test_record_sink_sees_every_period(self):

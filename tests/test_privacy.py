@@ -3,22 +3,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kljnsim.privacy import BitString, amplify, xor_stage
+from kljnsim.card import CardIdentity, KeyC, ServerRecord
+from kljnsim.privacy import amplify, xor_stage
 
 
-def bs(seq, provenance="raw_kljn"):
-    return BitString(np.array(seq, dtype=np.uint8), provenance)
+def bs(seq):
+    """Key material: a uint8 array of 0/1 values."""
+    return np.array(seq, dtype=np.uint8)
+
+
+def journal_of(bits) -> dict:
+    """The journal record of a card whose key C is ``bits``, one
+    segment."""
+    key_c = KeyC(bits=bits, segment_len=len(bits), cursor=0, m_max=1)
+    return ServerRecord(CardIdentity("4000", "HOLDER", "12/30"),
+                        key_c).to_journal()
 
 
 class TestXorStage:
     def test_truth_table_pair(self):
-        assert list(xor_stage(bs([1, 0])).bits) == [1]
+        assert list(xor_stage(bs([1, 0]))) == [1]
 
     def test_truth_table_quad(self):
-        assert list(xor_stage(bs([1, 1, 0, 0])).bits) == [0, 0]
+        assert list(xor_stage(bs([1, 1, 0, 0]))) == [0, 0]
 
     def test_odd_trailing_bit_dropped(self):
-        assert list(xor_stage(bs([1, 0, 1])).bits) == [1]
+        assert list(xor_stage(bs([1, 0, 1]))) == [1]
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(1)
@@ -26,23 +36,20 @@ class TestXorStage:
         out = xor_stage(bs(bits))
         expected = [int(bits[2 * i]) ^ int(bits[2 * i + 1])
                     for i in range(500)]
-        assert list(out.bits) == expected
+        assert list(out) == expected
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             xor_stage(bs([1]))
 
-    def test_provenance_preserved(self):
-        assert xor_stage(bs([1, 0], "key_c")).provenance == "key_c"
-
 
 class TestAmplify:
     def test_eight_zeros(self):
-        assert list(amplify(bs([0] * 8)).bits) == [0]
+        assert list(amplify(bs([0] * 8))) == [0]
 
     def test_eight_ones(self):
         # 11111111 -> 0000 -> 00 -> 0
-        assert list(amplify(bs([1] * 8)).bits) == [0]
+        assert list(amplify(bs([1] * 8))) == [0]
 
     def test_eightfold_reduction(self):
         rng = np.random.default_rng(2)
@@ -53,14 +60,7 @@ class TestAmplify:
         rng = np.random.default_rng(3)
         raw = bs(rng.integers(0, 2, 517, dtype=np.uint8))
         manual = xor_stage(xor_stage(xor_stage(raw)))
-        assert np.array_equal(amplify(raw).bits, manual.bits)
-
-    def test_output_tagged_amplified(self):
-        assert amplify(bs([0, 1] * 8)).provenance == "amplified"
-
-    def test_rejects_non_raw_input(self):
-        with pytest.raises(ValueError):
-            amplify(bs([0, 1] * 8, "amplified"))
+        assert np.array_equal(amplify(raw), manual)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
@@ -84,41 +84,34 @@ class TestBiasSquaring:
         n = 1_000_000
         rng = np.random.default_rng(4)
         bits = (rng.random(n) < 0.5 + eps).astype(np.uint8)
-        out = xor_stage(BitString(bits))
+        out = xor_stage(bits)
         predicted = 0.5 - 2 * eps ** 2
         sigma = np.sqrt(0.25 / len(out))
-        assert abs(out.bits.mean() - predicted) < 3 * sigma
+        assert abs(out.mean() - predicted) < 3 * sigma
 
     def test_second_stage_keeps_squaring(self):
         eps = 0.1
         n = 1_000_000
         rng = np.random.default_rng(5)
         bits = (rng.random(n) < 0.5 + eps).astype(np.uint8)
-        two = xor_stage(xor_stage(BitString(bits)))
+        two = xor_stage(xor_stage(bits))
         # input bias to stage 2 is -2 eps^2; output 0.5 - 2 (2 eps^2)^2
         predicted = 0.5 - 2 * (2 * eps ** 2) ** 2
         sigma = np.sqrt(0.25 / len(two))
-        assert abs(two.bits.mean() - predicted) < 3 * sigma
+        assert abs(two.mean() - predicted) < 3 * sigma
 
 
 class TestBitStringSerialization:
+    """Key C's hex form in a ``ServerRecord`` journal line."""
+
     def test_hex_msb_first(self):
-        assert bs([1, 0, 1, 0, 0, 0, 0, 1]).to_hex() == "a1"
+        assert journal_of(bs([1, 0, 1, 0, 0, 0, 0, 1]))["c_hex"] == "a1"
 
     def test_hex_pads_tail(self):
-        assert bs([1, 1, 1]).to_hex() == "e0"
+        assert journal_of(bs([1, 1, 1]))["c_hex"] == "e0"
 
     def test_hex_round_trip(self):
         rng = np.random.default_rng(6)
         bits = rng.integers(0, 2, 123, dtype=np.uint8)
-        original = bs(bits, "key_c")
-        back = BitString.from_hex(original.to_hex(), 123, "key_c")
-        assert np.array_equal(back.bits, original.bits)
-
-    def test_empty(self):
-        assert bs([]).to_hex() == ""
-        assert len(bs([])) == 0
-
-    def test_bad_provenance_rejected(self):
-        with pytest.raises(ValueError):
-            bs([1, 0], "stolen")
+        back = ServerRecord.from_journal(journal_of(bits))
+        assert np.array_equal(back.key_c.bits, bits)

@@ -21,6 +21,18 @@ UNREFERENCED_ALLOWED = {
     # The paper's partner-resistance inversion; acceptance criterion 04
     # checks it.
     "infer_partner_resistance",
+    # AuthResult.reason: why a session broke, channel_alarm or
+    # tag_mismatch; the session record has no field for it, and
+    # tests/test_card.py checks it.
+    "reason",
+    # TransactionResult.ciphertext: the transaction's output, what the
+    # card sends the terminal; acceptance criterion 11 reads the pad from
+    # it.
+    "ciphertext",
+    # TransactionResult.decrypted_matches: run_session ignores it, so a
+    # transaction whose round trip fails is not reported (the open
+    # silent-bit-error defect, ROADMAP item 3).
+    "decrypted_matches",
 }
 
 
@@ -47,12 +59,21 @@ def defined_names(path: Path) -> list[tuple[str, int]]:
 
 def member_names(path: Path) -> set[tuple[str, int]]:
     """(name, line) of every method and property a class in ``path``
-    defines."""
-    return {(node.name, node.lineno)
-            for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-            if isinstance(cls, ast.ClassDef)
-            for node in cls.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    defines, and of every field of a dataclass there, dunders left
+    out."""
+    members = set()
+    for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        dataclass = any(ast.unparse(d).split("(")[0] == "dataclass"
+                        for d in cls.decorator_list)
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                members.add((node.name, node.lineno))
+            elif dataclass and isinstance(node, ast.AnnAssign):
+                members.add((node.target.id, node.lineno))
+    return {(name, line) for name, line in members
+            if not (name.startswith("__") and name.endswith("__"))}
 
 
 def attribute_reads(paths: list[Path]) -> set[str]:
@@ -66,11 +87,11 @@ def attribute_reads(paths: list[Path]) -> set[str]:
 
 def test_every_defined_name_is_referenced():
     """A function, class or module constant that nothing in the package
-    or the benchmark names is dead code, and so is a method or property
-    that no code there reads as an attribute: a local variable or a word
-    in prose of the same name does not use it.  The package's
-    ``__init__.py`` re-exports every public name, so it does not count as
-    a reference."""
+    or the benchmark names is dead code, and so is a method, property or
+    dataclass field that no code there reads as an attribute: a local
+    variable, a keyword argument or a word in prose of the same name does
+    not use it.  The package's ``__init__.py`` re-exports every public
+    name, so it does not count as a reference."""
     modules = sorted(p for p in PACKAGE.glob("*.py")
                      if p.name != "__init__.py")
     sources = {p: p.read_text(encoding="utf-8").splitlines()
@@ -79,10 +100,9 @@ def test_every_defined_name_is_referenced():
     unreferenced = set()
     for module in modules:
         members = member_names(module)
+        unreferenced |= {name for name, _ in members if name not in read}
         for name, line in defined_names(module):
             if (name, line) in members:
-                if name not in read:
-                    unreferenced.add(name)
                 continue
             word = re.compile(rf"\b{re.escape(name)}\b")
             if not any(word.search(text)
