@@ -65,7 +65,6 @@ from .noise import (
     BOLTZMANN_K,
     InconsistentSpectraError,
     NoiseConfig,
-    SpectraEstimate,
     analytic_spectra,
     compose_loop,
     generate_noise,

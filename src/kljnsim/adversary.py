@@ -1,10 +1,10 @@
 """Eve: passive spectral eavesdropping and two active attacks.
 
-Passive Eve measures the same wire the parties do.  On LL/HH periods she
-reads both bits (the parties discard exactly those), and on MID periods
-she can recover the unordered resistor pair but has zero physical
-information about which end holds which: her bit assignment is a coin
-flip.
+Passive Eve measures the same wire the parties do, and so the same
+``(2,)`` spectra (``noise`` gives the layout).  On LL/HH periods she reads
+both bits (the parties discard exactly those), and on MID periods she can
+recover the unordered resistor pair but has zero physical information
+about which end holds which: her bit assignment is a coin flip.
 
 Active attacks and how the two-end comparison catches them:
 
@@ -36,7 +36,6 @@ from .exchange import (
 from .noise import (
     InconsistentSpectraError,
     NoiseConfig,
-    SpectraEstimate,
     compose_loop,
     generate_noise,
     infer_resistor_pair,
@@ -47,10 +46,10 @@ from .noise import (
 
 @dataclass
 class EveEstimate:
-    """What passive Eve extracts from one bit period: the spectra she
-    measured on the wire, and her guesses from them."""
+    """What passive Eve extracts from one bit period: the ``(2,)`` spectra
+    she measured on the wire (s_u, s_i), and her guesses from them."""
 
-    spectra: SpectraEstimate
+    spectra: np.ndarray
     loop_class_guess: Optional[LoopClass]
     pair_guess: Optional[tuple[float, float]]
     bit_assignment_guess: Optional[tuple[int, int]]  # (alice, bob)

@@ -39,8 +39,7 @@ from .card import (
 )
 from .exchange import ChannelCompromisedError, ExchangeNotConvergedError, \
     class_levels, exchange_key, run_bit_period, spawn_seeds
-from .noise import NoiseConfig, SpectraEstimate, analytic_spectra, \
-    infer_resistor_pair
+from .noise import NoiseConfig, analytic_spectra, infer_resistor_pair
 from .records import RECORDS
 
 EXIT_OK = 0
@@ -110,9 +109,10 @@ def _noise_config(**physics) -> NoiseConfig:
     # is undefined (NaN) cannot be placed there.  (An infinite one can: it
     # is simply never nearest.)
     for cls, level in class_levels(noise).items():
-        if not (level.s_u > 0 and level.s_i > 0):
+        s_u, s_i = level.tolist()
+        if not (s_u > 0 and s_i > 0):
             raise ConfigError(
-                f"the {cls} noise level (s_u={level.s_u}, s_i={level.s_i}) "
+                f"the {cls} noise level (s_u={s_u}, s_i={s_i}) "
                 f"leaves float range; t_eff, r_low and r_high are too "
                 f"extreme")
     return noise
@@ -243,8 +243,8 @@ def cmd_attack(kind: str, cfg: RunConfig, emitter: Emitter) -> int:
             "mitm", lambda trial: mitm_attack(noise, (cfg.seed, trial)),
             lambda indices: (int(np.median(indices)) if indices else None,),
             cfg, emitter)
-    mid = analytic_spectra(noise.r_low, noise.r_high, noise)
-    loop_rms = float(np.sqrt(mid.s_i * noise.bandwidth))
+    mid = analytic_spectra(noise.r_low, noise.r_high, noise).tolist()
+    loop_rms = float(np.sqrt(mid[1] * noise.bandwidth))
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x171)))
 
     def injection_trial(trial):
@@ -273,15 +273,14 @@ def _attack_passive(cfg: RunConfig, emitter: Emitter) -> int:
         est = passive_eavesdrop(rec.trace, noise, rng)
         ok = est.bit_assignment_guess == (a_bit, b_bit)
         correct += ok
-        pair_su.append(est.spectra.s_u)
-        pair_si.append(est.spectra.s_i)
+        pair_su.append(est.spectra[0])
+        pair_si.append(est.spectra[1])
         pair = est.pair_guess
         emitter.emit("passive_trial", "passive", trial, False,
                      est.loop_class_guess and str(est.loop_class_guess),
                      bool(ok), _round(pair[0], 3) if pair else None,
                      _round(pair[1], 3) if pair else None)
-    pooled = SpectraEstimate(s_u=float(np.mean(pair_su)),
-                             s_i=float(np.mean(pair_si)))
+    pooled = np.array([np.mean(pair_su), np.mean(pair_si)])
     try:
         pooled_pair = [_round(r, 3) for r in
                        infer_resistor_pair(pooled, noise)]

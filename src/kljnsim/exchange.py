@@ -10,7 +10,8 @@ after the pre-agreed inversion (end A inverts).
 Classification places the measured (log s_u, log s_i) point against the
 three analytic level pairs; using both coordinates separates adjacent
 levels ~3x better than either alone, since the weak voltage gap (LL vs MID)
-pairs with the strong current gap and vice versa.
+pairs with the strong current gap and vice versa.  Spectra and level
+pairs are float64 arrays in the layout ``noise`` gives.
 
 The active-attack defense ("monitor") compares the instantaneous voltage
 and current values seen by the two ends over an authenticated channel; any
@@ -44,7 +45,6 @@ import numpy as np
 
 from .noise import (
     NoiseConfig,
-    SpectraEstimate,
     analytic_spectra,
     compose_loop,
     generate_noise,
@@ -162,8 +162,8 @@ def spawn_seeds(seed, n: int) -> list[np.random.SeedSequence]:
     return seed.spawn(n)
 
 
-def class_levels(cfg: NoiseConfig) -> dict[LoopClass, SpectraEstimate]:
-    """Analytic (s_u, s_i) level pair for each loop class."""
+def class_levels(cfg: NoiseConfig) -> dict[LoopClass, np.ndarray]:
+    """Analytic ``(2,)`` (s_u, s_i) level pair for each loop class."""
     pairs = {
         LoopClass.LL: (cfg.r_low, cfg.r_low),
         LoopClass.MID: (cfg.r_low, cfg.r_high),
@@ -179,7 +179,7 @@ def _level_geometry(cfg: NoiseConfig,
     """(class, log s_u, log s_i, acceptance radius) per level, in class
     order; the radius is ``classify_margin`` times the level's gap to its
     nearest neighbor.  Cached: ``classify_level`` runs every period."""
-    pts = [(cls, math.log(lv.s_u), math.log(lv.s_i))
+    pts = [(cls, *map(math.log, lv.tolist()))
            for cls, lv in class_levels(cfg).items()]
     return tuple(
         (cls, px, py, cfg.classify_margin * min(
@@ -188,7 +188,7 @@ def _level_geometry(cfg: NoiseConfig,
         for cls, px, py in pts)
 
 
-def classify_level(s: SpectraEstimate | np.ndarray, cfg: NoiseConfig,
+def classify_level(s: np.ndarray, cfg: NoiseConfig,
                    ) -> Optional[LoopClass] | list[Optional[LoopClass]]:
     """Assign measured spectra to the nearest analytic level.
 
@@ -198,14 +198,16 @@ def classify_level(s: SpectraEstimate | np.ndarray, cfg: NoiseConfig,
     a zero spectrum (a variance that underflowed has no place in log
     space).
 
-    One ``SpectraEstimate`` gives its class, or None when it is
-    unclassifiable.  A block's spectra, the ``(2, P)`` array that
-    ``measure_spectra`` gives (s_u in row 0, s_i in row 1), give a list
-    with one class per column; every entry is bit for bit the one-period
-    call's.
+    One period's ``(2,)`` spectra give its class, or None when it is
+    unclassifiable.  A block's ``(2, P)`` spectra give a list with one
+    class per column; every entry is bit for bit the one-period call's.
+    Any other shape raises ValueError.
     """
-    if isinstance(s, SpectraEstimate):
-        return _classify_one(s.s_u, s.s_i, _level_geometry(cfg))
+    shape = np.shape(s)
+    if shape == (2,):
+        return _classify_one(*s.tolist(), _level_geometry(cfg))
+    if len(shape) != 2 or shape[0] != 2:
+        raise ValueError(f"not (2,) or (2, P) spectra: shape {shape}")
     return _classify_block(s, _level_geometry(cfg))
 
 

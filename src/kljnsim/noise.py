@@ -3,9 +3,9 @@
 Models the core loop: two resistors (one per party), each in series with a
 Gaussian voltage-noise generator emulating thermal noise at an agreed
 effective temperature, joined by an ideal short wire.  Provides band-limited
-noise synthesis, the per-sample loop solution, scalar spectrum estimation,
-and the two inversions an observer can apply to recover resistances from
-measured spectra.
+noise synthesis, the per-sample loop solution, band-averaged spectrum
+estimation, and the two inversions an observer can apply to recover
+resistances from measured spectra.
 
 A wire trace, what either end of the wire observes, is one float64
 array: voltage in row 0 and loop current in row 1, shape ``(2, n)`` for
@@ -15,10 +15,12 @@ spectrum estimation each take one bit period or a block of them in a
 single call, and a block's every period is bit for bit what the
 one-period call gives.
 
-Spectra are treated as band-averaged scalars: for band-limited white noise
-sampled critically (sample_rate = 2 x bandwidth) the samples are i.i.d. and
-the flat in-band PSD equals variance / bandwidth, so no frequency-resolved
-estimate is needed anywhere in the loop algebra.
+Spectra are band-averaged: for band-limited white noise sampled
+critically (sample_rate = 2 x bandwidth) the samples are i.i.d. and the
+flat in-band PSD equals variance / bandwidth, so no frequency-resolved
+estimate is needed anywhere in the loop algebra.  They are one float64
+array too: s_u (V^2/Hz) in row 0 and s_i (A^2/Hz) in row 1, shape
+``(2,)`` for one bit period or ``(2, P)`` for a block of P periods.
 """
 
 from __future__ import annotations
@@ -97,18 +99,6 @@ class NoiseConfig:
     def four_kt(self) -> float:
         """4 k T_eff: the Johnson-noise voltage PSD per ohm (V^2/Hz/ohm)."""
         return 4.0 * BOLTZMANN_K * self.t_eff
-
-
-@dataclass(frozen=True)
-class SpectraEstimate:
-    """Band-averaged PSD estimates for one trace."""
-
-    s_u: float  # V^2/Hz
-    s_i: float  # A^2/Hz
-
-    def __post_init__(self):
-        if self.s_u < 0 or self.s_i < 0:
-            raise ValueError("spectral densities cannot be negative")
 
 
 def johnson_psd(r: float, cfg: NoiseConfig) -> float:
@@ -205,8 +195,7 @@ def compose_loop(u_a: np.ndarray, u_b: np.ndarray, r_a: float | np.ndarray,
     return samples
 
 
-def measure_spectra(trace: np.ndarray, cfg: NoiseConfig,
-                    ) -> SpectraEstimate | np.ndarray:
+def measure_spectra(trace: np.ndarray, cfg: NoiseConfig) -> np.ndarray:
     """Estimate the band-averaged voltage and current PSDs of a trace.
 
     Under the white-in-band assumption the PSD is sample-variance divided
@@ -216,10 +205,10 @@ def measure_spectra(trace: np.ndarray, cfg: NoiseConfig,
     row is summed pairwise as on its own, so each PSD is bit-identical to
     ``np.var`` without its per-call dispatch overhead.
 
-    A one-period trace gives one ``SpectraEstimate``.  A block trace of P
-    periods gives one ``(2, P)`` float64 array, s_u in row 0 and s_i in
-    row 1, whose column k is bit for bit the estimate of period k alone.
-    Any other shape, or fewer than 2 samples a period, raises ValueError.
+    A one-period trace gives its ``(2,)`` spectra; a block trace of P
+    periods gives ``(2, P)`` spectra whose column k is bit for bit the
+    estimate of period k alone.  Any other shape, or fewer than 2 samples
+    a period, raises ValueError.
     """
     shape = trace.shape
     if len(shape) not in (2, 3) or shape[-2] != 2 or shape[-1] < 2:
@@ -229,8 +218,7 @@ def measure_spectra(trace: np.ndarray, cfg: NoiseConfig,
     n = shape[-1]
     dx = trace - (np.add.reduce(trace, -1) / n)[..., None]
     dx *= dx  # squared in place: one working copy of the trace at most
-    psds = (np.add.reduce(dx, -1) / (n - 1) / cfg.bandwidth).T
-    return SpectraEstimate(*psds.tolist()) if len(shape) == 2 else psds
+    return (np.add.reduce(dx, -1) / (n - 1) / cfg.bandwidth).T
 
 
 def infer_partner_resistance(s_i: float, r_a: float,
@@ -245,9 +233,9 @@ def infer_partner_resistance(s_i: float, r_a: float,
     return cfg.four_kt / s_i - r_a
 
 
-def infer_resistor_pair(s: SpectraEstimate,
+def infer_resistor_pair(s: np.ndarray,
                         cfg: NoiseConfig) -> tuple[float, float]:
-    """Recover the unordered resistor pair from both wire spectra.
+    """Recover the unordered resistor pair from one period's spectra.
 
     The pair are the two roots of
 
@@ -261,11 +249,16 @@ def infer_resistor_pair(s: SpectraEstimate,
     ------
     InconsistentSpectraError
         If the discriminant is negative, i.e. (4 k T_eff)^2 < 4 s_u s_i.
+    ValueError
+        If ``s`` is not one ``(2,)`` pair of positive spectra.
     """
-    if s.s_u <= 0 or s.s_i <= 0:
+    if np.shape(s) != (2,):
+        raise ValueError(f"not one (2,) spectra pair: shape {np.shape(s)}")
+    s_u, s_i = s.tolist()
+    if s_u <= 0 or s_i <= 0:
         raise ValueError("both spectra must be positive for pair inference")
-    root_sum = cfg.four_kt / s.s_i
-    root_prod = s.s_u / s.s_i
+    root_sum = cfg.four_kt / s_i
+    root_prod = s_u / s_i
     # The discriminant is taken scaled by 2^-2e, with 2^e ~ root_sum (for
     # root_sum >= 1), so root_sum^2 cannot overflow.  Scaling by a power
     # of two is exact: the roots are the same floats as unscaled wherever
@@ -280,7 +273,7 @@ def infer_resistor_pair(s: SpectraEstimate,
             disc = 0.0
         else:
             raise InconsistentSpectraError(
-                f"no real resistor pair for s_u={s.s_u!r}, s_i={s.s_i!r}")
+                f"no real resistor pair for s_u={s_u!r}, s_i={s_i!r}")
     # Stable quadratic: the larger root by the +sqrt branch, the smaller
     # from the product, avoiding cancellation.
     r_big = math.ldexp(0.5 * (sum_scaled + math.sqrt(disc)), exp)
@@ -294,13 +287,11 @@ def parallel_resistance(r_a: float, r_b: float) -> float:
 
 
 def analytic_spectra(r_a: float, r_b: float,
-                     cfg: NoiseConfig) -> SpectraEstimate:
+                     cfg: NoiseConfig) -> np.ndarray:
     """Exact wire spectra for a resistor pair with both ends at t_eff.
 
     s_u = 4 k T_eff * (R_a || R_b)   (Johnson PSD of the parallel pair)
     s_i = 4 k T_eff / (R_a + R_b)
     """
-    return SpectraEstimate(
-        s_u=cfg.four_kt * parallel_resistance(r_a, r_b),
-        s_i=cfg.four_kt / (r_a + r_b),
-    )
+    return np.array([cfg.four_kt * parallel_resistance(r_a, r_b),
+                     cfg.four_kt / (r_a + r_b)])

@@ -39,7 +39,7 @@ from kljnsim.noise import (
     johnson_psd,
     measure_spectra,
 )
-from kljnsim.noise import InconsistentSpectraError, SpectraEstimate
+from kljnsim.noise import InconsistentSpectraError
 from kljnsim.privacy import amplify, xor_stage
 
 CFG = NoiseConfig()
@@ -101,7 +101,7 @@ def test_criterion_03_spectral_degeneracy():
     for _ in range(2000):
         for key, bits in (("lh", (0, 1)), ("hl", (1, 0))):
             rec = run_bit_period(*bits, CFG, rng)
-            su[key].append(measure_spectra(rec.trace, CFG).s_u)
+            su[key].append(measure_spectra(rec.trace, CFG)[0])
     lh, hl = np.array(su["lh"]), np.array(su["hl"])
     diff = abs(lh.mean() - hl.mean())
     se = math.hypot(lh.std(ddof=1) / math.sqrt(lh.size),
@@ -123,14 +123,14 @@ def test_criterion_04_partner_resistance_oracle():
         r_a, r_b = min(lo, hi), max(lo, hi)
         s = analytic_spectra(r_a, r_b, cfg)
         exact_ok += (
-            abs(infer_partner_resistance(s.s_i, r_a, cfg) - r_b) / r_b
+            abs(infer_partner_resistance(s[1], r_a, cfg) - r_b) / r_b
             < 1e-9
-            and abs(infer_partner_resistance(s.s_i, r_b, cfg) - r_a) / r_a
+            and abs(infer_partner_resistance(s[1], r_b, cfg) - r_a) / r_a
             < 1e-9)
         u_a = generate_noise(johnson_psd(r_a, cfg), cfg, rng)
         u_b = generate_noise(johnson_psd(r_b, cfg), cfg, rng)
         meas = measure_spectra(compose_loop(u_a, u_b, r_a, r_b), cfg)
-        est = infer_partner_resistance(meas.s_i, r_a, cfg)
+        est = infer_partner_resistance(meas[1], r_a, cfg)
         sim_ok += abs(est - r_b) / r_b < 0.10
     report(4, exact_ok == 100 and sim_ok >= 95,
            f"exact inversion 1e-9 on {exact_ok}/100 pairs; simulated "
@@ -150,7 +150,7 @@ def test_criterion_05_pair_inference_oracle():
     four_kt = 4 * BOLTZMANN_K * CFG.t_eff
     rejected = False
     try:
-        infer_resistor_pair(SpectraEstimate(four_kt, four_kt), CFG)
+        infer_resistor_pair(np.array([four_kt, four_kt]), CFG)
     except InconsistentSpectraError:
         rejected = True
     report(5, ok == 100 and rejected,
@@ -170,10 +170,10 @@ def test_criterion_06_passive_eve_nullity():
         est = passive_eavesdrop(rec.trace, CFG, rng)
         n += 1
         correct += est.bit_assignment_guess == (a, 1 - a)
-        su_sum += est.spectra.s_u
-        si_sum += est.spectra.s_i
+        su_sum += est.spectra[0]
+        si_sum += est.spectra[1]
     accuracy = correct / n
-    pooled = SpectraEstimate(su_sum / n, si_sum / n)
+    pooled = np.array([su_sum / n, si_sum / n])
     low, high = infer_resistor_pair(pooled, CFG)
     pair_ok = (abs(low - CFG.r_low) / CFG.r_low < 0.10
                and abs(high - CFG.r_high) / CFG.r_high < 0.10)
@@ -199,7 +199,7 @@ def test_criterion_07_mitm_detection():
 
 def test_criterion_08_current_injection():
     mid = analytic_spectra(CFG.r_low, CFG.r_high, CFG)
-    loop_rms = math.sqrt(mid.s_i * CFG.bandwidth)
+    loop_rms = math.sqrt(mid[1] * CFG.bandwidth)
     rng = np.random.default_rng(808)
     detected = 0
     for trial in range(1000):

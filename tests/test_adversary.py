@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from kljnsim.adversary import (
-    EveEstimate,
     InjectionHook,
     MitmHook,
     inject_current,
@@ -14,7 +13,6 @@ from kljnsim.adversary import (
 from kljnsim.exchange import LoopClass, run_bit_period
 from kljnsim.noise import (
     NoiseConfig,
-    SpectraEstimate,
     analytic_spectra,
     compose_loop,
     generate_noise,
@@ -27,7 +25,7 @@ CFG = NoiseConfig()
 
 def mid_current_rms(cfg):
     s = analytic_spectra(cfg.r_low, cfg.r_high, cfg)
-    return float(np.sqrt(s.s_i * cfg.bandwidth))
+    return float(np.sqrt(s[1] * cfg.bandwidth))
 
 
 class TestPassiveEavesdrop:
@@ -69,8 +67,10 @@ class TestPassiveEavesdrop:
     def test_zero_trace_gives_no_estimate(self):
         tr = np.zeros((2, 100))
         est = passive_eavesdrop(tr, CFG, rng=0)
-        assert est == EveEstimate(SpectraEstimate(0.0, 0.0), None, None,
-                                  None)
+        # field by field: dataclass == cannot compare an array field
+        assert np.array_equal(est.spectra, np.zeros(2))
+        assert (est.loop_class_guess, est.pair_guess,
+                est.bit_assignment_guess) == (None, None, None)
 
     @pytest.mark.parametrize("bits", [(0, 1), None])
     def test_spectra_are_the_measured_ones(self, bits):
@@ -79,7 +79,7 @@ class TestPassiveEavesdrop:
                  else np.zeros((2, 100)))
         est = passive_eavesdrop(trace, CFG, rng=0)
         assert (est.loop_class_guess is None) is (bits is None)
-        assert est.spectra == measure_spectra(trace, CFG)
+        assert np.array_equal(est.spectra, measure_spectra(trace, CFG))
 
     @pytest.mark.parametrize("shape", [(100,), (3, 100), (5, 3, 100),
                                        (2, 0), (2, 1), (3, 2, 100)])

@@ -81,7 +81,7 @@ class PeriodHook:
     def __init__(self, hostile, seed=0):
         mid = analytic_spectra(CFG.r_low, CFG.r_high, CFG)
         self.inject = InjectionHook(np.random.default_rng(seed).normal(
-            0, 1e-9 * math.sqrt(mid.s_i * CFG.bandwidth),
+            0, 1e-9 * math.sqrt(mid[1] * CFG.bandwidth),
             CFG.samples_per_bit))
         self.hostile = hostile
         self.period = 0

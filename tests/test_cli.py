@@ -492,6 +492,9 @@ PINNED_STREAMS = {
         "f43541017b4cb7fdbdfbcf7a19e90d2f2956c47bc1c93609535543b5fe892c4d",
     "attack passive --trials 20 --seed 9":
         "a5e0a957e3bb54fa47f73e8da3e164279b8dd1453266bc7479c8de30c67286bd",
+    # unclassifiable periods and periods with no real resistor pair
+    "attack passive --trials 40 --seed 9 --r_high 2000":
+        "df143a625bf13f4728d75f4183836286a45b48e92a9474b40041a6882b706baf",
     "attack mitm --trials 20 --seed 9":
         "557291890a2493b11c2572df9afde662011c358a14d3c810eda4d6454244bd5c",
     "attack injection --trials 20 --seed 9":

@@ -27,10 +27,10 @@ from kljnsim.exchange import (
 )
 from kljnsim.noise import (
     NoiseConfig,
-    SpectraEstimate,
     analytic_spectra,
     compose_loop,
     generate_noise,
+    infer_resistor_pair,
     measure_spectra,
 )
 
@@ -94,7 +94,7 @@ def make_hook(kind, cfg, seed):
         return InjectionHook(np.zeros(cfg.samples_per_bit))
     if kind == "tiny":
         mid = analytic_spectra(cfg.r_low, cfg.r_high, cfg)
-        loop_rms = np.sqrt(mid.s_i * cfg.bandwidth)
+        loop_rms = np.sqrt(mid[1] * cfg.bandwidth)
         return InjectionHook(np.random.default_rng(seed).normal(
             0, 1e-9 * loop_rms, cfg.samples_per_bit))
     return None
@@ -137,7 +137,7 @@ class TestClassifyLevel:
     def test_mid_level_is_lh_and_hl(self):
         lh = analytic_spectra(CFG.r_low, CFG.r_high, CFG)
         hl = analytic_spectra(CFG.r_high, CFG.r_low, CFG)
-        assert lh == hl  # degeneracy by construction
+        assert np.array_equal(lh, hl)  # degeneracy by construction
         assert classify_level(lh, CFG) is LoopClass.MID
 
     def test_monte_carlo_hh_classification(self):
@@ -149,16 +149,15 @@ class TestClassifyLevel:
 
     def test_far_measurement_unclassifiable(self):
         mid = analytic_spectra(CFG.r_low, CFG.r_high, CFG)
-        off = SpectraEstimate(s_u=mid.s_u * 1e4, s_i=mid.s_i * 1e4)
+        off = mid * 1e4
         assert classify_level(off, CFG) is None
 
     @staticmethod
-    def _between(lo: SpectraEstimate, hi: SpectraEstimate,
-                 t: float) -> SpectraEstimate:
+    def _between(lo: np.ndarray, hi: np.ndarray, t: float) -> np.ndarray:
         """The point a fraction ``t`` of the way from ``lo`` to ``hi`` in
         (log s_u, log s_i)."""
-        return SpectraEstimate(s_u=lo.s_u * (hi.s_u / lo.s_u) ** t,
-                               s_i=lo.s_i * (hi.s_i / lo.s_i) ** t)
+        return np.array([a * (b / a) ** t
+                         for a, b in zip(lo.tolist(), hi.tolist())])
 
     def test_margin_is_read_per_config(self):
         # 0.4 of the MID-HH gap from MID: inside margin 0.5, outside 0.3.
@@ -182,13 +181,51 @@ class TestClassifyLevel:
             assert classify_level(point, wider) is LoopClass.MID
 
     def test_nonpositive_spectra_rejected(self):
-        assert classify_level(SpectraEstimate(0.0, 1e-10), CFG) is None
+        assert classify_level(np.array([0.0, 1e-10]), CFG) is None
 
     @pytest.mark.parametrize("s_u,s_i", [
         (0.0, 1e-10), (1e-8, 0.0), (np.inf, 1e-10), (1e-8, np.inf)])
     def test_zero_or_infinite_spectra_unclassifiable(self, s_u, s_i):
         # a period measured so is discarded as an anomaly, never classified
-        assert classify_level(SpectraEstimate(s_u, s_i), CFG) is None
+        assert classify_level(np.array([s_u, s_i]), CFG) is None
+
+    def test_one_period_pair_gives_its_class(self):
+        # a (2,) pair is one period, not a block of one
+        for cls, level in class_levels(CFG).items():
+            s_u, s_i = level.tolist()
+            assert classify_level(np.array([s_u, s_i]), CFG) is cls
+
+    @pytest.mark.parametrize("shape", [(), (1,), (3,), (3, 4), (1, 4),
+                                       (2, 4, 3), (2, 1, 1)])
+    def test_other_shapes_rejected(self, shape):
+        with pytest.raises(ValueError):
+            classify_level(np.ones(shape), CFG)
+
+
+NONPOSITIVE = [0.0, -0.0, -5e-324, -1e-10, -np.inf]
+
+
+class TestNonpositiveSpectra:
+    """A spectrum is a sum of squares, so no measurement is negative; a
+    pair with a zero or negative entry is never classified and has no
+    resistor pair, whether it comes alone or in a block."""
+
+    # None stands for the MID level's own value of that spectrum
+    @pytest.mark.parametrize("s_u,s_i", [
+        *((bad, None) for bad in NONPOSITIVE),
+        *((None, bad) for bad in NONPOSITIVE),
+        *((a, b) for a in NONPOSITIVE for b in NONPOSITIVE)])
+    def test_rejected_as_period_in_block_and_by_pair_inference(self, s_u,
+                                                              s_i):
+        ll, mid, hh = class_levels(CFG).values()
+        pair = np.array([mid[0] if s_u is None else s_u,
+                         mid[1] if s_i is None else s_i])
+        assert classify_level(pair, CFG) is None
+        block = np.stack([ll, pair, mid, hh, pair], axis=1)
+        assert classify_level(block, CFG) == [
+            LoopClass.LL, None, LoopClass.MID, LoopClass.HH, None]
+        with pytest.raises(ValueError):
+            infer_resistor_pair(pair, CFG)
 
 
 def scalar_classes(spectra, cfg):
@@ -197,9 +234,9 @@ def scalar_classes(spectra, cfg):
 
 
 def block_of(spectra):
-    """A list of one-period spectra as the ``(2, P)`` block array that
-    ``measure_spectra`` gives: s_u in row 0, s_i in row 1."""
-    return np.array([[s.s_u for s in spectra], [s.s_i for s in spectra]])
+    """A list of one-period ``(2,)`` spectra as the ``(2, P)`` block array
+    that ``measure_spectra`` gives: s_u in row 0, s_i in row 1."""
+    return np.stack(spectra, axis=1)
 
 
 def ulp_walks(log_u, log_i, steps):
@@ -207,13 +244,13 @@ def ulp_walks(log_u, log_i, steps):
     coordinate stepped up and down with the other held, enough to cross
     a boundary through that log-space point."""
     center = [math.exp(log_u), math.exp(log_i)]
-    out = [SpectraEstimate(*center)]
+    out = [np.array(center)]
     for axis in (0, 1):
         for direction in (math.inf, 0.0):
             point = list(center)
             for _ in range(steps):
                 point[axis] = math.nextafter(point[axis], direction)
-                out.append(SpectraEstimate(*point))
+                out.append(np.array(point))
     return out
 
 
@@ -273,7 +310,7 @@ class TestBlockClassify:
     def test_rows_rounded_apart_equal_scalar(self, r_high, margin, s_u,
                                              s_i):
         cfg = NoiseConfig(r_high=r_high, classify_margin=margin)
-        spectra = [SpectraEstimate(s_u, s_i)] + list(
+        spectra = [np.array([s_u, s_i])] + list(
             class_levels(cfg).values())
         assert classify_level(block_of(spectra), cfg) == scalar_classes(
             spectra, cfg)
@@ -282,8 +319,7 @@ class TestBlockClassify:
     @pytest.mark.parametrize("s_i", SPECIAL_SPECTRA + [1e-12])
     def test_special_spectra_equal_scalar(self, s_u, s_i):
         level = class_levels(CFG)[LoopClass.MID]
-        spectra = [SpectraEstimate(s_u, s_i), level,
-                   SpectraEstimate(s_i, s_u)]
+        spectra = [np.array([s_u, s_i]), level, np.array([s_i, s_u])]
         assert classify_level(block_of(spectra), CFG) == scalar_classes(
             spectra, CFG)
 
@@ -293,7 +329,7 @@ class TestBlockClassify:
         u = generate_noise(r * CFG.four_kt, CFG, rng)
         block = measure_spectra(
             compose_loop(u[:, 0], u[:, 1], r[:, 0], r[:, 1]), CFG)
-        spectra = [SpectraEstimate(*column) for column in block.T.tolist()]
+        spectra = [np.array(column) for column in block.T.tolist()]
         classes = classify_level(block, CFG)
         assert classes == scalar_classes(spectra, CFG)
         assert set(classes) == {LoopClass.LL, LoopClass.MID, LoopClass.HH}
@@ -370,7 +406,7 @@ class TestMonitorCompare:
 
     def test_attack_reports_carry_first_divergence(self):
         mid = analytic_spectra(CFG.r_low, CFG.r_high, CFG)
-        loop_rms = np.sqrt(mid.s_i * CFG.bandwidth)
+        loop_rms = np.sqrt(mid[1] * CFG.bandwidth)
         rng = np.random.default_rng(43)
         hooks = [MitmHook(44)] + [
             InjectionHook(rng.normal(0, ratio * loop_rms,
@@ -633,19 +669,6 @@ class TestBlockSolve:
         assert len(monitor) == blocks
         assert all(call.args[0] is call.args[1] for call in monitor)
 
-    def test_honest_block_builds_no_per_period_spectra(self):
-        # A block's spectra stay one array from measurement to
-        # classification; only a one-period solve builds an estimate.
-        exchange_key(8, CFG, 0)  # the cached analytic levels are built once
-        with mock.patch.object(SpectraEstimate, "__post_init__",
-                               autospec=True,
-                               side_effect=SpectraEstimate.__post_init__,
-                               ) as built:
-            exchange_key(256, CFG, 9)
-            assert built.call_count == 0
-            run_bit_period(0, 1, CFG, 9)
-            assert built.call_count == 1
-
     @pytest.mark.parametrize("target_len,seed", [(1, 3), (37, 5), (300, 7)])
     def test_records_stop_at_the_cut(self, target_len, seed):
         records = []
@@ -762,8 +785,7 @@ class TestOneArrayTrace:
             want = [np.var(x, ddof=1) / CFG.bandwidth
                     for x in (voltage, current)]
             got = measure_spectra(one, CFG)
-            assert np.array_equal(float_bits([got.s_u, got.s_i]),
-                                  float_bits(want))
+            assert np.array_equal(float_bits(got), float_bits(want))
             assert np.array_equal(float_bits(spectra[:, k]),
                                   float_bits(want))
 

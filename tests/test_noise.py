@@ -9,7 +9,6 @@ from kljnsim.noise import (
     BOLTZMANN_K,
     InconsistentSpectraError,
     NoiseConfig,
-    SpectraEstimate,
     analytic_spectra,
     compose_loop,
     generate_noise,
@@ -155,8 +154,8 @@ class TestMeasureSpectra:
             v = rng.normal(rng.normal() * scale, scale, n)
             i = rng.normal(0.0, scale * 1e-4, n)
             s = measure_spectra(np.stack([v, i], -2), CFG)
-            assert s.s_u == float(np.var(v, ddof=1)) / CFG.bandwidth
-            assert s.s_i == float(np.var(i, ddof=1)) / CFG.bandwidth
+            assert s[0] == float(np.var(v, ddof=1)) / CFG.bandwidth
+            assert s[1] == float(np.var(i, ddof=1)) / CFG.bandwidth
 
     def test_single_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -165,7 +164,7 @@ class TestMeasureSpectra:
     def test_all_zero_trace(self):
         tr = np.zeros((2, 100))
         s = measure_spectra(tr, CFG)
-        assert s.s_u == 0.0 and s.s_i == 0.0
+        assert s[0] == 0.0 and s[1] == 0.0
 
     def test_simulated_levels_match_analytic(self):
         cfg = NoiseConfig(samples_per_bit=10_000)
@@ -175,8 +174,8 @@ class TestMeasureSpectra:
         s = measure_spectra(compose_loop(u_a, u_b, cfg.r_low, cfg.r_high),
                             cfg)
         ana = analytic_spectra(cfg.r_low, cfg.r_high, cfg)
-        assert s.s_i == pytest.approx(ana.s_i, rel=0.05)
-        assert s.s_u == pytest.approx(ana.s_u, rel=0.05)
+        assert s[1] == pytest.approx(ana[1], rel=0.05)
+        assert s[0] == pytest.approx(ana[0], rel=0.05)
 
 
 class TestBlockSolve:
@@ -206,9 +205,9 @@ class TestBlockSolve:
                 assert np.array_equal(got.view(np.uint64),
                                       want.view(np.uint64))
             want = measure_spectra(one, CFG)
-            assert np.array_equal(
-                block_spectra[:, k].view(np.uint64),
-                np.array([want.s_u, want.s_i]).view(np.uint64))
+            assert want.shape == (2,) and want.dtype == np.float64
+            assert np.array_equal(block_spectra[:, k].view(np.uint64),
+                                  want.view(np.uint64))
 
     def test_block_trace_accepted(self):
         tr = np.stack([np.zeros((3, 5)), np.ones((3, 5))], -2)
@@ -223,7 +222,7 @@ class TestBlockSolve:
 class TestInferPartnerResistance:
     def test_exact_inverse(self):
         s = analytic_spectra(2.2e3, 4.7e3, CFG)
-        assert infer_partner_resistance(s.s_i, 2.2e3, CFG) == pytest.approx(
+        assert infer_partner_resistance(s[1], 2.2e3, CFG) == pytest.approx(
             4.7e3, rel=1e-12)
 
     def test_boundary_zero(self):
@@ -239,7 +238,7 @@ class TestInferPartnerResistance:
         u_b = generate_noise(johnson_psd(cfg.r_high, cfg), cfg, rng)
         s = measure_spectra(compose_loop(u_a, u_b, cfg.r_low, cfg.r_high),
                             cfg)
-        est = infer_partner_resistance(s.s_i, cfg.r_low, cfg)
+        est = infer_partner_resistance(s[1], cfg.r_low, cfg)
         assert est == pytest.approx(cfg.r_high, rel=0.10)
 
     def test_nonpositive_spectrum_rejected(self):
@@ -248,6 +247,12 @@ class TestInferPartnerResistance:
 
 
 class TestInferResistorPair:
+    @pytest.mark.parametrize("shape", [(), (1,), (3,), (2, 1), (2, 3),
+                                       (1, 2)])
+    def test_not_one_pair_rejected(self, shape):
+        with pytest.raises(ValueError):
+            infer_resistor_pair(np.ones(shape), CFG)
+
     def test_exact_pair(self):
         s = analytic_spectra(CFG.r_low, CFG.r_high, CFG)
         low, high = infer_resistor_pair(s, CFG)
@@ -263,7 +268,7 @@ class TestInferResistorPair:
     def test_inconsistent_spectra_rejected(self):
         four_kt = 4 * BOLTZMANN_K * CFG.t_eff
         # force s_u * s_i > (4kT)^2 / 4
-        s = SpectraEstimate(s_u=four_kt, s_i=four_kt)
+        s = np.array([four_kt, four_kt])
         with pytest.raises(InconsistentSpectraError):
             infer_resistor_pair(s, CFG)
 
@@ -290,10 +295,11 @@ class TestInferResistorPair:
         for _ in range(2000):
             r_a, r_b = 10 ** rng.uniform(-3, 150, 2)
             exact = analytic_spectra(r_a, r_b, CFG)
-            s = SpectraEstimate(exact.s_u * (1 + rng.normal(0, 1e-3)),
-                                exact.s_i * (1 + rng.normal(0, 1e-3)))
-            root_sum = CFG.four_kt / s.s_i
-            root_prod = s.s_u / s.s_i
+            s = np.array([exact[0] * (1 + rng.normal(0, 1e-3)),
+                          exact[1] * (1 + rng.normal(0, 1e-3))])
+            s_u, s_i = s.tolist()
+            root_sum = CFG.four_kt / s_i
+            root_prod = s_u / s_i
             disc = root_sum * root_sum - 4.0 * root_prod
             if disc <= -1e-12 * root_sum * root_sum:
                 with pytest.raises(InconsistentSpectraError):
@@ -311,8 +317,8 @@ class TestIdentitiesAndInvariants:
             r_a = 10 ** rng.uniform(2, 6)
             r_b = 10 ** rng.uniform(2, 6)
             s = analytic_spectra(r_a, r_b, CFG)
-            assert four_kt / s.s_i == pytest.approx(r_a + r_b, rel=1e-9)
-            assert s.s_u / s.s_i == pytest.approx(r_a * r_b, rel=1e-9)
+            assert four_kt / s[1] == pytest.approx(r_a + r_b, rel=1e-9)
+            assert s[0] / s[1] == pytest.approx(r_a * r_b, rel=1e-9)
 
     @given(r_low=st.floats(1.0, 1e6), ratio=st.floats(1.0001, 1e4))
     @settings(max_examples=200, deadline=None)
@@ -344,8 +350,8 @@ class TestIdentitiesAndInvariants:
                 u_a = generate_noise(johnson_psd(r_a, CFG), CFG, rng)
                 u_b = generate_noise(johnson_psd(r_b, CFG), CFG, rng)
                 s = measure_spectra(compose_loop(u_a, u_b, r_a, r_b), CFG)
-                su[key].append(s.s_u)
-                si[key].append(s.s_i)
+                su[key].append(s[0])
+                si[key].append(s[1])
         for stat in (su, si):
             a, b = np.array(stat["lh"]), np.array(stat["hl"])
             se = math.hypot(a.std() / math.sqrt(a.size),
