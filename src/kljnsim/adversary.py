@@ -188,14 +188,3 @@ def inject_current(cfg: NoiseConfig, injection: np.ndarray,
         cfg, bits_seed, period_seed, InjectionHook(injection),
         lambda rec, retained: int(rec.loop_class in (LoopClass.LL,
                                                      LoopClass.HH)))
-
-
-__all__ = [
-    "EveEstimate",
-    "AttackOutcome",
-    "passive_eavesdrop",
-    "MitmHook",
-    "InjectionHook",
-    "mitm_attack",
-    "inject_current",
-]

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -146,10 +146,6 @@ class KeyC:
     def zeroize(self) -> None:
         self.bits[:] = 0
         self.cursor = self.m_max
-
-    def copy(self) -> "KeyC":
-        return KeyC(bits=self.bits.copy(), segment_len=self.segment_len,
-                    cursor=self.cursor, m_max=self.m_max)
 
 
 @dataclass
@@ -272,9 +268,6 @@ class Keystore:
         self.torn_tail = False
         self._unterminated = False  # the last record lacks its newline
 
-    def lookup(self, card_number: str) -> Optional[ServerRecord]:
-        return self.records.get(card_number)
-
     def register(self, record: ServerRecord) -> None:
         num = record.identity.card_number
         if num in self.records:
@@ -344,7 +337,8 @@ def initialize_card(identity: CardIdentity, m_max: int, n_d: int, rng,
         identity=identity,
         key_c=KeyC(bits=raw, segment_len=seg, cursor=0, m_max=m_max),
     )
-    server = ServerRecord(identity=identity, key_c=card.key_c.copy())
+    server = ServerRecord(identity=identity, key_c=replace(
+        card.key_c, bits=card.key_c.bits.copy()))
     if keystore is not None:
         keystore.register(server)
     return card, server
@@ -389,7 +383,7 @@ def authenticate_session(card: CardState, server: Keystore,
 
     # (i) identity presentation
     ledger.advance("identified")
-    record = server.lookup(card.identity.card_number)
+    record = server.records.get(card.identity.card_number)
     if record is None:
         raise CardRefusedError(
             f"unknown card {card.identity.card_number!r}")
@@ -518,7 +512,7 @@ def refresh_key_c(card: CardState, server: Keystore, cfg: NoiseConfig, seed,
     if ledger.phase != "refreshing":
         raise RuntimeError(
             f"refresh requires refreshing phase, got {ledger.phase}")
-    record = server.lookup(card.identity.card_number)
+    record = server.records.get(card.identity.card_number)
     n_c = card.key_c.m_max * card.key_c.segment_len
     try:
         card_raw, term_raw, _ = exchange_key(8 * n_c, cfg, seed,

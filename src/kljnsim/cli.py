@@ -38,8 +38,8 @@ from .card import (
     run_session,
 )
 from .exchange import ChannelCompromisedError, ExchangeNotConvergedError, \
-    class_levels, exchange_key, run_bit_period, spawn_seeds
-from .noise import NoiseConfig, analytic_spectra, infer_resistor_pair
+    LoopClass, class_levels, exchange_key, run_bit_period, spawn_seeds
+from .noise import NoiseConfig, infer_resistor_pair
 from .records import RECORDS
 
 EXIT_OK = 0
@@ -75,6 +75,13 @@ class RunConfig:
     def key_b_bits(self) -> int:
         """Key B size: twice the payload's bits."""
         return 2 * 8 * self.payload_bytes
+
+    @property
+    def injection_rms(self) -> float:
+        """The injected current's RMS: ``amplitude`` times the loop
+        current's RMS at the MID level."""
+        s_i = class_levels(self.noise)[LoopClass.MID].tolist()[1]
+        return self.amplitude * float(np.sqrt(s_i * self.noise.bandwidth))
 
     def derived_n_d(self) -> int:
         # voltage+current samples over the expected authentication exchange
@@ -171,7 +178,18 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             bound = f">= {least}" if values[key] < least else f"<= {greatest}"
             raise ConfigError(f"{key} must be {bound}, got {values[key]}")
     physics = {f.name: merged.pop(f.name) for f in fields(NoiseConfig)}
-    return RunConfig(**merged, noise=_noise_config(**physics))
+    cfg = RunConfig(**merged, noise=_noise_config(**physics))
+    # The settings one command alone reads are checked here too, before
+    # main opens --output_path, so a settings error leaves that file as is.
+    if args.command == "card-lifetime":
+        _parse_faults(cfg.faults, cfg.n_sessions)
+    elif args.command == "keystore-inspect" and not cfg.keystore:
+        raise ConfigError("keystore-inspect requires --keystore")
+    elif args.command == "attack" and args.kind == "injection" \
+            and cfg.amplitude > 0 and not math.isfinite(cfg.injection_rms):
+        raise ConfigError(f"amplitude {cfg.amplitude} x the loop current's "
+                          f"RMS leaves float range")
+    return cfg
 
 
 class Emitter:
@@ -212,7 +230,7 @@ def _round(x: float, digits: int = 10) -> float:
     return round(float(x), digits)
 
 
-def cmd_exchange(cfg: RunConfig, emitter: Emitter) -> int:
+def cmd_exchange(cfg: RunConfig, emitter: Emitter) -> None:
     total_periods = 0
     total_alarms = 0
     discards = []
@@ -231,34 +249,31 @@ def cmd_exchange(cfg: RunConfig, emitter: Emitter) -> int:
     emitter.emit("exchange_summary", cfg.trials,
                  _round(float(np.mean(discards))), all_agree, total_alarms,
                  total_periods)
-    return EXIT_OK
 
 
-def cmd_attack(kind: str, cfg: RunConfig, emitter: Emitter) -> int:
+def cmd_attack(kind: str, cfg: RunConfig, emitter: Emitter) -> None:
     noise = cfg.noise
     if kind == "passive":
-        return _attack_passive(cfg, emitter)
-    if kind == "mitm":
-        return _attack_active(
+        _attack_passive(cfg, emitter)
+    elif kind == "mitm":
+        _attack_active(
             "mitm", lambda trial: mitm_attack(noise, (cfg.seed, trial)),
             lambda indices: (int(np.median(indices)) if indices else None,),
             cfg, emitter)
-    mid = analytic_spectra(noise.r_low, noise.r_high, noise).tolist()
-    loop_rms = float(np.sqrt(mid[1] * noise.bandwidth))
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x171)))
+    else:
+        rms = cfg.injection_rms
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x171)))
 
-    def injection_trial(trial):
-        injection = rng.normal(0.0, cfg.amplitude * loop_rms,
-                               noise.samples_per_bit) \
-            if cfg.amplitude > 0 else np.zeros(noise.samples_per_bit)
-        return inject_current(noise, injection, (cfg.seed, trial))
+        def injection_trial(trial):
+            injection = rng.normal(0.0, rms, noise.samples_per_bit) \
+                if cfg.amplitude > 0 else np.zeros(noise.samples_per_bit)
+            return inject_current(noise, injection, (cfg.seed, trial))
 
-    return _attack_active(
-        "injection", injection_trial, lambda indices: (_round(cfg.amplitude),),
-        cfg, emitter)
+        _attack_active("injection", injection_trial,
+                       lambda indices: (_round(cfg.amplitude),), cfg, emitter)
 
 
-def _attack_passive(cfg: RunConfig, emitter: Emitter) -> int:
+def _attack_passive(cfg: RunConfig, emitter: Emitter) -> None:
     noise = cfg.noise
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xE5E)))
     correct = 0
@@ -288,11 +303,10 @@ def _attack_passive(cfg: RunConfig, emitter: Emitter) -> int:
         pooled_pair = [None, None]
     emitter.emit("passive_summary", "passive", cfg.trials, 0.0,
                  _round(correct / cfg.trials), *pooled_pair)
-    return EXIT_OK
 
 
 def _attack_active(kind: str, run_trial, summary_tail, cfg: RunConfig,
-                   emitter: Emitter) -> int:
+                   emitter: Emitter) -> None:
     """Trial loop shared by the active attacks: ``run_trial(trial)`` gives
     an AttackOutcome, ``summary_tail(detection indices)`` the values of
     the ``{kind}_summary`` record's kind-specific fields."""
@@ -308,13 +322,11 @@ def _attack_active(kind: str, run_trial, summary_tail, cfg: RunConfig,
                      out.bits_retained_by_parties)
     emitter.emit(f"{kind}_summary", kind, cfg.trials,
                  _round(detected / cfg.trials), *summary_tail(indices))
-    return EXIT_OK
 
 
-def _parse_faults(script: str) -> dict[int, str]:
+def _parse_faults(script: str, n_sessions: int) -> dict[int, str]:
+    """The --faults script as {session index: fault kind}."""
     faults = {}
-    if not script:
-        return faults
     for part in script.split(","):
         part = part.strip()
         if not part:
@@ -332,16 +344,16 @@ def _parse_faults(script: str) -> dict[int, str]:
                 f"fault session index {index} is given twice ({faults[index]}"
                 f" and {kind}); a session takes at most one fault")
         faults[index] = kind
-    return faults
-
-
-def cmd_card_lifetime(cfg: RunConfig, emitter: Emitter) -> int:
-    faults = _parse_faults(cfg.faults)
-    stray = sorted(i for i in faults if not 0 <= i < cfg.n_sessions)
+    stray = sorted(i for i in faults if not 0 <= i < n_sessions)
     if stray:
         raise ConfigError(
             f"fault session index {stray[0]} lies outside 0.."
-            f"{cfg.n_sessions - 1} (n_sessions={cfg.n_sessions})")
+            f"{n_sessions - 1} (n_sessions={n_sessions})")
+    return faults
+
+
+def cmd_card_lifetime(cfg: RunConfig, emitter: Emitter) -> None:
+    faults = _parse_faults(cfg.faults, cfg.n_sessions)
     store = Keystore.load(cfg.keystore) if cfg.keystore else Keystore()
     identity = CardIdentity("4000000000000000", "SIMULATED HOLDER", "12/30")
     provision_seed, clone_seed, *session_seeds = spawn_seeds(
@@ -400,10 +412,9 @@ def cmd_card_lifetime(cfg: RunConfig, emitter: Emitter) -> int:
     emitter.emit("lifetime_summary", cfg.n_sessions, closed,
                  len(statuses) - closed - refused, refused, record.canceled,
                  card.generation, segment_reuse, False, key_b_sessions)
-    return EXIT_OK
 
 
-def cmd_rate(cfg: RunConfig, emitter: Emitter) -> int:
+def cmd_rate(cfg: RunConfig, emitter: Emitter) -> None:
     noise = cfg.noise
     _alice, _bob, stats = exchange_key(cfg.target_bits, noise, cfg.seed)
     sim_seconds = stats.periods_run * noise.samples_per_bit \
@@ -413,12 +424,9 @@ def cmd_rate(cfg: RunConfig, emitter: Emitter) -> int:
                  _round(noise.bit_period_seconds, 12), cfg.target_bits,
                  stats.periods_run, _round(sim_seconds, 8),
                  _round(1024.0 / rate, 6), _round(rate / 8.0, 4))
-    return EXIT_OK
 
 
-def cmd_keystore_inspect(cfg: RunConfig, emitter: Emitter) -> int:
-    if not cfg.keystore:
-        raise ConfigError("keystore-inspect requires --keystore")
+def cmd_keystore_inspect(cfg: RunConfig, emitter: Emitter) -> None:
     store = Keystore.load(cfg.keystore)
     if store.torn_tail:
         print(f"notice: {cfg.keystore}: skipped a torn last line",
@@ -427,7 +435,6 @@ def cmd_keystore_inspect(cfg: RunConfig, emitter: Emitter) -> int:
         emitter.emit("keystore_card", *RECORDS["keystore_card"].values(
             store.records[number].to_journal()))
     emitter.emit("keystore_summary", len(store.records))
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,23 +442,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kljnsim",
         description="Johnson-noise key exchange and card protocol simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, summary in (("exchange", "run key-exchange trials"),
+                          ("attack", "run an attack study"),
+                          ("card-lifetime", "simulate full card sessions"),
+                          ("rate", "report the secure-bit rate"),
+                          ("keystore-inspect", "dump keystore state")):
+        p = sub.add_parser(name, help=summary)
+        if name == "attack":
+            p.add_argument("kind", choices=["passive", "mitm", "injection"])
         p.add_argument("--config", help="flat key=value config file")
         for key, typ in _FIELD_TYPES.items():
             p.add_argument(f"--{key}", default=None, metavar=typ.upper())
-
-    p_ex = sub.add_parser("exchange", help="run key-exchange trials")
-    add_common(p_ex)
-    p_at = sub.add_parser("attack", help="run an attack study")
-    p_at.add_argument("kind", choices=["passive", "mitm", "injection"])
-    add_common(p_at)
-    p_cl = sub.add_parser("card-lifetime", help="simulate full card sessions")
-    add_common(p_cl)
-    p_rt = sub.add_parser("rate", help="report the secure-bit rate")
-    add_common(p_rt)
-    p_ki = sub.add_parser("keystore-inspect", help="dump keystore state")
-    add_common(p_ki)
     return parser
 
 
@@ -473,16 +474,15 @@ def main(argv=None) -> int:
         with Emitter(cfg.output_path) as emitter, \
                 np.errstate(over="ignore", invalid="ignore"):
             if args.command == "exchange":
-                return cmd_exchange(cfg, emitter)
-            if args.command == "attack":
-                return cmd_attack(args.kind, cfg, emitter)
-            if args.command == "card-lifetime":
-                return cmd_card_lifetime(cfg, emitter)
-            if args.command == "rate":
-                return cmd_rate(cfg, emitter)
-            if args.command == "keystore-inspect":
-                return cmd_keystore_inspect(cfg, emitter)
-            raise AssertionError(f"unhandled command {args.command}")
+                cmd_exchange(cfg, emitter)
+            elif args.command == "attack":
+                cmd_attack(args.kind, cfg, emitter)
+            elif args.command == "card-lifetime":
+                cmd_card_lifetime(cfg, emitter)
+            elif args.command == "rate":
+                cmd_rate(cfg, emitter)
+            elif args.command == "keystore-inspect":
+                cmd_keystore_inspect(cfg, emitter)
     except ChannelCompromisedError as err:
         print(f"security abort: {err}", file=sys.stderr)
         return EXIT_SECURITY
@@ -492,6 +492,7 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"I/O error: {err}", file=sys.stderr)
         return EXIT_IO
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -659,7 +659,7 @@ class TestKeystoreJournal:
         # journal now holds provisioning + post-auth + post-refresh lines
         assert len(path.read_text().splitlines()) == 3
         loaded = Keystore.load(path)
-        rec = loaded.lookup(IDENTITY.card_number)
+        rec = loaded.records.get(IDENTITY.card_number)
         assert rec is not None
         assert np.array_equal(rec.key_c.bits, server.key_c.bits)
         assert rec.generation == 1
@@ -686,7 +686,7 @@ class TestKeystoreJournal:
                             j, keystore=store)
         before = self.journal_state(store)
         journal = path.read_bytes()
-        record = store.lookup(IDENTITY.card_number)
+        record = store.records.get(IDENTITY.card_number)
         record.key_c.consume_through(0)  # the cursor a replay must not undo
         record.generation += 1
         store.journal(record)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -50,6 +51,21 @@ def strict_json(line: str):
 
 
 FAST = ["--target_bits", "32", "--trials", "3", "--samples_per_bit", "100"]
+
+# Finite simulated currents, but an analytic MID loop-current RMS of inf:
+# any positive amplitude scales it to an injected current that is not
+# finite.
+INF_LOOP_RMS = ["--r_low", "1e-30", "--r_high", "1e-29", "--bandwidth",
+                "1e300"]
+
+
+def assert_exit_2_keeps_output(argv, tmp_path):
+    """A settings error exits 2 before --output_path is opened, so an
+    existing output file keeps its bytes."""
+    out = tmp_path / "out.jsonl"
+    out.write_bytes(b"earlier run\n")
+    assert cli.main([*argv, "--output_path", str(out)]) == 2
+    assert out.read_bytes() == b"earlier run\n"
 
 
 class TestExchangeCommand:
@@ -189,6 +205,15 @@ class TestCardLifetimeCommand:
             [*self.ARGS, "--keystore", str(tmp_path / "nodir" / "ks.jsonl")])
         assert code == 3
 
+    def test_unwritable_output_exits_3_before_keystore(self, tmp_path,
+                                                       capsys):
+        ks = tmp_path / "ks.jsonl"
+        code = cli.main([*self.ARGS, "--keystore", str(ks), "--output_path",
+                         str(tmp_path / "nodir" / "out.jsonl")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("I/O error: ")
+        assert not ks.exists()  # no card was provisioned
+
     def test_rerun_on_live_keystore_exits_2(self, tmp_path, capsys):
         ks = tmp_path / "ks.jsonl"
         assert cli.main([*self.ARGS, "--n_sessions", "2",
@@ -283,8 +308,10 @@ class TestKeystoreInspect:
         assert card["generation"] == 2
         assert "c_hex" not in card  # inspection does not dump secrets
 
-    def test_missing_keystore_arg_exits_2(self, capsys):
+    def test_missing_keystore_arg_exits_2(self, tmp_path, capsys):
         assert cli.main(["keystore-inspect", "--keystore", ""]) == 2
+        assert_exit_2_keeps_output(["keystore-inspect", "--keystore", ""],
+                                   tmp_path)
 
     def test_card_schemas_are_the_journal_fields(self, tmp_path, capsys):
         ks = self.provisioned(tmp_path)
@@ -467,6 +494,36 @@ class TestConfigHandling:
         cfg.write_text("warp_speed = 9\n")
         assert cli.main(["exchange", "--config", str(cfg)]) == 2
 
+    def test_parser_surface(self):
+        # Each command takes -h, --config, then --<key> per setting, in
+        # the settings' order; attack takes its kind first.  The structure
+        # is checked, not the help bytes, which vary with the Python
+        # version.
+        parser = cli.build_parser()
+        sub, = (action for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+        assert (sub.dest, sub.required) == ("command", True)
+        assert [(a.dest, a.help) for a in sub._choices_actions] == [
+            ("exchange", "run key-exchange trials"),
+            ("attack", "run an attack study"),
+            ("card-lifetime", "simulate full card sessions"),
+            ("rate", "report the secure-bit rate"),
+            ("keystore-inspect", "dump keystore state")]
+        settings = [(f"--{key}", key, typ.upper())
+                    for key, typ in cli._FIELD_TYPES.items()]
+        for name, command in sub.choices.items():
+            actions = list(command._actions)
+            assert actions[0].option_strings == ["-h", "--help"]
+            if name == "attack":
+                kind = actions.pop(1)
+                assert (kind.dest, kind.option_strings, kind.choices) == (
+                    "kind", [], ["passive", "mitm", "injection"])
+            assert (actions[1].option_strings, actions[1].help) == (
+                ["--config"], "flat key=value config file")
+            assert [(*a.option_strings, a.dest, a.metavar)
+                    for a in actions[2:]] == settings
+            assert all(a.default is None for a in actions[1:])
+
     def test_env_seed_matches_explicit_seed(self):
         by_env = run_proc(["exchange", *FAST],
                           env_extra={"KLJN_SEED": "777"})
@@ -499,6 +556,10 @@ PINNED_STREAMS = {
         "557291890a2493b11c2572df9afde662011c358a14d3c810eda4d6454244bd5c",
     "attack injection --trials 20 --seed 9":
         "ac84aae95aa5b23cbee5dc4a0c17a5fb9e70ac9790b564a3a8b9eaf2595073bb",
+    # no injection at all: an infinite loop-current RMS scales nothing
+    " ".join(["attack injection --trials 3 --seed 1", *INF_LOOP_RMS,
+              "--amplitude 0"]):
+        "3bde11d0e92029f7e63f85172a486ad4f56270cedc5aa6f7f9b748bd6b3901da",
     "rate --target_bits 64 --seed 9":
         "0cd04c5d4cdcf89d2b76e3953efd254ce44c00738e8ac35adc085ed2bd0470b1",
 }
@@ -554,11 +615,14 @@ class TestOutOfRangeNumbers:
         ["card-lifetime", "--payload_bytes", "0"],
         ["card-lifetime", "--n_d", "1"],
         ["card-lifetime", "--faults", "x:wrong_key"],
+        ["card-lifetime", "--faults", "0:bogus"],
     ])
     def test_exits_2_without_output(self, argv, tmp_path, capsys):
         ks = tmp_path / "ks.jsonl"
         assert cli.main([*argv, "--keystore", str(ks)]) == 2
         assert capsys.readouterr().out == ""
+        assert not ks.exists()
+        assert_exit_2_keeps_output([*argv, "--keystore", str(ks)], tmp_path)
         assert not ks.exists()
 
     @pytest.mark.parametrize("n_sessions,faults", [
@@ -571,10 +635,12 @@ class TestOutOfRangeNumbers:
     def test_fault_index_outside_sessions_exits_2(self, n_sessions, faults,
                                                   tmp_path, capsys):
         ks = tmp_path / "ks.jsonl"
-        code = cli.main(["card-lifetime", "--n_sessions", n_sessions,
-                         f"--faults={faults}", "--keystore", str(ks)])
-        assert code == 2
+        argv = ["card-lifetime", "--n_sessions", n_sessions,
+                f"--faults={faults}", "--keystore", str(ks)]
+        assert cli.main(argv) == 2
         assert capsys.readouterr().out == ""
+        assert not ks.exists()
+        assert_exit_2_keeps_output(argv, tmp_path)
         assert not ks.exists()
 
     @pytest.mark.parametrize("faults", [
@@ -583,14 +649,44 @@ class TestOutOfRangeNumbers:
     def test_fault_index_given_twice_exits_2(self, faults, tmp_path, capsys):
         # one session cannot take two faults; neither is dropped silently
         ks = tmp_path / "ks.jsonl"
-        code = cli.main(["card-lifetime", "--n_sessions", "3",
-                         f"--faults={faults}", "--keystore", str(ks)])
-        assert code == 2
+        argv = ["card-lifetime", "--n_sessions", "3", f"--faults={faults}",
+                "--keystore", str(ks)]
+        assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("config error: ")
         assert "given twice" in captured.err
         assert not ks.exists()
+        assert_exit_2_keeps_output(argv, tmp_path)
+        assert not ks.exists()
+
+    @pytest.mark.parametrize("flags", [
+        [*INF_LOOP_RMS, "--seed", "1"],
+        [*INF_LOOP_RMS, "--seed", "1", "--amplitude", "1e-300"],
+        ["--bandwidth", "1e300", "--amplitude", "1e200"],
+    ], ids=["inf_loop_rms", "inf_loop_rms_tiny_amplitude",
+            "product_overflows"])
+    def test_non_finite_injection_exits_2(self, flags, tmp_path, capsys):
+        # exit 0 with every trial "detected" at sample 0 on an all +-inf
+        # waveform would report an attack that was never simulated
+        argv = ["attack", "injection", "--trials", "2", *flags]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith("config error: ")
+        assert "float range" in captured.err
+        assert_exit_2_keeps_output(argv, tmp_path)
+
+    @pytest.mark.parametrize("argv", [
+        ["exchange", "--faults", "bogus", "--trials", "1",
+         "--target_bits", "8"],
+        ["attack", "mitm", "--trials", "2", *INF_LOOP_RMS],
+    ], ids=["faults_outside_card_lifetime", "scale_outside_injection"])
+    def test_setting_a_command_does_not_read_is_not_checked(self, argv,
+                                                            capsys):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("argv,stdout_sha256", [
         (["attack", "injection", "--amplitude", "1e300", "--trials", "2"],

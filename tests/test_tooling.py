@@ -5,7 +5,6 @@ against an in-process traced run."""
 import ast
 import importlib
 import json
-import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -85,32 +84,51 @@ def attribute_reads(paths: list[Path]) -> set[str]:
             and isinstance(node.ctx, ast.Load)}
 
 
+def name_reads(paths: list[Path]) -> set[str]:
+    """Every name that code in ``paths`` loads, ``name``, or imports,
+    ``from module import name``."""
+    return {node.id if isinstance(node, ast.Name) else node.name
+            for path in paths
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.alias)}
+
+
 def test_every_defined_name_is_referenced():
-    """A function, class or module constant that nothing in the package
-    or the benchmark names is dead code, and so is a method, property or
-    dataclass field that no code there reads as an attribute: a local
-    variable, a keyword argument or a word in prose of the same name does
-    not use it.  The package's ``__init__.py`` re-exports every public
-    name, so it does not count as a reference."""
+    """A function, class or module constant that no code in the package
+    or the benchmark names (loads, reads as an attribute or imports) is
+    dead code, and so is a method, property or dataclass field that no
+    code there reads as an attribute: a local variable, a keyword argument
+    or a word in prose of the same name does not use it.  The package's
+    ``__init__.py`` re-exports every public name, so it does not count as
+    a reference."""
     modules = sorted(p for p in PACKAGE.glob("*.py")
                      if p.name != "__init__.py")
-    sources = {p: p.read_text(encoding="utf-8").splitlines()
-               for p in [*modules, *sorted((ROOT / "bench").glob("*.py"))]}
-    read = attribute_reads(list(sources))
+    sources = [*modules, *sorted((ROOT / "bench").glob("*.py"))]
+    read = attribute_reads(sources)
+    named = read | name_reads(sources)
     unreferenced = set()
     for module in modules:
         members = member_names(module)
         unreferenced |= {name for name, _ in members if name not in read}
-        for name, line in defined_names(module):
-            if (name, line) in members:
-                continue
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            if not any(word.search(text)
-                       for path, lines in sources.items()
-                       for number, text in enumerate(lines, 1)
-                       if (path, number) != (module, line)):
-                unreferenced.add(name)
+        unreferenced |= {name for name, line in defined_names(module)
+                         if (name, line) not in members
+                         and name not in named}
     assert unreferenced == UNREFERENCED_ALLOWED
+
+
+def test_public_names_declared_only_in_init():
+    """``__init__.py`` declares the package's public API; an ``__all__``
+    in a submodule would declare it a second time."""
+    declaring = [path.name for path in sorted(PACKAGE.glob("*.py"))
+                 if path.name != "__init__.py"
+                 for node in ast.parse(path.read_text(encoding="utf-8")).body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign,
+                                      ast.AugAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign)
+                                else [node.target])
+                 if isinstance(target, ast.Name) and target.id == "__all__"]
+    assert declaring == []
 
 
 def test_every_numeric_setting_is_bounded():
