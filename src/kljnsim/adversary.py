@@ -128,6 +128,8 @@ class InjectionHook:
 
     def __init__(self, injection: np.ndarray):
         self.injection = np.asarray(injection, dtype=np.float64)
+        if not np.isfinite(np.square(self.injection).sum()):
+            raise ValueError("the injection's sum of squares is not finite")
 
     def __call__(self, u_a, u_b, r_a, r_b, cfg):
         if self.injection.size != u_a.size:
@@ -181,7 +183,8 @@ def inject_current(cfg: NoiseConfig, injection: np.ndarray,
     tolerance the attack is invisible and, with the equal split into this
     symmetric loop, buys Eve nothing beyond passive listening; the
     outcome's ``bits_learned`` counts exactly the insecure (LL/HH)
-    knowledge she would have had anyway.
+    knowledge she would have had anyway.  An injection whose sum of
+    squares is not finite raises ValueError.
     """
     bits_seed, period_seed = spawn_seeds(seed, 2)
     return _attack_period(

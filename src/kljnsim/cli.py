@@ -10,9 +10,9 @@ per line, UTF-8, the summary last; identical config and seed reproduce the
 stream byte for byte.
 
 Exit codes: 0 success, 2 config/usage error, 3 I/O error, 4 security abort.
-Output is strict JSON: a record that would carry an infinite or NaN number
-(settings so extreme that the physics leaves float range) is not written,
-and the run ends with exit 2.
+Output is strict JSON: the physics settings lie in the domain ``noise``
+states and ``amplitude`` is at most 1e6, or the run exits 2 before it
+starts.  Only a run that exits 0 replaces an --output_path file.
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ _FIELD_TYPES = {f.name: f.type for f in (*fields(NoiseConfig),
                 if f.name != "noise"}
 
 # (least, greatest) accepted value of each numeric setting; NoiseConfig
-# checks the physics.  The sizes that allocate are capped:
+# checks the physics.  amplitude x the domain's largest loop current
+# keeps an injection's squares finite.  The sizes that allocate are capped:
 # - m_max: key C is 64 one-byte bits per segment, and a refresh exchanges
 #   512 secure bits per segment, so 10 000 keeps its key lists near 80 MB;
 # - n_sessions: each session's seed (about 400 bytes) is drawn up front;
@@ -101,28 +102,11 @@ _FIELD_TYPES = {f.name: f.type for f in (*fields(NoiseConfig),
 #   their product bytes, held once (honest ends share it), so at
 #   16 x 10 000 a card-lifetime run peaks near 115 MiB.
 _BOUNDS = {"trials": (1, math.inf), "target_bits": (1, math.inf),
-           "seed": (0, math.inf), "amplitude": (0, math.inf),
+           "seed": (0, math.inf), "amplitude": (0, 1e6),
            "m_max": (1, 10_000), "n_sessions": (0, 100_000),
            "payload_bytes": (1, math.inf),
            "samples_per_bit": (100, 10_000),
            "payload_bytes x samples_per_bit": (100, 16 * 10_000)}
-
-
-def _noise_config(**physics) -> NoiseConfig:
-    """The run's NoiseConfig, refused when a class level leaves float
-    range."""
-    noise = NoiseConfig(**physics)
-    # Classification works in log space: a level that underflows to 0 or
-    # is undefined (NaN) cannot be placed there.  (An infinite one can: it
-    # is simply never nearest.)
-    for cls, level in class_levels(noise).items():
-        s_u, s_i = level.tolist()
-        if not (s_u > 0 and s_i > 0):
-            raise ConfigError(
-                f"the {cls} noise level (s_u={s_u}, s_i={s_i}) "
-                f"leaves float range; t_eff, r_low and r_high are too "
-                f"extreme")
-    return noise
 
 
 def _coerce(key: str, value: str):
@@ -178,22 +162,20 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             bound = f">= {least}" if values[key] < least else f"<= {greatest}"
             raise ConfigError(f"{key} must be {bound}, got {values[key]}")
     physics = {f.name: merged.pop(f.name) for f in fields(NoiseConfig)}
-    cfg = RunConfig(**merged, noise=_noise_config(**physics))
-    # The settings one command alone reads are checked here too, before
-    # main opens --output_path, so a settings error leaves that file as is.
+    cfg = RunConfig(**merged, noise=NoiseConfig(**physics))
+    # The settings one command alone reads are checked here too, so a
+    # settings error is found before the command does any work.
     if args.command == "card-lifetime":
         _parse_faults(cfg.faults, cfg.n_sessions)
     elif args.command == "keystore-inspect" and not cfg.keystore:
         raise ConfigError("keystore-inspect requires --keystore")
-    elif args.command == "attack" and args.kind == "injection" \
-            and cfg.amplitude > 0 and not math.isfinite(cfg.injection_rms):
-        raise ConfigError(f"amplitude {cfg.amplitude} x the loop current's "
-                          f"RMS leaves float range")
     return cfg
 
 
 class Emitter:
-    """Writes one JSON record per line, to stdout or a file."""
+    """Writes one JSON record per line, to stdout or a file.  A file's
+    records go to a temporary file beside it, which replaces it when the
+    ``with`` block ends without an exception and is deleted otherwise."""
 
     # one encoder for all records: json.dumps with options builds one a call
     _encoder = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
@@ -204,13 +186,19 @@ class Emitter:
 
     def __enter__(self):
         if self.output_path:
-            self._fh = open(self.output_path, "w", encoding="utf-8",
-                            newline="\n")
+            if os.path.isdir(self.output_path):  # else found after the run
+                raise IsADirectoryError(f"{self.output_path!r} is a directory")
+            self._fh = open(f"{self.output_path}.{os.getpid()}.tmp", "w",
+                            encoding="utf-8", newline="\n")
         return self
 
-    def __exit__(self, *exc):
+    def __exit__(self, exc_type, *exc):
         if self._fh is not None:
             self._fh.close()
+            if exc_type is None:
+                os.replace(self._fh.name, self.output_path)
+            else:
+                os.unlink(self._fh.name)
 
     def emit(self, name: str, *values) -> None:
         """Write one record of table entry ``name`` (``records.RECORDS``),
@@ -265,8 +253,7 @@ def cmd_attack(kind: str, cfg: RunConfig, emitter: Emitter) -> None:
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x171)))
 
         def injection_trial(trial):
-            injection = rng.normal(0.0, rms, noise.samples_per_bit) \
-                if cfg.amplitude > 0 else np.zeros(noise.samples_per_bit)
+            injection = rng.normal(0.0, rms, noise.samples_per_bit)
             return inject_current(noise, injection, (cfg.seed, trial))
 
         _attack_active("injection", injection_trial,
@@ -466,13 +453,8 @@ def main(argv=None) -> int:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    # Physics values near the float limits overflow inside numpy.  Those
-    # results are handled (the monitor fails closed, non-finite records
-    # exit 2), so numpy's own warnings would only leak internals onto
-    # stderr; one errstate for the whole command costs nothing per period.
     try:
-        with Emitter(cfg.output_path) as emitter, \
-                np.errstate(over="ignore", invalid="ignore"):
+        with Emitter(cfg.output_path) as emitter:
             if args.command == "exchange":
                 cmd_exchange(cfg, emitter)
             elif args.command == "attack":

@@ -282,9 +282,10 @@ def first_divergence_index(end_a_view: np.ndarray,
     ``MONITOR_TOLERANCE`` times the RMS of that signal pooled over both
     views.  Returns None when no sample does (no alarm).
 
-    The check fails closed at the float edges: a non-finite sample in
-    either view breaks tolerance by itself, and a signal so large that its
-    squares overflow has its RMS taken relative to its largest magnitude.
+    The check fails closed: a non-finite sample in either view breaks
+    tolerance by itself.  A signal whose samples are all finite but whose
+    mean square is not lies outside the physics domain (``noise``) and
+    raises ValueError.
     """
     shape = end_a_view.shape
     if (shape != end_b_view.shape or len(shape) != 2 or shape[0] != 2
@@ -299,21 +300,15 @@ def first_divergence_index(end_a_view: np.ndarray,
                          + np.add.reduce(b * b, axis=None) / b.size)
         if math.isfinite(mean_sq):
             over |= np.abs(a - b) > MONITOR_TOLERANCE * math.sqrt(mean_sq)
-        else:
-            with np.errstate(all="ignore"):
-                over |= ~(np.isfinite(a) & np.isfinite(b))
-                over |= (np.abs(a - b)
-                         > MONITOR_TOLERANCE * _rescaled_rms(a, b))
+            continue
+        finite = np.isfinite(a) & np.isfinite(b)
+        if finite.all():
+            raise ValueError(
+                f"monitor views' mean square {mean_sq} is not finite: the "
+                f"signal lies outside the physics domain")
+        over |= ~finite
     first = int(over.argmax())
     return first if over[first] else None
-
-
-def _rescaled_rms(a: np.ndarray, b: np.ndarray) -> float:
-    """Pooled RMS of ``a`` and ``b`` taken relative to their largest
-    magnitude, so no square overflows; NaN when a sample is not finite."""
-    peak = float(max(np.abs(a).max(), np.abs(b).max()))
-    return peak * math.sqrt(0.5 * (np.mean(np.square(a / peak))
-                                   + np.mean(np.square(b / peak))))
 
 
 def _bit_resistance(bit: int, cfg: NoiseConfig) -> float:

@@ -32,6 +32,13 @@ import numpy as np
 
 BOLTZMANN_K = 1.380649e-23  # J/K, exact SI value
 
+# The physics domain, the (least, greatest) value NoiseConfig accepts for
+# each physical setting: inside it every generator variance, class level,
+# sample and square of a sample is a normal float64.
+RESISTANCE_RANGE = (1e-6, 1e15)  # ohm, r_low and r_high
+T_EFF_RANGE = (1e-6, 1e24)  # K
+BANDWIDTH_RANGE = (1e-6, 1e15)  # Hz
+
 
 class InconsistentSpectraError(ValueError):
     """Measured (s_u, s_i) admit no real resistor pair."""
@@ -39,7 +46,9 @@ class InconsistentSpectraError(ValueError):
 
 @dataclass(frozen=True)
 class NoiseConfig:
-    """Physical and sampling parameters for the simulated channel.
+    """Physical and sampling parameters for the simulated channel, the
+    physical ones in ``RESISTANCE_RANGE``, ``T_EFF_RANGE`` and
+    ``BANDWIDTH_RANGE``.
 
     Parameters
     ----------
@@ -67,16 +76,16 @@ class NoiseConfig:
     classify_margin: float = 0.5
 
     def __post_init__(self):
-        if self.r_low <= 0:
-            raise ValueError(f"r_low must be positive, got {self.r_low}")
+        for name, (least, greatest) in (
+                ("r_low", RESISTANCE_RANGE), ("r_high", RESISTANCE_RANGE),
+                ("t_eff", T_EFF_RANGE), ("bandwidth", BANDWIDTH_RANGE)):
+            value = getattr(self, name)
+            if not least <= value <= greatest:  # NaN fails too
+                raise ValueError(f"{name} must lie in [{least:g}, "
+                                 f"{greatest:g}], got {value}")
         if self.r_high <= self.r_low:
             raise ValueError(
                 f"r_high ({self.r_high}) must exceed r_low ({self.r_low})")
-        if self.t_eff <= 0:
-            raise ValueError(f"t_eff must be positive, got {self.t_eff}")
-        if self.bandwidth <= 0:
-            raise ValueError(
-                f"bandwidth must be positive, got {self.bandwidth}")
         if self.samples_per_bit < 100:
             raise ValueError(
                 f"samples_per_bit must be >= 100, got {self.samples_per_bit}")
@@ -259,24 +268,18 @@ def infer_resistor_pair(s: np.ndarray,
         raise ValueError("both spectra must be positive for pair inference")
     root_sum = cfg.four_kt / s_i
     root_prod = s_u / s_i
-    # The discriminant is taken scaled by 2^-2e, with 2^e ~ root_sum (for
-    # root_sum >= 1), so root_sum^2 cannot overflow.  Scaling by a power
-    # of two is exact: the roots are the same floats as unscaled wherever
-    # the unscaled square is finite.
-    exp = max(math.frexp(root_sum)[1], 0)
-    sum_scaled = math.ldexp(root_sum, -exp)
-    disc = sum_scaled * sum_scaled - 4.0 * math.ldexp(root_prod, -2 * exp)
+    disc = root_sum * root_sum - 4.0 * root_prod
     if disc < 0:
         # Absorb float cancellation on degenerate (equal-resistor) input,
         # reject genuinely inconsistent spectra.
-        if disc > -1e-12 * sum_scaled * sum_scaled:
+        if disc > -1e-12 * root_sum * root_sum:
             disc = 0.0
         else:
             raise InconsistentSpectraError(
                 f"no real resistor pair for s_u={s_u!r}, s_i={s_i!r}")
     # Stable quadratic: the larger root by the +sqrt branch, the smaller
     # from the product, avoiding cancellation.
-    r_big = math.ldexp(0.5 * (sum_scaled + math.sqrt(disc)), exp)
+    r_big = 0.5 * (root_sum + math.sqrt(disc))
     r_small = root_prod / r_big if r_big > 0 else 0.0
     return (r_small, r_big)
 

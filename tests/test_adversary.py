@@ -149,14 +149,19 @@ class TestInjectCurrent:
         assert not out.detected
 
     @pytest.mark.parametrize("ratio", [1e3, 1e100, 1e160, 1e200, 1e300])
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_injection_far_above_signal_always_alarms(self, ratio):
         # From about 1e158 on the sum of the injection's squares overflows
-        # float64; the monitor must still see it.
+        # float64: the monitor would have no finite RMS to compare against,
+        # so such an injection is refused rather than simulated.
         rms = mid_current_rms(CFG)
         rng = np.random.default_rng(8)
         for trial in range(20):
             inj = rng.normal(0, ratio * rms, CFG.samples_per_bit)
+            if ratio > 1e158:
+                with pytest.warns(RuntimeWarning, match="overflow"), \
+                        pytest.raises(ValueError, match="sum of squares"):
+                    inject_current(CFG, inj, (9, trial))
+                continue
             out = inject_current(CFG, inj, (9, trial))
             assert out.detected
             assert out.bits_retained_by_parties == 0

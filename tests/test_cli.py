@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from kljnsim import cli
 from kljnsim.card import CardIdentity, Keystore, initialize_card
 from kljnsim.exchange import ChannelCompromisedError, ExchangeStats
+from kljnsim.noise import BANDWIDTH_RANGE, RESISTANCE_RANGE, T_EFF_RANGE
 from kljnsim.records import RECORDS, SchemaError, validate_record
 
 
@@ -52,20 +53,22 @@ def strict_json(line: str):
 
 FAST = ["--target_bits", "32", "--trials", "3", "--samples_per_bit", "100"]
 
-# Finite simulated currents, but an analytic MID loop-current RMS of inf:
-# any positive amplitude scales it to an injected current that is not
-# finite.
+# Physics outside the domain NoiseConfig states, at which the analytic MID
+# loop-current RMS is inf.
 INF_LOOP_RMS = ["--r_low", "1e-30", "--r_high", "1e-29", "--bandwidth",
                 "1e300"]
 
 
-def assert_exit_2_keeps_output(argv, tmp_path):
-    """A settings error exits 2 before --output_path is opened, so an
-    existing output file keeps its bytes."""
+def assert_exit_keeps_output(argv, tmp_path, code=2):
+    """A run that exits ``code``, not 0, leaves an existing --output_path
+    file with its bytes, whether the error is found before the command
+    runs or while it runs."""
     out = tmp_path / "out.jsonl"
     out.write_bytes(b"earlier run\n")
-    assert cli.main([*argv, "--output_path", str(out)]) == 2
+    assert cli.main([*argv, "--output_path", str(out)]) == code
     assert out.read_bytes() == b"earlier run\n"
+    assert not [name for name in os.listdir(tmp_path)
+                if name.startswith("out.jsonl.")]  # no temporary file left
 
 
 class TestExchangeCommand:
@@ -96,6 +99,7 @@ class TestExchangeCommand:
                          "--output_path", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 4
+        assert os.listdir(tmp_path) == ["stream.jsonl"]  # no temporary file
 
     def test_summary_discard_fraction_near_half(self, capsys):
         code, records = run_main(
@@ -111,6 +115,26 @@ class TestExchangeCommand:
 
         monkeypatch.setattr(cli, "exchange_key", boom)
         assert cli.main(["exchange", *FAST]) == 4
+
+    def test_security_abort_keeps_output_file(self, tmp_path, monkeypatch,
+                                              capsys):
+        # The first trial's record is made before the abort: stdout prints
+        # it, but the output file is not replaced by a partial run.
+        real = cli.exchange_key
+        calls = []
+
+        def abort_at_second_trial(*args):
+            calls.append(args)
+            if len(calls) % 2 == 0:
+                raise ChannelCompromisedError(
+                    ExchangeStats(periods_run=3, alarms=3))
+            return real(*args)
+
+        monkeypatch.setattr(cli, "exchange_key", abort_at_second_trial)
+        code, records = run_main(["exchange", *FAST], capsys)
+        assert code == 4
+        assert [r["schema"] for r in records] == ["kljn.exchange_trial"]
+        assert_exit_keeps_output(["exchange", *FAST], tmp_path, code=4)
 
 
 class TestAttackCommand:
@@ -205,11 +229,13 @@ class TestCardLifetimeCommand:
             [*self.ARGS, "--keystore", str(tmp_path / "nodir" / "ks.jsonl")])
         assert code == 3
 
+    @pytest.mark.parametrize("output", ["nodir/out.jsonl", "."],
+                             ids=["missing_directory", "directory"])
     def test_unwritable_output_exits_3_before_keystore(self, tmp_path,
-                                                       capsys):
+                                                       capsys, output):
         ks = tmp_path / "ks.jsonl"
         code = cli.main([*self.ARGS, "--keystore", str(ks), "--output_path",
-                         str(tmp_path / "nodir" / "out.jsonl")])
+                         str(tmp_path / output)])
         assert code == 3
         assert capsys.readouterr().err.startswith("I/O error: ")
         assert not ks.exists()  # no card was provisioned
@@ -220,11 +246,12 @@ class TestCardLifetimeCommand:
                          "--keystore", str(ks)]) == 0
         journal = ks.read_bytes()
         capsys.readouterr()
-        code = cli.main([*self.ARGS, "--n_sessions", "1",
-                         "--keystore", str(ks)])
-        assert code == 2
+        rerun = [*self.ARGS, "--n_sessions", "1", "--keystore", str(ks)]
+        assert cli.main(rerun) == 2
         assert capsys.readouterr().out == ""
         assert ks.read_bytes() == journal  # the live card is not re-provisioned
+        assert_exit_keeps_output(rerun, tmp_path)
+        assert ks.read_bytes() == journal
 
     def test_torn_journal_tail_refused_exits_3(self, tmp_path, capsys):
         ks = tmp_path / "ks.jsonl"
@@ -310,8 +337,8 @@ class TestKeystoreInspect:
 
     def test_missing_keystore_arg_exits_2(self, tmp_path, capsys):
         assert cli.main(["keystore-inspect", "--keystore", ""]) == 2
-        assert_exit_2_keeps_output(["keystore-inspect", "--keystore", ""],
-                                   tmp_path)
+        assert_exit_keeps_output(["keystore-inspect", "--keystore", ""],
+                                 tmp_path)
 
     def test_card_schemas_are_the_journal_fields(self, tmp_path, capsys):
         ks = self.provisioned(tmp_path)
@@ -357,6 +384,8 @@ class TestKeystoreInspect:
                       encoding="utf-8")
         assert cli.main(["keystore-inspect", "--keystore", str(ks)]) == 3
         assert capsys.readouterr().out == ""
+        assert_exit_keeps_output(["keystore-inspect", "--keystore", str(ks)],
+                                 tmp_path, code=3)
 
     @pytest.mark.parametrize("bad", WRONGLY_TYPED, ids=WRONGLY_TYPED_IDS)
     def test_wrongly_typed_last_line_is_a_torn_tail(self, tmp_path, capsys,
@@ -556,10 +585,9 @@ PINNED_STREAMS = {
         "557291890a2493b11c2572df9afde662011c358a14d3c810eda4d6454244bd5c",
     "attack injection --trials 20 --seed 9":
         "ac84aae95aa5b23cbee5dc4a0c17a5fb9e70ac9790b564a3a8b9eaf2595073bb",
-    # no injection at all: an infinite loop-current RMS scales nothing
-    " ".join(["attack injection --trials 3 --seed 1", *INF_LOOP_RMS,
-              "--amplitude 0"]):
-        "3bde11d0e92029f7e63f85172a486ad4f56270cedc5aa6f7f9b748bd6b3901da",
+    # no injection at all
+    "attack injection --trials 20 --seed 9 --amplitude 0":
+        "f288891d4c9042111e6d36ab6d41bef28d28d1967b359aaebf2c4586b245561d",
     "rate --target_bits 64 --seed 9":
         "0cd04c5d4cdcf89d2b76e3953efd254ce44c00738e8ac35adc085ed2bd0470b1",
 }
@@ -622,7 +650,7 @@ class TestOutOfRangeNumbers:
         assert cli.main([*argv, "--keystore", str(ks)]) == 2
         assert capsys.readouterr().out == ""
         assert not ks.exists()
-        assert_exit_2_keeps_output([*argv, "--keystore", str(ks)], tmp_path)
+        assert_exit_keeps_output([*argv, "--keystore", str(ks)], tmp_path)
         assert not ks.exists()
 
     @pytest.mark.parametrize("n_sessions,faults", [
@@ -640,7 +668,7 @@ class TestOutOfRangeNumbers:
         assert cli.main(argv) == 2
         assert capsys.readouterr().out == ""
         assert not ks.exists()
-        assert_exit_2_keeps_output(argv, tmp_path)
+        assert_exit_keeps_output(argv, tmp_path)
         assert not ks.exists()
 
     @pytest.mark.parametrize("faults", [
@@ -657,51 +685,58 @@ class TestOutOfRangeNumbers:
         assert captured.err.startswith("config error: ")
         assert "given twice" in captured.err
         assert not ks.exists()
-        assert_exit_2_keeps_output(argv, tmp_path)
+        assert_exit_keeps_output(argv, tmp_path)
         assert not ks.exists()
 
-    @pytest.mark.parametrize("flags", [
-        [*INF_LOOP_RMS, "--seed", "1"],
-        [*INF_LOOP_RMS, "--seed", "1", "--amplitude", "1e-300"],
-        ["--bandwidth", "1e300", "--amplitude", "1e200"],
+    @pytest.mark.parametrize("argv,setting", [
+        (["attack", "injection", "--trials", "2", *INF_LOOP_RMS, "--seed",
+          "1"], "r_low"),
+        (["attack", "injection", "--trials", "2", *INF_LOOP_RMS, "--seed",
+          "1", "--amplitude", "1e-300"], "r_low"),
+        (["attack", "injection", "--trials", "2", "--bandwidth", "1e300",
+          "--amplitude", "1e200"], "amplitude"),
+        (["attack", "injection", "--trials", "3", "--bandwidth", "1e300",
+          "--amplitude", "1e165"], "amplitude"),
+        (["attack", "injection", "--trials", "3", "--bandwidth", "1e300"],
+         "bandwidth"),
+        (["attack", "injection", "--amplitude", "1e300", "--trials", "2"],
+         "amplitude"),
+        (["exchange", "--r_high", "1e300", "--trials", "2"], "r_high"),
+        (["attack", "passive", "--r_high", "1e300", "--trials", "2"],
+         "r_high"),
+        (["rate", "--r_high", "1.7e308"], "r_high"),
     ], ids=["inf_loop_rms", "inf_loop_rms_tiny_amplitude",
-            "product_overflows"])
-    def test_non_finite_injection_exits_2(self, flags, tmp_path, capsys):
-        # exit 0 with every trial "detected" at sample 0 on an all +-inf
-        # waveform would report an attack that was never simulated
-        argv = ["attack", "injection", "--trials", "2", *flags]
+            "product_overflows", "inf_injection_draws", "bandwidth_1e300",
+            "injection_amplitude_1e300", "exchange_r_high_1e300",
+            "passive_r_high_1e300", "levels_out_of_float_range"])
+    def test_outside_physics_domain_exits_2(self, argv, setting, tmp_path,
+                                            capsys):
+        # Outside the domain a run could draw +-inf samples or NaN spectra
+        # and report an exchange or attack that was never simulated.
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
-        assert captured.err.startswith("config error: ")
-        assert "float range" in captured.err
-        assert_exit_2_keeps_output(argv, tmp_path)
+        assert captured.err.startswith(f"config error: {setting} must ")
+        assert_exit_keeps_output(argv, tmp_path)
 
-    @pytest.mark.parametrize("argv", [
-        ["exchange", "--faults", "bogus", "--trials", "1",
-         "--target_bits", "8"],
-        ["attack", "mitm", "--trials", "2", *INF_LOOP_RMS],
-    ], ids=["faults_outside_card_lifetime", "scale_outside_injection"])
-    def test_setting_a_command_does_not_read_is_not_checked(self, argv,
-                                                            capsys):
-        assert cli.main(argv) == 0
+    @pytest.mark.parametrize("command", [
+        ["exchange"], ["rate"], ["attack", "passive"], ["attack", "mitm"],
+        ["attack", "injection"], ["card-lifetime", "--keystore", ""],
+        ["keystore-inspect", "--keystore", "ks.jsonl"]],
+        ids=["exchange", "rate", "passive", "mitm", "injection",
+             "card_lifetime", "keystore_inspect"])
+    def test_physics_outside_domain_exits_2_for_every_command(self, command,
+                                                              capsys):
+        assert cli.main([*command, *INF_LOOP_RMS]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: r_low must ")
+
+    def test_setting_a_command_does_not_read_is_not_checked(self, capsys):
+        assert cli.main(["exchange", "--faults", "bogus", "--trials", "1",
+                         "--target_bits", "8"]) == 0
         assert capsys.readouterr().err == ""
-
-    @pytest.mark.parametrize("argv,stdout_sha256", [
-        (["attack", "injection", "--amplitude", "1e300", "--trials", "2"],
-         "885624b5399c3b97b629e137a95ff857cdf55efbd2803ce6b10ff7eb7fd4beef"),
-        (["exchange", "--r_high", "1e300", "--trials", "2"],
-         "fc781e634d2dd0a55e89c131871e5e06040d89b77ed6483bdc87012657037cf8"),
-    ])
-    def test_overflow_prints_no_numpy_warning(self, argv, stdout_sha256):
-        # The overflow is handled (the monitor fails closed), so stderr
-        # stays empty; stdout is the stream these commands always printed.
-        proc = run_proc(argv)
-        assert proc.returncode == 0
-        assert b"RuntimeWarning" not in proc.stderr
-        assert proc.stderr == b""
-        assert sha256(proc.stdout) == stdout_sha256
 
     @pytest.mark.parametrize("amplitude", ["-1", "-1e-9"])
     def test_negative_amplitude_exits_2(self, amplitude, capsys):
@@ -791,24 +826,6 @@ class TestOutOfRangeNumbers:
         assert captured.out == ""
         assert "non-finite" in captured.err
 
-    @pytest.mark.parametrize("argv,check", [
-        (["attack", "injection", "--amplitude", "1e300"],
-         lambda summary: summary["detection_rate"] == 1.0),
-        (["attack", "passive", "--r_high", "1e300"],
-         lambda summary: 1e299 < summary["pooled_pair_high"] < 1e301),
-    ])
-    def test_extreme_values_give_strict_json(self, argv, check, capsys):
-        assert cli.main([*argv, "--trials", "2"]) == 0
-        out = capsys.readouterr().out
-        assert check(strict_json(out.splitlines()[-1]))
-
-    def test_levels_out_of_float_range_exit_2(self, capsys):
-        # 4kT / (2 r_high) underflows to 0: no level to classify against
-        assert cli.main(["rate", "--r_high", "1.7e308"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "leaves float range" in captured.err
-
     def test_unclassifiable_passive_period_gives_no_guess(self, capsys):
         code, records = run_main(["attack", "passive", "--trials", "20",
                                   "--classify_margin", "0.01"], capsys)
@@ -819,23 +836,26 @@ class TestOutOfRangeNumbers:
         assert all(r["pair_low"] is None for r in blind)
 
     @pytest.mark.parametrize("command", ["exchange", "rate"])
-    def test_exchange_that_cannot_converge_exits_2(self, command, capsys):
-        code = cli.main([command, "--r_high", "1000.001", "--trials", "1",
-                         "--target_bits", "16"])
-        assert code == 2
+    def test_exchange_that_cannot_converge_exits_2(self, command, tmp_path,
+                                                   capsys):
+        argv = [command, "--r_high", "1000.001", "--trials", "1",
+                "--target_bits", "16"]
+        assert cli.main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert "did not converge" in captured.err
+        assert_exit_keeps_output(argv, tmp_path)
 
 
 EXTREME_VALUES = {
-    "r_low": ["1e-300", "1", "1e100", "1e300"],
-    "r_high": ["1e-299", "1100", "1e150", "1e300", "1.7e308"],
-    "t_eff": ["1e-300", "1", "1e300"],
-    "bandwidth": ["1e-300", "1e-5", "1e300"],
+    "r_low": ["1e-300", "1e-6", "1", "1e15", "1e100", "1e300"],
+    "r_high": ["1e-299", "1e-6", "1100", "1e15", "1e150", "1e300",
+               "1.7e308"],
+    "t_eff": ["1e-300", "1e-6", "1", "1e24", "1e300"],
+    "bandwidth": ["1e-300", "1e-6", "1e-5", "1e15", "1e300"],
     "classify_margin": ["0.001", "0.01", "0.99"],
-    "amplitude": ["0", "1e-300", "1e200", "1e308"],
+    "amplitude": ["0", "1e-300", "1e6", "1e200", "1e308"],
     "m_max": ["10001", "1000000000"],
     "payload_bytes": ["1601", "1000000000"],
 }
@@ -848,6 +868,27 @@ SMALL_COMMANDS = [
     ["card-lifetime", "--n_sessions", "1", "--payload_bytes", "1",
      "--m_max", "1", "--keystore", ""],
 ]
+
+
+@pytest.mark.parametrize("bandwidth", BANDWIDTH_RANGE)
+@pytest.mark.parametrize("t_eff", T_EFF_RANGE)
+@pytest.mark.parametrize("command", SMALL_COMMANDS,
+                         ids=lambda argv: "_".join(argv[:2]))
+def test_physics_domain_corner_runs_clean(command, t_eff, bandwidth,
+                                          capsys):
+    """Every command runs at each corner of the physics domain, its
+    resistances the domain's two ends and the injection at its largest
+    amplitude.  No number leaves float range: the suite turns a numpy
+    RuntimeWarning into an error."""
+    r_low, r_high = RESISTANCE_RANGE
+    assert cli.main(
+        [*command, f"--r_low={r_low!r}", f"--r_high={r_high!r}",
+         f"--t_eff={t_eff!r}", f"--bandwidth={bandwidth!r}",
+         f"--amplitude={cli._BOUNDS['amplitude'][1]!r}"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    for line in captured.out.splitlines():
+        validate_record(strict_json(line))
 
 
 # The strategies that damage one valid journal line, CARD_LINE.

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from kljnsim.noise import (
     BOLTZMANN_K,
+    RESISTANCE_RANGE,
     InconsistentSpectraError,
     NoiseConfig,
     analytic_spectra,
@@ -284,11 +285,11 @@ class TestInferResistorPair:
 
 
     def test_extreme_pair_stays_finite(self):
-        # (4kT/s_i)^2 overflows float64 here; the scaled form does not.
-        s = analytic_spectra(1e3, 1e300, CFG)
+        # the physics domain's widest pair
+        s = analytic_spectra(*RESISTANCE_RANGE, CFG)
         low, high = infer_resistor_pair(s, CFG)
-        assert low == pytest.approx(1e3, rel=1e-6)
-        assert high == pytest.approx(1e300, rel=1e-9)
+        assert low == pytest.approx(RESISTANCE_RANGE[0], rel=1e-6)
+        assert high == pytest.approx(RESISTANCE_RANGE[1], rel=1e-9)
 
     def test_equals_unscaled_formula_bit_for_bit(self):
         rng = np.random.default_rng(2025)
@@ -368,6 +369,14 @@ class TestNoiseConfigValidation:
         {"samples_per_bit": 50},
         {"classify_margin": 0.0},
         {"classify_margin": 1.0},
+        # just outside the physics domain
+        {"r_low": 1e-7},
+        {"r_high": 2e15},
+        {"t_eff": 1e-7},
+        {"t_eff": 1e25},
+        {"bandwidth": 1e-7},
+        {"bandwidth": 2e15},
+        {"bandwidth": math.nan},
     ])
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
