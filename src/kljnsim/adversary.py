@@ -128,7 +128,9 @@ class InjectionHook:
 
     def __init__(self, injection: np.ndarray):
         self.injection = np.asarray(injection, dtype=np.float64)
-        if not np.isfinite(np.square(self.injection).sum()):
+        with np.errstate(over="ignore"):  # an overflow is the ValueError
+            sum_sq = np.square(self.injection).sum()
+        if not np.isfinite(sum_sq):
             raise ValueError("the injection's sum of squares is not finite")
 
     def __call__(self, u_a, u_b, r_a, r_b, cfg):

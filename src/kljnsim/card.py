@@ -475,21 +475,15 @@ def run_transaction(card: CardState, auth: AuthResult,
         raise CardRefusedError("canceled card cannot transact")
     ledger = auth.ledger
     ledger.advance("transacting")
-    payload_bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
-    n_bits = payload_bits.size
+    plain = np.frombuffer(payload, dtype=np.uint8)
+    n_bits = 8 * plain.size
     try:
-        pad_card = auth.key_b_card.take(n_bits)
-        cipher_bits = payload_bits ^ pad_card
-        ciphertext = np.packbits(cipher_bits).tobytes()
-        pad_term = auth.key_b_terminal.take(n_bits)
-        plain_bits = np.unpackbits(
-            np.frombuffer(ciphertext, dtype=np.uint8))[:n_bits] ^ pad_term
-        decrypted = np.packbits(plain_bits).tobytes()
-        matches = decrypted == payload
+        cipher = plain ^ np.packbits(auth.key_b_card.take(n_bits))
+        decrypted = cipher ^ np.packbits(auth.key_b_terminal.take(n_bits))
         ledger.key_b_bits_used = n_bits
         ledger.advance("refreshing")
-        return TransactionResult(ciphertext=ciphertext,
-                                 decrypted_matches=matches)
+        return TransactionResult(cipher.tobytes(),
+                                 decrypted.tobytes() == payload)
     except KeyExhaustedError:
         ledger.advance("closed")
         raise

@@ -31,7 +31,6 @@ from .adversary import MitmHook, inject_current, mitm_attack, \
 from .card import (
     CardIdentity,
     CardRefusedError,
-    CardState,
     DuplicateCardError,
     Keystore,
     initialize_card,
@@ -169,6 +168,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         _parse_faults(cfg.faults, cfg.n_sessions)
     elif args.command == "keystore-inspect" and not cfg.keystore:
         raise ConfigError("keystore-inspect requires --keystore")
+    out, journal = cfg.output_path, cfg.keystore
+    if args.command in ("card-lifetime", "keystore-inspect") and out \
+            and journal and (os.path.realpath(out) == os.path.realpath(journal)
+                             or os.path.exists(out) and os.path.exists(journal)
+                             and os.path.samefile(out, journal)):
+        raise ConfigError(f"--output_path {out!r} is the --keystore journal; "
+                          f"writing the records there would overwrite it")
     return cfg
 
 
@@ -243,21 +249,27 @@ def cmd_attack(kind: str, cfg: RunConfig, emitter: Emitter) -> None:
     noise = cfg.noise
     if kind == "passive":
         _attack_passive(cfg, emitter)
-    elif kind == "mitm":
-        _attack_active(
-            "mitm", lambda trial: mitm_attack(noise, (cfg.seed, trial)),
-            lambda indices: (int(np.median(indices)) if indices else None,),
-            cfg, emitter)
-    else:
+        return
+    if kind == "mitm":
+        outcomes = (mitm_attack(noise, (cfg.seed, trial))
+                    for trial in range(cfg.trials))
+    else:  # each trial's waveform is drawn just before the trial
         rms = cfg.injection_rms
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x171)))
-
-        def injection_trial(trial):
-            injection = rng.normal(0.0, rms, noise.samples_per_bit)
-            return inject_current(noise, injection, (cfg.seed, trial))
-
-        _attack_active("injection", injection_trial,
-                       lambda indices: (_round(cfg.amplitude),), cfg, emitter)
+        outcomes = (inject_current(
+            noise, rng.normal(0.0, rms, noise.samples_per_bit),
+            (cfg.seed, trial)) for trial in range(cfg.trials))
+    indices = []  # the detected trials' first divergence
+    for trial, out in enumerate(outcomes):
+        if out.detected:
+            indices.append(out.detection_sample_index)
+        emitter.emit("active_trial", kind, trial, out.detected,
+                     out.detection_sample_index, out.bits_learned,
+                     out.bits_retained_by_parties)
+    median = int(np.median(indices)) if indices else None
+    emitter.emit(f"{kind}_summary", kind, cfg.trials,
+                 _round(len(indices) / cfg.trials),
+                 median if kind == "mitm" else _round(cfg.amplitude))
 
 
 def _attack_passive(cfg: RunConfig, emitter: Emitter) -> None:
@@ -290,25 +302,6 @@ def _attack_passive(cfg: RunConfig, emitter: Emitter) -> None:
         pooled_pair = [None, None]
     emitter.emit("passive_summary", "passive", cfg.trials, 0.0,
                  _round(correct / cfg.trials), *pooled_pair)
-
-
-def _attack_active(kind: str, run_trial, summary_tail, cfg: RunConfig,
-                   emitter: Emitter) -> None:
-    """Trial loop shared by the active attacks: ``run_trial(trial)`` gives
-    an AttackOutcome, ``summary_tail(detection indices)`` the values of
-    the ``{kind}_summary`` record's kind-specific fields."""
-    detected = 0
-    indices = []
-    for trial in range(cfg.trials):
-        out = run_trial(trial)
-        detected += out.detected
-        if out.detection_sample_index is not None:
-            indices.append(out.detection_sample_index)
-        emitter.emit("active_trial", kind, trial, out.detected,
-                     out.detection_sample_index, out.bits_learned,
-                     out.bits_retained_by_parties)
-    emitter.emit(f"{kind}_summary", kind, cfg.trials,
-                 _round(detected / cfg.trials), *summary_tail(indices))
 
 
 def _parse_faults(script: str, n_sessions: int) -> dict[int, str]:
@@ -362,11 +355,9 @@ def cmd_card_lifetime(cfg: RunConfig, emitter: Emitter) -> None:
         fault = faults.get(i)
         acting_card = card
         auth_adv = refresh_adv = None
-        if fault == "wrong_key":
-            fake, _ = initialize_card(
-                CardIdentity("clone", "EVE", "01/01"),
-                cfg.m_max, cfg.derived_n_d(), clone_rng)
-            acting_card = CardState(identity=identity, key_c=fake.key_c)
+        if fault == "wrong_key":  # a clone: this identity, a wrong key C
+            acting_card, _ = initialize_card(identity, cfg.m_max,
+                                             cfg.derived_n_d(), clone_rng)
         elif fault == "mitm_auth":
             auth_adv = MitmHook((cfg.seed, 0xA117, i))
         elif fault == "mitm_refresh":

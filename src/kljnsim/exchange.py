@@ -294,19 +294,21 @@ def first_divergence_index(end_a_view: np.ndarray,
             f"monitor views must be two (2, n) periods of equal shape, got "
             f"{shape} and {end_b_view.shape}")
     over = np.zeros(shape[1], dtype=bool)
-    for a, b in zip(end_a_view, end_b_view):  # voltage, then current
-        # np.mean(a ** 2) spelled out: the same sum and divide, bit for bit.
-        mean_sq = 0.5 * (np.add.reduce(a * a, axis=None) / a.size
-                         + np.add.reduce(b * b, axis=None) / b.size)
-        if math.isfinite(mean_sq):
-            over |= np.abs(a - b) > MONITOR_TOLERANCE * math.sqrt(mean_sq)
-            continue
-        finite = np.isfinite(a) & np.isfinite(b)
-        if finite.all():
-            raise ValueError(
-                f"monitor views' mean square {mean_sq} is not finite: the "
-                f"signal lies outside the physics domain")
-        over |= ~finite
+    # A mean square that overflows is the ValueError below, not a warning.
+    with np.errstate(over="ignore"):
+        for a, b in zip(end_a_view, end_b_view):  # voltage, then current
+            # np.mean(a ** 2) spelled out, the same sum and divide bit for bit
+            mean_sq = 0.5 * (np.add.reduce(a * a, axis=None) / a.size
+                             + np.add.reduce(b * b, axis=None) / b.size)
+            if math.isfinite(mean_sq):
+                over |= np.abs(a - b) > MONITOR_TOLERANCE * math.sqrt(mean_sq)
+                continue
+            finite = np.isfinite(a) & np.isfinite(b)
+            if finite.all():
+                raise ValueError(
+                    f"monitor views' mean square {mean_sq} is not finite: "
+                    f"the signal lies outside the physics domain")
+            over |= ~finite
     first = int(over.argmax())
     return first if over[first] else None
 

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kljnsim import tags
@@ -487,6 +487,40 @@ class TestTransaction:
         tr = run_transaction(card, auth, payload)
         assert tr.decrypted_matches
         assert tr.ciphertext != payload
+
+    @given(payload=st.binary(max_size=64), seed=st.integers(0, 2 ** 32 - 1),
+           spare=st.integers(0, 16), flip=st.none() | st.integers(0, 1023))
+    @example(payload=b"", seed=0, spare=0, flip=None)
+    @example(payload=b"", seed=0, spare=3, flip=1)
+    def test_equals_bit_level_formula(self, payload, seed, spare, flip):
+        # The transaction as first written, one bit at a time, is the
+        # oracle; the terminal's pad may carry one silent bit error.
+        rng = np.random.default_rng(seed)
+        pad_card = rng.integers(0, 2, 8 * len(payload) + spare,
+                                dtype=np.uint8)
+        pad_term = pad_card.copy()
+        if flip is not None and pad_term.size:
+            pad_term[flip % pad_term.size] ^= 1
+        payload_bits = np.unpackbits(np.frombuffer(payload, np.uint8))
+        n_bits = payload_bits.size
+        ciphertext = np.packbits(payload_bits ^ pad_card[:n_bits]).tobytes()
+        plain_bits = np.unpackbits(np.frombuffer(ciphertext, np.uint8)) \
+            ^ pad_term[:n_bits]
+        matches = np.packbits(plain_bits).tobytes() == payload
+
+        card, _ = provision()
+        ledger = SessionLedger()
+        for phase in ("identified", "key_located", "kljn_running",
+                      "authenticated"):
+            ledger.advance(phase)
+        auth = AuthResult(ledger=ledger, key_b_card=KeyB(pad_card.copy()),
+                          key_b_terminal=KeyB(pad_term.copy()))
+        tr = run_transaction(card, auth, payload)
+        assert tr.ciphertext == ciphertext
+        assert tr.decrypted_matches is matches
+        assert ledger.phase == "refreshing"
+        assert ledger.key_b_bits_used == n_bits
+        assert auth.key_b_card.zeroized and auth.key_b_terminal.zeroized
 
     def test_key_b_zeroized_after_transaction(self):
         card, result = self._authenticated(701)

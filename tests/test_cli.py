@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kljnsim import cli
+from kljnsim.adversary import AttackOutcome
 from kljnsim.card import CardIdentity, Keystore, initialize_card
 from kljnsim.exchange import ChannelCompromisedError, ExchangeStats
 from kljnsim.noise import BANDWIDTH_RANGE, RESISTANCE_RANGE, T_EFF_RANGE
@@ -157,6 +158,18 @@ class TestAttackCommand:
         summary = records[-1]
         assert summary["detection_rate"] == 1.0
         assert summary["median_detection_index"] <= 10
+
+    def test_mitm_summary_without_detection(self, capsys, monkeypatch):
+        # No trial detected: no detection index to take the median of.
+        monkeypatch.setattr(cli, "mitm_attack",
+                            lambda noise, seed: AttackOutcome(None, 0, 1))
+        assert cli.main(["attack", "mitm", "--trials", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4
+        for line in lines:
+            validate_record(json.loads(line))
+        assert '"detection_rate":0.0' in lines[-1]
+        assert '"median_detection_index":null' in lines[-1]
 
     def test_injection_zero_amplitude_never_alarms(self, capsys):
         code, records = run_main(
@@ -462,6 +475,45 @@ class TestKeystoreInspect:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not a card record" in captured.err
+
+
+class TestOutputPathNamesTheJournal:
+    """A run would put its records over the --keystore journal named by
+    --output_path too, losing every key C, so it exits 2 before it opens
+    either file."""
+
+    @pytest.mark.parametrize("output", ["ks.jsonl", "./ks.jsonl",
+                                        "link.jsonl", "hard.jsonl"],
+                             ids=["same", "dot_slash_twin", "symlink",
+                                  "hard_link"])
+    @pytest.mark.parametrize("command", ["card-lifetime",
+                                         "keystore-inspect"])
+    def test_exits_2_keeping_the_journal(self, command, output, tmp_path,
+                                         monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        # another card's journal, beside which card-lifetime provisions
+        journal = card_line_with({"card_number": "5000000000000000"}) + b"\n"
+        (tmp_path / "ks.jsonl").write_bytes(journal)
+        os.symlink("ks.jsonl", "link.jsonl")
+        os.link("ks.jsonl", "hard.jsonl")
+        assert cli.main([command, *TestCardLifetimeCommand.ARGS[1:],
+                         "--keystore", "ks.jsonl",
+                         "--output_path", output]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: --output_path")
+        assert (tmp_path / "ks.jsonl").read_bytes() == journal
+        assert sorted(os.listdir(tmp_path)) == ["hard.jsonl", "ks.jsonl",
+                                                "link.jsonl"]
+
+    def test_fresh_journal_is_not_created(self, tmp_path, monkeypatch,
+                                          capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = [*TestCardLifetimeCommand.ARGS, "--keystore", "ks.jsonl"]
+        assert cli.main([*argv, "--output_path", "./ks.jsonl"]) == 2
+        assert os.listdir(tmp_path) == []
+        assert cli.main([*argv, "--output_path", "out.jsonl"]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["ks.jsonl", "out.jsonl"]
 
 
 class TestConfigHandling:

@@ -1,8 +1,10 @@
 """Repository hygiene checks: the source is read for dead names, every
-numeric setting has a bound, and the benchmark's span list is checked
-against an in-process traced run."""
+numeric setting has a bound, the benchmark's span list is checked
+against an in-process traced run, and its pinned digests against
+in-process runs of its commands."""
 
 import ast
+import hashlib
 import importlib
 import json
 from dataclasses import fields
@@ -204,6 +206,28 @@ def test_traced_periods_equal_the_stream(bench_modules, tmp_path, capsys):
     assert len(trials) == int(CUT_TRIALS)
     assert counts["exchange.periods"] == sum(r["periods"] for r in trials)
     assert counts["exchange.retained"] == sum(r["retained"] for r in trials)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 23])
+@pytest.mark.parametrize("workload", ["exchange-campaign", "card-lifetime",
+                                      "attack-suite"])
+def test_streams_equal_the_benchmark_pins(workload, seed, bench_modules,
+                                          tmp_path, capsys):
+    """A benchmark run is incorrect when a rep's stream, or card-lifetime's
+    journal, differs from its pin in ``bench/digests.json``; this runs
+    each workload's commands once in process, at full size, and compares
+    the same sha256 digests with the pins."""
+    bench_run = bench_modules[0]
+    journal = tmp_path / "cards.jsonl"
+    for argv in bench_run.WORKLOADS[workload].commands(seed, str(journal)):
+        assert cli.main(argv) == 0
+    stream = capsys.readouterr().out.encode("utf-8")
+    digest = bench_run.digest_of({
+        "stream_sha256": hashlib.sha256(stream).hexdigest(),
+        "journal_sha256": hashlib.sha256(journal.read_bytes()).hexdigest()
+        if bench_run.WORKLOADS[workload].journal else None})
+    pins = json.loads(bench_run.DIGESTS.read_text(encoding="utf-8"))
+    assert digest == pins[workload][str(seed)]
 
 
 def test_record_headers_only_in_records():
