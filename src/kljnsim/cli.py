@@ -37,7 +37,8 @@ from .card import (
     run_session,
 )
 from .exchange import ChannelCompromisedError, ExchangeNotConvergedError, \
-    LoopClass, class_levels, exchange_key, run_bit_period, spawn_seeds
+    LoopClass, class_levels, exchange_key, run_bit_period, spawn_seeds, \
+    trial_seeds
 from .noise import NoiseConfig, infer_resistor_pair
 from .records import RECORDS
 
@@ -168,14 +169,23 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         _parse_faults(cfg.faults, cfg.n_sessions)
     elif args.command == "keystore-inspect" and not cfg.keystore:
         raise ConfigError("keystore-inspect requires --keystore")
-    out, journal = cfg.output_path, cfg.keystore
-    if args.command in ("card-lifetime", "keystore-inspect") and out \
-            and journal and (os.path.realpath(out) == os.path.realpath(journal)
-                             or os.path.exists(out) and os.path.exists(journal)
-                             and os.path.samefile(out, journal)):
-        raise ConfigError(f"--output_path {out!r} is the --keystore journal; "
-                          f"writing the records there would overwrite it")
+    # The files a run reads, which its records must not replace.
+    inputs = {"--config file": args.config}
+    if args.command in ("card-lifetime", "keystore-inspect"):
+        inputs["--keystore journal"] = cfg.keystore
+    out = cfg.output_path
+    for name, path in inputs.items():
+        if out and path and _same_file(out, path):
+            raise ConfigError(f"--output_path {out!r} is the {name}; "
+                              f"writing the records there would overwrite it")
     return cfg
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Paths ``a`` and ``b`` name one file: by the same path, or through
+    a symlink or a hard link."""
+    return os.path.realpath(a) == os.path.realpath(b) or (
+        os.path.exists(a) and os.path.exists(b) and os.path.samefile(a, b))
 
 
 class Emitter:
@@ -250,15 +260,16 @@ def cmd_attack(kind: str, cfg: RunConfig, emitter: Emitter) -> None:
     if kind == "passive":
         _attack_passive(cfg, emitter)
         return
+    # trial t's seed stands for SeedSequence((cfg.seed, t))
+    seeds = trial_seeds(cfg.seed, range(cfg.trials))
     if kind == "mitm":
-        outcomes = (mitm_attack(noise, (cfg.seed, trial))
-                    for trial in range(cfg.trials))
+        outcomes = (mitm_attack(noise, seed) for seed in seeds)
     else:  # each trial's waveform is drawn just before the trial
         rms = cfg.injection_rms
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x171)))
         outcomes = (inject_current(
-            noise, rng.normal(0.0, rms, noise.samples_per_bit),
-            (cfg.seed, trial)) for trial in range(cfg.trials))
+            noise, rng.normal(0.0, rms, noise.samples_per_bit), seed)
+            for seed in seeds)
     indices = []  # the detected trials' first divergence
     for trial, out in enumerate(outcomes):
         if out.detected:

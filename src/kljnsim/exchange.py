@@ -39,7 +39,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -154,12 +154,159 @@ class ExchangeStats:
         return 1.0 - self.retained / self.periods_run
 
 
-def spawn_seeds(seed, n: int) -> list[np.random.SeedSequence]:
-    """``n`` independent child seeds of ``seed`` (an int, a tuple of ints
-    or a SeedSequence, which is spawned from directly)."""
-    if not isinstance(seed, np.random.SeedSequence):
+def spawn_seeds(seed, n: int) -> list:
+    """``n`` independent child seeds of ``seed``.
+
+    ``seed`` is an int or a tuple of ints, which seeds a SeedSequence, or
+    a SeedSequence or a ``trial_seeds`` item, which is spawned from
+    directly.  Child i gives ``np.random.default_rng`` the very PCG64
+    state that ``SeedSequence(seed).spawn(n)[i]`` gives it; a
+    ``trial_seeds`` item of trial t of a run seeded s stands for
+    ``SeedSequence((s, t))``.
+    """
+    if not isinstance(seed, (np.random.SeedSequence, TrialSeed)):
         seed = np.random.SeedSequence(seed)
     return seed.spawn(n)
+
+
+# numpy's SeedSequence hash, which ``trial_seeds`` runs over many trials
+# at once: the entropy pool size and the hash constants.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # mixing the entropy in
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED  # generating the state
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+# Trials whose child seeds one numpy pass derives.  Chunks start at its
+# multiples, so none straddles a multiple of 2**32: the trial indices of a
+# chunk share every entropy word but the lowest.
+SEED_CHUNK = 256
+
+
+def trial_seeds(seed: int, trials: range) -> Iterator[TrialSeed]:
+    """The seed of each trial t of ``trials`` in a run seeded ``seed``,
+    standing for ``SeedSequence((seed, t))`` (see ``spawn_seeds``).
+
+    ``seed`` and the trials are non-negative ints, and ``trials`` has step
+    1.  The children are derived SEED_CHUNK trials at a time, in one
+    numpy pass of numpy's own hash, when a chunk's first trial spawns;
+    each trial's child objects are built when it spawns.
+    """
+    if trials.step != 1 or (trials and trials.start < 0):
+        raise ValueError(f"trials must be a step-1 range of non-negative "
+                         f"ints, got {trials}")
+    head = _uint32_words(seed)
+    start = trials.start
+    while start < trials.stop:
+        stop = min(trials.stop, (start // SEED_CHUNK + 1) * SEED_CHUNK)
+        chunk = functools.lru_cache(maxsize=1)(
+            functools.partial(_child_states, head, range(start, stop)))
+        for k in range(stop - start):
+            yield TrialSeed(chunk, k)
+        start = stop
+
+
+class TrialSeed:
+    """A ``trial_seeds`` item: ``spawn(n)`` gives its first n children,
+    and may be called once."""
+
+    __slots__ = ("_chunk", "_index")
+
+    def __init__(self, chunk: Callable[[int], np.ndarray], index: int):
+        self._chunk = chunk  # n -> the chunk's (T, n, 4) PCG64 state words
+        self._index = index
+
+    def spawn(self, n: int) -> list:
+        if self._chunk is None:
+            raise RuntimeError("a trial seed spawns its children once")
+        states, self._chunk = self._chunk(n)[self._index], None
+        child = _derived_seed_type()
+        return [child(state) for state in states]
+
+
+def _uint32_words(n: int) -> list[int]:
+    """numpy's entropy words of a non-negative int: uint32, least first."""
+    if n < 0:
+        raise ValueError(f"seed entropy must be non-negative, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return words
+
+
+def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """numpy's ``hashmix`` over uint32 arrays: each call hashes with the
+    next constant of ``const``, ``const * mult``, ... (mod 2**32)."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ value >> 16
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return result ^ result >> 16
+
+
+def _child_states(head: list[int], trials: range, n: int) -> np.ndarray:
+    """The ``(T, n, 4)`` uint64 PCG64 state words of the n children of
+    each of the T trials of a chunk, in a run whose seed has the entropy
+    words ``head``: numpy's ``mix_entropy`` and ``generate_state(4,
+    np.uint64)``, one uint32 step at a time over all trials and
+    children."""
+    start = trials.start
+    low = (start & _MASK32) + np.arange(len(trials), dtype=np.uint32)
+    high = _uint32_words(start >> 32) if start >> 32 else []
+    run = [*head, low, *high]
+    # numpy pads the run entropy of a spawned child to the pool size
+    run += [0] * (_POOL_SIZE - len(run))
+    # a (T, 1) column of the trials' low words, (1, 1) constants, and the
+    # spawn key word, child i of each trial, a (n,) row
+    entropy = [np.array(w, dtype=np.uint32).reshape(-1, 1) for w in run]
+    entropy.append(np.arange(n, dtype=np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = [hashmix(pool[k % _POOL_SIZE]).astype(np.uint64)
+             for k in range(2 * _POOL_SIZE)]
+    # little-endian pairs of uint32 words
+    return np.stack([lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])],
+                    axis=-1)
+
+
+@functools.cache
+def _derived_seed_type() -> type:
+    """The seed type of a ``trial_seeds`` child, made on first use:
+    importing ``numpy.random`` with this module would load it into every
+    run of the package, at a cost in start-up time and peak memory."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class DerivedSeed(ISeedSequence):
+        """A child seed whose PCG64 state words are already derived."""
+
+        def __init__(self, state: np.ndarray):
+            self._state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # Only PCG64's request: another bit generator must not be
+            # seeded with these words.
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError(
+                    f"a derived seed holds PCG64's 4 uint64 state words, "
+                    f"not {n_words} of {np.dtype(dtype)}")
+            return self._state
+
+    return DerivedSeed
 
 
 def class_levels(cfg: NoiseConfig) -> dict[LoopClass, np.ndarray]:

@@ -60,14 +60,15 @@ INF_LOOP_RMS = ["--r_low", "1e-30", "--r_high", "1e-29", "--bandwidth",
                 "1e300"]
 
 
-def assert_exit_keeps_output(argv, tmp_path, code=2):
+def assert_exit_keeps_output(argv, tmp_path, code=2,
+                             earlier=b"earlier run\n"):
     """A run that exits ``code``, not 0, leaves an existing --output_path
-    file with its bytes, whether the error is found before the command
-    runs or while it runs."""
+    file ``tmp_path/out.jsonl`` with its bytes, ``earlier``, whether the
+    error is found before the command runs or while it runs."""
     out = tmp_path / "out.jsonl"
-    out.write_bytes(b"earlier run\n")
+    out.write_bytes(earlier)
     assert cli.main([*argv, "--output_path", str(out)]) == code
-    assert out.read_bytes() == b"earlier run\n"
+    assert out.read_bytes() == earlier
     assert not [name for name in os.listdir(tmp_path)
                 if name.startswith("out.jsonl.")]  # no temporary file left
 
@@ -526,6 +527,21 @@ class TestConfigHandling:
         assert code == 0
         assert len(records) == 2  # CLI trials=1 beat the file's 2
 
+    @pytest.mark.parametrize("config", ["out.jsonl", "./out.jsonl",
+                                        "link.cfg"],
+                             ids=["same", "dot_slash_twin", "symlink"])
+    def test_output_path_naming_the_config_exits_2(self, config, tmp_path,
+                                                   monkeypatch, capsys):
+        # The records would replace the settings the next run reads.
+        monkeypatch.chdir(tmp_path)
+        os.symlink("out.jsonl", "link.cfg")
+        assert_exit_keeps_output(["exchange", *FAST, "--config", config],
+                                 tmp_path, earlier=b"trials = 1\n")
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: --output_path")
+        assert "--config file" in err
+
     def test_settings_surface(self):
         # NoiseConfig's fields, then RunConfig's own: the keys, order and
         # types of the flags, --help and the config file.
@@ -637,6 +653,10 @@ PINNED_STREAMS = {
         "557291890a2493b11c2572df9afde662011c358a14d3c810eda4d6454244bd5c",
     "attack injection --trials 20 --seed 9":
         "ac84aae95aa5b23cbee5dc4a0c17a5fb9e70ac9790b564a3a8b9eaf2595073bb",
+    # Detection indices and bits learned vary with the seed, as the
+    # default amplitude's and MITM's (all detected at sample 0) do not.
+    "attack injection --trials 40 --seed 9 --amplitude 3e-6":
+        "6c1424ccd514f50478e1ac622ff99dd5e62e1a894cd083bb3d309080ac270038",
     # no injection at all
     "attack injection --trials 20 --seed 9 --amplitude 0":
         "f288891d4c9042111e6d36ab6d41bef28d28d1967b359aaebf2c4586b245561d",

@@ -13,6 +13,7 @@ from kljnsim.adversary import InjectionHook, MitmHook
 from kljnsim.exchange import (
     ALARM_ABORT_COUNT,
     MONITOR_TOLERANCE,
+    SEED_CHUNK,
     ChannelCompromisedError,
     ExchangeNotConvergedError,
     ExchangeStats,
@@ -24,6 +25,7 @@ from kljnsim.exchange import (
     monitor_compare,
     run_bit_period,
     spawn_seeds,
+    trial_seeds,
 )
 from kljnsim.noise import (
     NoiseConfig,
@@ -806,3 +808,53 @@ class TestOneArrayTrace:
         view_a, view_b = (np.stack(x, -2) for x in (a, b))
         assert first_divergence_index(view_a, view_b) == want
         assert monitor_compare(view_a, view_b).first_divergence == want
+
+
+def pcg64_state(seed) -> dict:
+    return np.random.default_rng(seed).bit_generator.state
+
+
+class TestTrialSeeds:
+    """``trial_seeds`` runs numpy's SeedSequence hash over a chunk of
+    trials at once; every child must seed PCG64 as numpy's own child of
+    ``SeedSequence((seed, t))`` does."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**96 - 1),
+           anchor=st.sampled_from([0, SEED_CHUNK, 5 * SEED_CHUNK, 2**32,
+                                   2**64]),
+           offset=st.integers(-6, 0), count=st.integers(1, 10),
+           n=st.integers(1, 4))
+    @example(seed=2**96 - 1, anchor=2**32, offset=-3, count=7, n=4)
+    def test_children_equal_numpy_children(self, seed, anchor, offset, count,
+                                           n):
+        # the ranges cross chunk boundaries, 2**32 and 2**64
+        start = max(0, anchor + offset)
+        trials = range(start, start + count)
+        for t, trial_seed in zip(trials, trial_seeds(seed, trials),
+                                 strict=True):
+            expected = np.random.SeedSequence((seed, t)).spawn(n)
+            assert [pcg64_state(c) for c in spawn_seeds(trial_seed, n)] == \
+                [pcg64_state(c) for c in expected]
+
+    @pytest.mark.parametrize("bit_generator", [
+        np.random.MT19937, np.random.Philox, np.random.SFC64])
+    def test_other_bit_generator_refused(self, bit_generator):
+        child, = spawn_seeds(next(trial_seeds(5, range(1))), 1)
+        with pytest.raises(ValueError, match="PCG64"):
+            bit_generator(child)
+        with pytest.raises(ValueError, match="PCG64"):
+            child.generate_state(4)  # uint32 words
+
+    def test_spawns_once(self):
+        # lazy: a chunk is derived when its first trial spawns
+        trial_seed = next(trial_seeds(7, range(10**18)))
+        spawn_seeds(trial_seed, 3)
+        with pytest.raises(RuntimeError, match="once"):
+            spawn_seeds(trial_seed, 3)
+
+    @pytest.mark.parametrize("seed,trials", [
+        (-1, range(3)), (0, range(-1, 3)), (0, range(0, 6, 2))])
+    def test_bad_input_refused(self, seed, trials):
+        with pytest.raises(ValueError):
+            next(trial_seeds(seed, trials))

@@ -7,6 +7,9 @@ import ast
 import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -34,6 +37,9 @@ UNREFERENCED_ALLOWED = {
     # transaction whose round trip fails is not reported (the open
     # silent-bit-error defect, ROADMAP item 3).
     "decrypted_matches",
+    # The derived child seed's generate_state: only numpy calls it, when a
+    # bit generator is seeded with the child.
+    "generate_state",
 }
 
 
@@ -117,6 +123,21 @@ def test_every_defined_name_is_referenced():
                          if (name, line) not in members
                          and name not in named}
     assert unreferenced == UNREFERENCED_ALLOWED
+
+
+def test_import_leaves_numpy_random_unloaded():
+    """Importing the CLI does not load ``numpy.random``: a run pays for it
+    only when it draws, and every benchmarked command starts by importing
+    the CLI, which would otherwise add to its start-up time and peak
+    memory."""
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, kljnsim.cli; "
+         "print('numpy.random' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(PACKAGE.parent),
+                          os.environ.get("PYTHONPATH")]))})
+    assert probe.stdout == "False\n"
 
 
 def test_public_names_declared_only_in_init():
