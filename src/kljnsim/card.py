@@ -372,6 +372,13 @@ def authenticate_session(card: CardState, server: Keystore,
                          ) -> AuthResult:
     """Steps (i)-(iv): lookup, key retrieval, KLJN exchange, tag verify.
 
+    In step (iv) the card tags its monitor data with its C segment and the
+    terminal tags its own with the server's; the session authenticates
+    when the tags agree.  An honest session computes one tag: its ends
+    share one buffer of monitor data and equal segments, so the terminal's
+    tag is the card's.  Diverged monitor data or unequal segments compute
+    both.
+
     Success leaves the session authenticated with twin copies of a fresh
     key B of ``key_b_bits`` bits; a tag mismatch (wrong C, or monitor data
     tampered below the alarm threshold) or an in-exchange channel alarm
@@ -445,7 +452,12 @@ def authenticate_session(card: CardState, server: Keystore,
         return mark_broken("tag_mismatch")
     server_segment = record.key_c.segment(segment_index)
     card_tag = authenticate_tag(card_data, card_segment)
-    term_tag = authenticate_tag(term_data, server_segment)
+    # a tag is a pure function of (data, segment)
+    if term_data is card_data and np.array_equal(card_segment,
+                                                 server_segment):
+        term_tag = card_tag
+    else:
+        term_tag = authenticate_tag(term_data, server_segment)
     if card_tag != term_tag:
         return mark_broken("tag_mismatch")
 

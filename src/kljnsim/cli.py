@@ -430,18 +430,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kljnsim",
         description="Johnson-noise key exchange and card protocol simulator")
+    # Each command's flags, declared once and copied in through parents=;
+    # attack's kind comes first, ahead of them.
+    settings = argparse.ArgumentParser(add_help=False)
+    settings.add_argument("--config", help="flat key=value config file")
+    for key, typ in _FIELD_TYPES.items():
+        settings.add_argument(f"--{key}", default=None, metavar=typ.upper())
+    kind = argparse.ArgumentParser(add_help=False)
+    kind.add_argument("kind", choices=["passive", "mitm", "injection"])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, summary in (("exchange", "run key-exchange trials"),
                           ("attack", "run an attack study"),
                           ("card-lifetime", "simulate full card sessions"),
                           ("rate", "report the secure-bit rate"),
                           ("keystore-inspect", "dump keystore state")):
-        p = sub.add_parser(name, help=summary)
-        if name == "attack":
-            p.add_argument("kind", choices=["passive", "mitm", "injection"])
-        p.add_argument("--config", help="flat key=value config file")
-        for key, typ in _FIELD_TYPES.items():
-            p.add_argument(f"--{key}", default=None, metavar=typ.upper())
+        sub.add_parser(name, help=summary, parents=[kind, settings]
+                       if name == "attack" else [settings])
     return parser
 
 

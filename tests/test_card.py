@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -96,7 +97,8 @@ class PeriodHook:
 
 def spy_authentication(card, store, seed, key_bits, adversary):
     """``authenticate_session``'s result, with every period's record as
-    the exchange gave it and the data each tag read, card's first."""
+    the exchange gave it and the (data, segment) of each tag computed,
+    card's first."""
     records, tagged = [], []
 
     def spy_exchange(*args, record_sink, **kwargs):
@@ -106,7 +108,7 @@ def spy_authentication(card, store, seed, key_bits, adversary):
         return exchange_key(*args, record_sink=both, **kwargs)
 
     def spy_tag(data, segment):
-        tagged.append(data)
+        tagged.append((data, segment))
         return authenticate_tag(data, segment)
 
     with mock.patch("kljnsim.card.exchange_key", spy_exchange), \
@@ -236,12 +238,60 @@ class TestBlockedTag:
     across block boundaries (the frozen vectors are all shorter than one
     block)."""
 
-    @given(data=st.binary(max_size=5 * BLOCK_BYTES + 6),
+    @given(data=st.one_of(
+               st.binary(max_size=5 * BLOCK_BYTES + 6),
+               # largest limbs over two or more whole blocks: the largest
+               # block sums the float64 product makes
+               st.integers(2 * BLOCK_BYTES, 5 * BLOCK_BYTES + 6).map(
+                   lambda size: b"\xff" * size)),
            key=st.one_of(st.sampled_from(EDGE_KEYS),
                          st.integers(0, 2 ** 64 - 1)))
+    @example(data=b"\xff" * (2 * BLOCK_BYTES), key=FIELD_PRIME - 1)
+    @example(data=b"\xff" * (3 * BLOCK_BYTES + 6), key=2 ** 64 - 1)
     @settings(max_examples=150, deadline=None)
     def test_equals_horner(self, data, key):
         assert poly_tag(data, key) == horner_tag(data, key)
+
+    @given(x=st.integers(0, FIELD_PRIME - 1))
+    @example(x=0)
+    @example(x=1)
+    @example(x=FIELD_PRIME - 1)
+    @example(x=FIELD_PRIME - 2)
+    @example(x=2 ** 63 % FIELD_PRIME)
+    @settings(max_examples=100, deadline=None)
+    def test_weight_table_equals_big_int_formula(self, x):
+        # The uint64 multiply-by-256 chain against Python integers: the
+        # weight of byte t of limb i is x^(B-i+1) * 256^(6-t) mod p.
+        powers = [pow(x, e, FIELD_PRIME) for e in range(256, 0, -1)]
+        weights = [w * (1 << 8 * (LIMB_BYTES - 1 - t)) % FIELD_PRIME
+                   for w in powers for t in range(LIMB_BYTES)]
+        table, x_block = tags._weight_table(x)
+        assert x_block == pow(x, 256, FIELD_PRIME)
+        assert table.dtype == np.float64 and table.shape == (BLOCK_BYTES, 2)
+        assert [int(low) + (int(high) << 32)
+                for low, high in table.tolist()] == weights
+        assert (table < 2 ** 32).all()
+
+    @given(values=st.lists(st.integers(0, FIELD_PRIME - 1), min_size=1,
+                           max_size=64))
+    @example(values=[0, 1, FIELD_PRIME - 2, FIELD_PRIME - 1])
+    # 256 v's low 64 bits plus 59 x its high byte: at or above p without
+    # wrapping, and wrapping past 2^64
+    @example(values=[(4 << 56) | (1 << 56) - 1])
+    @example(values=[(254 << 56) | (1 << 56) - 1])
+    @settings(max_examples=100, deadline=None)
+    def test_times_256_equals_big_int(self, values):
+        # Random residues almost never reach the carry fold or the final
+        # subtraction; the two examples reach each.
+        got = tags._times_256(np.array(values, np.uint64))
+        assert got.tolist() == [v * 256 % FIELD_PRIME for v in values]
+
+    def test_block_sums_are_exact_in_float64(self):
+        # The largest block sum, every byte 255 against every weight piece
+        # at 2^32 - 1, stays an integer float64 holds exactly; a larger
+        # block or wider pieces would break the product's exactness.
+        assert (LIMB_BYTES * tags._BLOCK_LIMBS * 255 * (2 ** 32 - 1)
+                < 2 ** 53)
 
     @pytest.mark.parametrize("size", [
         BLOCK_BYTES - 1, BLOCK_BYTES, BLOCK_BYTES + 1,
@@ -424,18 +474,63 @@ class TestAuthentication:
                                 else min(first + 1, periods))
         store = Keystore()
         card, _ = provision(rng=seed, keystore=store)
-        result, records, (card_data, term_data) = spy_authentication(
+        result, records, tagged = spy_authentication(
             card, store, seed, key_bits, PeriodHook(hostile_periods, seed))
+        (card_data, _), (term_data, _) = tagged[0], tagged[-1]
         assert [k for k, rec in enumerate(records)
                 if rec.bob_trace is not None] == list(hostile_periods)
         assert card_data == joined_rows(rec.trace for rec in records)
         assert term_data == joined_rows(
             rec.trace if rec.bob_trace is None else rec.bob_trace
             for rec in records)
-        # Honest ends share one buffer.
+        # Honest ends share one buffer and one tag; diverged ends tag
+        # their own buffers.
+        assert len(tagged) == (1 if hostile == "none" else 2)
         assert (card_data is term_data) == (hostile == "none")
         assert result.reason == ("" if hostile == "none"
                                  else "tag_mismatch")
+
+    def test_wrong_key_clone_on_an_honest_wire_tags_twice(self):
+        # Shared monitor data, unequal segments: the terminal computes its
+        # own tag, and the clone's does not match it.
+        store = Keystore()
+        card, server = provision(keystore=store)
+        fake, _ = initialize_card(CardIdentity("f", "EVE", "01/01"), 3,
+                                  102400, rng=99)
+        clone = CardState(identity=IDENTITY, key_c=fake.key_c)
+        result, records, tagged = spy_authentication(
+            clone, store, 101, KEY_B_BITS, None)
+        assert all(rec.bob_trace is None for rec in records)
+        (card_data, card_segment), (term_data, term_segment) = tagged
+        assert card_data is term_data
+        assert not np.array_equal(card_segment, term_segment)
+        assert result.ledger.phases == BROKEN_PATH
+        assert result.reason == "tag_mismatch"
+        assert server.broken_count_mirror == 1
+        assert card.key_c.cursor == 0 and server.key_c.cursor == 1
+
+    def test_perfect_clone_tags_once_and_authenticates(self):
+        # A clone holding the card's own key C is indistinguishable from
+        # the card: one tag, which is the terminal's tag over the same
+        # data, and the exchange's key B on both ends.
+        store = Keystore()
+        card, server = provision(keystore=store)
+        clone = CardState(identity=IDENTITY, key_c=dataclasses.replace(
+            card.key_c, bits=card.key_c.bits.copy()))
+        server_segment = server.key_c.segment(0)
+        result, _, tagged = spy_authentication(clone, store, 630,
+                                               KEY_B_BITS, None)
+        (data, segment), = tagged
+        assert np.array_equal(segment, server_segment)
+        assert authenticate_tag(data, server_segment) == \
+            authenticate_tag(data, segment)
+        key_a, key_b, _ = exchange_key(KEY_B_BITS, CFG, 630)
+        assert result.ledger.phases == CLEAN_PATH[:4]
+        assert np.array_equal(result.key_b_card.bits, key_a)
+        assert np.array_equal(result.key_b_terminal.bits, key_b)
+        assert clone.key_c.cursor == server.key_c.cursor == 1
+        assert card.key_c.cursor == 0
+        assert server.broken_count_mirror == 0
 
     def test_peak_memory_is_one_copy_of_the_monitor_data(self):
         cfg = NoiseConfig(samples_per_bit=1000)

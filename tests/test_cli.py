@@ -621,6 +621,23 @@ class TestConfigHandling:
                     for a in actions[2:]] == settings
             assert all(a.default is None for a in actions[1:])
 
+    def test_each_flag_declared_once(self, monkeypatch):
+        # The five commands share one declaration of each flag: adding a
+        # flag runs argparse's per-argument checks, so a build that adds
+        # them per command pays five times for the same parser.
+        declared = []
+        add_argument = argparse._ActionsContainer.add_argument
+
+        def counting(container, *args, **kwargs):
+            declared.append(args[0])
+            return add_argument(container, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument",
+                            counting)
+        cli.build_parser()
+        assert sorted(a for a in declared if a != "-h") == sorted(
+            ["kind", "--config", *(f"--{key}" for key in cli._FIELD_TYPES)])
+
     def test_env_seed_matches_explicit_seed(self):
         by_env = run_proc(["exchange", *FAST],
                           env_extra={"KLJN_SEED": "777"})

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from kljnsim import cli
+from kljnsim import card, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kljnsim"
@@ -227,6 +227,31 @@ def test_traced_periods_equal_the_stream(bench_modules, tmp_path, capsys):
     assert len(trials) == int(CUT_TRIALS)
     assert counts["exchange.periods"] == sum(r["periods"] for r in trials)
     assert counts["exchange.retained"] == sum(r["retained"] for r in trials)
+
+
+def test_traced_tag_bytes_equal_the_tagged_buffers(bench_modules, tmp_path,
+                                                   monkeypatch, capsys):
+    """The tracer counts tag bytes at ``poly_tag``; an honest session tags
+    its one shared buffer once, and only a session whose ends diverged or
+    hold unequal segments tags twice.  So no (buffer, segment) pair is
+    tagged twice, and the count is the length of the pairs the sessions
+    tagged, each once."""
+    tagged = []  # (buffer, segment) per tag; holds each buffer alive
+    authenticate_tag = card.authenticate_tag
+
+    def spy(data, segment):
+        tagged.append((data, segment))
+        return authenticate_tag(data, segment)
+
+    monkeypatch.setattr(card, "authenticate_tag", spy)
+    counts = traced_run(bench_modules, "card-lifetime", tmp_path)["counts"]
+    capsys.readouterr()
+    pairs = {(id(data), segment.tobytes()): len(data)
+             for data, segment in tagged}
+    assert len(pairs) == len(tagged)
+    # the wrong_key session tags one shared buffer with two segments
+    assert len({id(data) for data, _ in tagged}) < len(tagged)
+    assert counts["tags.poly_tag.bytes"] == sum(pairs.values())
 
 
 @pytest.mark.parametrize("seed", [0, 5, 23])
