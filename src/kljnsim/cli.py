@@ -37,8 +37,7 @@ from .card import (
     run_session,
 )
 from .exchange import ChannelCompromisedError, ExchangeNotConvergedError, \
-    LoopClass, class_levels, exchange_key, run_bit_period, spawn_seeds, \
-    trial_seeds
+    LoopClass, class_levels, exchange_key, run_bit_period, spawn_seeds
 from .noise import NoiseConfig, infer_resistor_pair
 from .records import RECORDS
 
@@ -260,16 +259,15 @@ def cmd_attack(kind: str, cfg: RunConfig, emitter: Emitter) -> None:
     if kind == "passive":
         _attack_passive(cfg, emitter)
         return
-    # trial t's seed stands for SeedSequence((cfg.seed, t))
-    seeds = trial_seeds(cfg.seed, range(cfg.trials))
     if kind == "mitm":
-        outcomes = (mitm_attack(noise, seed) for seed in seeds)
+        outcomes = (mitm_attack(noise, (cfg.seed, t))
+                    for t in range(cfg.trials))
     else:  # each trial's waveform is drawn just before the trial
         rms = cfg.injection_rms
-        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0x171)))
+        rng = np.random.default_rng((cfg.seed, 0x171))
         outcomes = (inject_current(
-            noise, rng.normal(0.0, rms, noise.samples_per_bit), seed)
-            for seed in seeds)
+            noise, rng.normal(0.0, rms, noise.samples_per_bit), (cfg.seed, t))
+            for t in range(cfg.trials))
     indices = []  # the detected trials' first divergence
     for trial, out in enumerate(outcomes):
         if out.detected:
@@ -285,7 +283,7 @@ def cmd_attack(kind: str, cfg: RunConfig, emitter: Emitter) -> None:
 
 def _attack_passive(cfg: RunConfig, emitter: Emitter) -> None:
     noise = cfg.noise
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xE5E)))
+    rng = np.random.default_rng((cfg.seed, 0xE5E))
     correct = 0
     pair_su = []
     pair_si = []

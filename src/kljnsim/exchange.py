@@ -39,7 +39,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -155,21 +155,27 @@ class ExchangeStats:
 
 
 def spawn_seeds(seed, n: int) -> list:
-    """``n`` independent child seeds of ``seed``.
+    """``n`` independent child seeds of ``seed``: an int or a tuple of
+    ints, or a SeedSequence or a child this gave, to spawn from directly.
 
-    ``seed`` is an int or a tuple of ints, which seeds a SeedSequence, or
-    a SeedSequence or a ``trial_seeds`` item, which is spawned from
-    directly.  Child i gives ``np.random.default_rng`` the very PCG64
-    state that ``SeedSequence(seed).spawn(n)[i]`` gives it; a
-    ``trial_seeds`` item of trial t of a run seeded s stands for
-    ``SeedSequence((s, t))``.
+    Child i seeds PCG64 and spawns as ``SeedSequence(seed).spawn(n)[i]``
+    does.  A seed ``(s, t)`` of two non-negative ints, trial t of an
+    attack run seeded s, takes its children's states from the
+    ``_chunk_states`` of its chunk of SEED_CHUNK trials.
     """
-    if not isinstance(seed, (np.random.SeedSequence, TrialSeed)):
+    if type(seed) is tuple and len(seed) == 2:
+        s, t = seed
+        if type(s) is int and type(t) is int and s >= 0 and t >= 0:
+            first = t - t % SEED_CHUNK
+            child = _derived_seed_type()
+            return [child(state, seed, i) for i, state in
+                    enumerate(_chunk_states(s, first, n)[t - first])]
+    if not isinstance(seed, np.random.bit_generator.ISpawnableSeedSequence):
         seed = np.random.SeedSequence(seed)
     return seed.spawn(n)
 
 
-# numpy's SeedSequence hash, which ``trial_seeds`` runs over many trials
+# numpy's SeedSequence hash, which ``_chunk_states`` runs over many trials
 # at once: the entropy pool size and the hash constants.
 _POOL_SIZE = 4
 _MASK32 = 0xFFFF_FFFF
@@ -183,51 +189,8 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 SEED_CHUNK = 256
 
 
-def trial_seeds(seed: int, trials: range) -> Iterator[TrialSeed]:
-    """The seed of each trial t of ``trials`` in a run seeded ``seed``,
-    standing for ``SeedSequence((seed, t))`` (see ``spawn_seeds``).
-
-    ``seed`` and the trials are non-negative ints, and ``trials`` has step
-    1.  The children are derived SEED_CHUNK trials at a time, in one
-    numpy pass of numpy's own hash, when a chunk's first trial spawns;
-    each trial's child objects are built when it spawns.
-    """
-    if trials.step != 1 or (trials and trials.start < 0):
-        raise ValueError(f"trials must be a step-1 range of non-negative "
-                         f"ints, got {trials}")
-    head = _uint32_words(seed)
-    start = trials.start
-    while start < trials.stop:
-        stop = min(trials.stop, (start // SEED_CHUNK + 1) * SEED_CHUNK)
-        chunk = functools.lru_cache(maxsize=1)(
-            functools.partial(_child_states, head, range(start, stop)))
-        for k in range(stop - start):
-            yield TrialSeed(chunk, k)
-        start = stop
-
-
-class TrialSeed:
-    """A ``trial_seeds`` item: ``spawn(n)`` gives its first n children,
-    and may be called once."""
-
-    __slots__ = ("_chunk", "_index")
-
-    def __init__(self, chunk: Callable[[int], np.ndarray], index: int):
-        self._chunk = chunk  # n -> the chunk's (T, n, 4) PCG64 state words
-        self._index = index
-
-    def spawn(self, n: int) -> list:
-        if self._chunk is None:
-            raise RuntimeError("a trial seed spawns its children once")
-        states, self._chunk = self._chunk(n)[self._index], None
-        child = _derived_seed_type()
-        return [child(state) for state in states]
-
-
 def _uint32_words(n: int) -> list[int]:
     """numpy's entropy words of a non-negative int: uint32, least first."""
-    if n < 0:
-        raise ValueError(f"seed entropy must be non-negative, got {n}")
     words = [n & _MASK32]
     while n := n >> 32:
         words.append(n & _MASK32)
@@ -251,16 +214,17 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ result >> 16
 
 
-def _child_states(head: list[int], trials: range, n: int) -> np.ndarray:
-    """The ``(T, n, 4)`` uint64 PCG64 state words of the n children of
-    each of the T trials of a chunk, in a run whose seed has the entropy
-    words ``head``: numpy's ``mix_entropy`` and ``generate_state(4,
-    np.uint64)``, one uint32 step at a time over all trials and
-    children."""
-    start = trials.start
-    low = (start & _MASK32) + np.arange(len(trials), dtype=np.uint32)
-    high = _uint32_words(start >> 32) if start >> 32 else []
-    run = [*head, low, *high]
+@functools.lru_cache(maxsize=1)
+def _chunk_states(seed: int, first: int, n: int) -> np.ndarray:
+    """The ``(SEED_CHUNK, n, 4)`` uint64 PCG64 state words of the n
+    children of ``SeedSequence((seed, t))`` for each trial t of the chunk
+    that starts at ``first``: numpy's ``mix_entropy`` and
+    ``generate_state(4, np.uint64)``, one uint32 step at a time over all
+    trials and children.  Cached, so a run's trials in turn derive each
+    chunk once."""
+    low = (first & _MASK32) + np.arange(SEED_CHUNK, dtype=np.uint32)
+    high = _uint32_words(first >> 32) if first >> 32 else []
+    run = [*_uint32_words(seed), low, *high]
     # numpy pads the run entropy of a spawned child to the pool size
     run += [0] * (_POOL_SIZE - len(run))
     # a (T, 1) column of the trials' low words, (1, 1) constants, and the
@@ -286,16 +250,17 @@ def _child_states(head: list[int], trials: range, n: int) -> np.ndarray:
 
 @functools.cache
 def _derived_seed_type() -> type:
-    """The seed type of a ``trial_seeds`` child, made on first use:
-    importing ``numpy.random`` with this module would load it into every
-    run of the package, at a cost in start-up time and peak memory."""
-    from numpy.random.bit_generator import ISeedSequence
+    """The type of a ``spawn_seeds`` child of an ``(s, t)`` seed, made on
+    first use: importing ``numpy.random`` with this module would load it
+    into every run of the package, at a cost in start-up time and peak
+    memory."""
+    from numpy.random.bit_generator import ISpawnableSeedSequence
 
-    class DerivedSeed(ISeedSequence):
-        """A child seed whose PCG64 state words are already derived."""
+    class DerivedSeed(ISpawnableSeedSequence):
+        """Child ``index`` of ``SeedSequence(entropy)``, state derived."""
 
-        def __init__(self, state: np.ndarray):
-            self._state = state
+        def __init__(self, state: np.ndarray, entropy, index: int):
+            self._state, self._entropy, self._index = state, entropy, index
 
         def generate_state(self, n_words, dtype=np.uint32):
             # Only PCG64's request: another bit generator must not be
@@ -305,6 +270,10 @@ def _derived_seed_type() -> type:
                     f"a derived seed holds PCG64's 4 uint64 state words, "
                     f"not {n_words} of {np.dtype(dtype)}")
             return self._state
+
+        def spawn(self, n_children):
+            return np.random.SeedSequence(
+                self._entropy, spawn_key=(self._index,)).spawn(n_children)
 
     return DerivedSeed
 
@@ -368,9 +337,7 @@ def _classify_one(s_u: float, s_i: float, geometry) -> Optional[LoopClass]:
         dist = math.hypot(mx - px, my - py)
         if best is None or dist < best_dist:  # ties keep the earlier class
             best, best_dist, best_radius = cls, dist, radius
-    # A NaN distance is not beyond the radius, so NaN spectra still get a
-    # class; giving them None would change streams.
-    return None if best_dist > best_radius else best
+    return best if best_dist <= best_radius else None
 
 
 def _classify_block(spectra: np.ndarray,

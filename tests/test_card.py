@@ -681,6 +681,19 @@ class TestSessionOrchestration:
         assert card.generation == 1
         assert np.array_equal(card.key_c.bits, server.key_c.bits)
 
+    def test_pair_seed_runs_as_its_seed_sequence(self):
+        # the session spawns again from its seed's children, so a child
+        # of an (s, t) seed must spawn as numpy's does
+        new_c = []
+        for seed in ((900, 1), np.random.SeedSequence((900, 1))):
+            store = Keystore()
+            card, _ = provision(m_max=2, keystore=store)
+            ledger = run_session(card, store, CFG, seed, b"payload!",
+                                 KEY_B_BITS)
+            assert ledger.phases == CLEAN_PATH
+            new_c.append(card.key_c.bits)
+        assert np.array_equal(*new_c)
+
     def test_phase_path_is_legal(self):
         store = Keystore()
         card, _ = provision(m_max=2, keystore=store)

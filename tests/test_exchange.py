@@ -25,7 +25,6 @@ from kljnsim.exchange import (
     monitor_compare,
     run_bit_period,
     spawn_seeds,
-    trial_seeds,
 )
 from kljnsim.noise import (
     NoiseConfig,
@@ -190,6 +189,20 @@ class TestClassifyLevel:
     def test_zero_or_infinite_spectra_unclassifiable(self, s_u, s_i):
         # a period measured so is discarded as an anomaly, never classified
         assert classify_level(np.array([s_u, s_i]), CFG) is None
+
+    @pytest.mark.parametrize("s_u,s_i", [
+        (np.nan, 1e-10), (1e-8, np.nan), (np.nan, np.nan)])
+    def test_nan_spectra_unclassifiable(self, s_u, s_i):
+        assert classify_level(np.array([s_u, s_i]), CFG) is None
+        # in a block, only the NaN columns change, to None
+        rng = np.random.default_rng(4)
+        levels = np.stack(list(class_levels(CFG).values()), axis=1)
+        block = levels[:, rng.integers(0, 3, 12)] * np.exp(
+            rng.normal(0.0, 0.2, (2, 12)))
+        want = classify_level(block, CFG)
+        block[:, [2, 7]] = [[s_u], [s_i]]
+        want[2] = want[7] = None
+        assert classify_level(block, CFG) == want
 
     def test_one_period_pair_gives_its_class(self):
         # a (2,) pair is one period, not a block of one
@@ -814,47 +827,54 @@ def pcg64_state(seed) -> dict:
     return np.random.default_rng(seed).bit_generator.state
 
 
-class TestTrialSeeds:
-    """``trial_seeds`` runs numpy's SeedSequence hash over a chunk of
-    trials at once; every child must seed PCG64 as numpy's own child of
-    ``SeedSequence((seed, t))`` does."""
+class TestSpawnSeeds:
+    """``spawn_seeds`` runs numpy's SeedSequence hash over a chunk of
+    trials at once for a seed ``(s, t)``; every child must seed PCG64, and
+    spawn, as numpy's own child of ``SeedSequence((s, t))`` does."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**96 - 1),
+           other=st.integers(0, 2**96 - 1),
            anchor=st.sampled_from([0, SEED_CHUNK, 5 * SEED_CHUNK, 2**32,
                                    2**64]),
            offset=st.integers(-6, 0), count=st.integers(1, 10),
-           n=st.integers(1, 4))
-    @example(seed=2**96 - 1, anchor=2**32, offset=-3, count=7, n=4)
-    def test_children_equal_numpy_children(self, seed, anchor, offset, count,
-                                           n):
-        # the ranges cross chunk boundaries, 2**32 and 2**64
+           n=st.integers(1, 3))
+    @example(seed=2**96 - 1, other=0, anchor=2**32, offset=-3, count=7, n=3)
+    def test_children_equal_numpy_children(self, seed, other, anchor, offset,
+                                           count, n):
+        # the trials cross chunk boundaries, 2**32 and 2**64; a second run
+        # and n alternating between n and n + 1 evict the cached chunk
         start = max(0, anchor + offset)
-        trials = range(start, start + count)
-        for t, trial_seed in zip(trials, trial_seeds(seed, trials),
-                                 strict=True):
-            expected = np.random.SeedSequence((seed, t)).spawn(n)
-            assert [pcg64_state(c) for c in spawn_seeds(trial_seed, n)] == \
+        for k, t in enumerate(range(start, start + count)):
+            for s, m in ((seed, n + k % 2), (other, n + 1 - k % 2)):
+                expected = np.random.SeedSequence((s, t)).spawn(m)
+                assert [pcg64_state(c) for c in spawn_seeds((s, t), m)] == \
+                    [pcg64_state(c) for c in expected]
+
+    def test_children_spawn_as_numpy_children(self):
+        # run_session spawns the children of its seed's children
+        for seed in ((3, 4), (2**70, 2**33 + 5)):
+            child = spawn_seeds(seed, 2)[1]
+            expected = np.random.SeedSequence(seed).spawn(2)[1].spawn(3)
+            assert [pcg64_state(c) for c in spawn_seeds(child, 3)] == \
                 [pcg64_state(c) for c in expected]
+
+    @pytest.mark.parametrize("seed", [
+        (np.int64(3), 4), (True, 1), (3,), (3, 4, 5), [3, 4]])
+    def test_other_seeds_are_numpy_seeds(self, seed):
+        expected = np.random.SeedSequence(seed).spawn(3)
+        assert [pcg64_state(c) for c in spawn_seeds(seed, 3)] == \
+            [pcg64_state(c) for c in expected]
+
+    def test_negative_entry_refused_by_numpy(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            spawn_seeds((-1, 0), 2)
 
     @pytest.mark.parametrize("bit_generator", [
         np.random.MT19937, np.random.Philox, np.random.SFC64])
     def test_other_bit_generator_refused(self, bit_generator):
-        child, = spawn_seeds(next(trial_seeds(5, range(1))), 1)
+        child, = spawn_seeds((5, 0), 1)
         with pytest.raises(ValueError, match="PCG64"):
             bit_generator(child)
         with pytest.raises(ValueError, match="PCG64"):
             child.generate_state(4)  # uint32 words
-
-    def test_spawns_once(self):
-        # lazy: a chunk is derived when its first trial spawns
-        trial_seed = next(trial_seeds(7, range(10**18)))
-        spawn_seeds(trial_seed, 3)
-        with pytest.raises(RuntimeError, match="once"):
-            spawn_seeds(trial_seed, 3)
-
-    @pytest.mark.parametrize("seed,trials", [
-        (-1, range(3)), (0, range(-1, 3)), (0, range(0, 6, 2))])
-    def test_bad_input_refused(self, seed, trials):
-        with pytest.raises(ValueError):
-            next(trial_seeds(seed, trials))
